@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Time the retrieval layer on its own and record the numbers in a JSON file.
+
+Three timings, each a median over repeated calls after a warm-up:
+
+- ``Index.search`` (embed one query, score, select the top k) over N random
+  unit vectors of dimension 256, for each N in ``--sizes``;
+- ``retrieve_for_queries`` with 4 queries (one question's triples) over the
+  same index;
+- ``HashingEmbedder.embed_batch`` per chunk, for chunks of 80 and 400 tokens.
+
+Queries are short strings of random words embedded by the hashing embedder,
+so search times include embedding the query. Each run is stored under
+``--label`` in ``runs`` of the output file, next to the runs already there,
+so numbers from two commits can sit side by side:
+
+    python3 scripts/bench_retrieval.py --label after --out BENCH_retrieval.json
+"""
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from anchor_rag.embed_index import HashingEmbedder, Index, retrieve_for_queries
+
+DIM = 256
+K = 5
+SEED = 0
+QUERIES_PER_QUESTION = 4
+CHUNK_TOKENS = (80, 400)
+WORDS = (
+    "river stone castle meadow falcon ember harbor lantern cedar summit violet marble thunder quill "
+    "anchor breeze canyon dune ivory jasper kestrel lagoon mosaic nectar orchid prairie quartz russet "
+    "saffron tundra university football conference stadium plays_for born_in capital_of married_to"
+).split()
+
+
+def machine() -> dict:
+    return {
+        "cores": os.cpu_count(),
+        "arch": platform.machine(),
+        "system": platform.system(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def summary(samples_ms: list[float]) -> dict:
+    """Median, plus p75 once there are at least ten samples above it."""
+    out = {"median_ms": statistics.median(samples_ms), "samples": len(samples_ms)}
+    if len(samples_ms) >= 40:
+        out["p75_ms"] = float(np.percentile(samples_ms, 75))
+    return out
+
+
+def timed_ms(fn, *args, **kwargs) -> float:
+    start = time.perf_counter()
+    fn(*args, **kwargs)
+    return (time.perf_counter() - start) * 1000.0
+
+
+def random_unit_rows(n: int, rng: np.random.Generator, block: int = 10_000) -> np.ndarray:
+    rows = rng.standard_normal((n, DIM), dtype=np.float32)
+    for i in range(0, n, block):
+        part = rows[i : i + block]
+        part /= np.linalg.norm(part, axis=1, keepdims=True)
+    return rows
+
+
+def bench_index(n: int, queries: list[str]) -> dict:
+    provider = HashingEmbedder(dim=DIM)
+    rows = random_unit_rows(n, np.random.default_rng(SEED))
+    index = Index([f"c{i:07d}" for i in range(n)], rows, provider)
+    del rows
+    for q in queries[:2]:
+        index.search(q, k=K)
+    search = [timed_ms(index.search, q, k=K) for q in queries]
+    groups = [queries[i : i + QUERIES_PER_QUESTION] for i in range(0, len(queries), QUERIES_PER_QUESTION)]
+    groups = [g for g in groups if len(g) == QUERIES_PER_QUESTION]
+    retrieve = [timed_ms(retrieve_for_queries, index, g, k_per_query=K) for g in groups]
+    return {"search": summary(search), "retrieve_4_queries": summary(retrieve)}
+
+
+def bench_embed(tokens: int, texts: int, repeats: int, rng: random.Random) -> dict:
+    provider = HashingEmbedder(dim=DIM)
+    batch = [" ".join(rng.choices(WORDS, k=tokens)) for _ in range(texts)]
+    provider.embed_batch(batch[:2])
+    per_chunk = [timed_ms(provider.embed_batch, batch) / texts for _ in range(repeats)]
+    return summary(per_chunk)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--sizes", type=int, nargs="+", default=[10_000, 50_000, 200_000], help="index rows")
+    parser.add_argument("--queries", type=int, default=40, help="timed searches per size")
+    parser.add_argument("--embed-texts", type=int, default=200, help="chunks per timed embedding batch")
+    parser.add_argument("--embed-repeats", type=int, default=9, help="timed embedding batches per chunk length")
+    parser.add_argument("--label", default="current", help="key of this run under 'runs' in the output file")
+    parser.add_argument("--out", default="BENCH_retrieval.json")
+    args = parser.parse_args()
+
+    rng = random.Random(SEED)
+    queries = [" ".join(rng.choices(WORDS, k=rng.randint(3, 8))) for _ in range(args.queries)]
+    run = {
+        "machine": machine(),
+        "settings": {"dim": DIM, "k": K, "queries_per_question": QUERIES_PER_QUESTION, "seed": SEED},
+        "index": {str(n): bench_index(n, queries) for n in args.sizes},
+        "hashing_embed_per_chunk": {
+            f"{t}_tokens": bench_embed(t, args.embed_texts, args.embed_repeats, rng) for t in CHUNK_TOKENS
+        },
+    }
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    doc.setdefault("runs", {})[args.label] = run
+    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    print(json.dumps({args.label: run}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,12 @@
 """Exact dense retrieval over chunk embeddings.
 
 The index is a plain (ids, matrix) pair searched by brute-force cosine,
-which is exact and fast at desk scale (tens of thousands of chunks).
-Vectors are unit-normalized, stored as float32, and scored in float64.
+which is exact and fast at desk scale (hundreds of thousands of chunks).
+Vectors are unit-normalized, stored on disk as float32, and held and
+scored in float64. A search scores every row with one matrix-vector
+product, then finds the top k by partial selection (``np.partition``)
+rather than a full sort; only the rows at or above the k-th score are
+sorted, so ties at the boundary still break by ascending chunk id.
 Two providers are included: an OpenAI-compatible HTTP embedder and a
 deterministic hashing embedder (character n-grams feature-hashed into a
 fixed dimension) used for tests and offline runs.
@@ -13,7 +17,6 @@ from __future__ import annotations
 import json
 import re
 import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -41,13 +44,32 @@ class EmbeddingProvider(Protocol):
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
+def _crc32_table() -> np.ndarray:
+    """The 256-entry byte table of zlib's reflected CRC-32 polynomial."""
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    return table
+
+
+_CRC32_TABLE = _crc32_table()
+
+
 class HashingEmbedder:
     """Deterministic text embedder: feature-hashed character n-grams.
 
     Text is lowercased and every non-alphanumeric run becomes one space, so
     snake_case predicates land in the same buckets as their plain-text
     forms. Each n-gram is CRC-hashed to a signed bucket; the count vector
-    is then L2-normalized.
+    is then L2-normalized. A text shorter than every n-gram size is hashed
+    whole, and one that normalizes to nothing maps to the first axis.
+
+    The CRC-32 (zlib's, so vectors match a per-gram ``zlib.crc32`` loop
+    bit for bit) of every n-gram is computed at once with a byte table:
+    grams of all sizes share their leading bytes, so the CRC state runs
+    over the longest size once and is read off at each size on the way.
+    Bucket counts are small integers, so their float64 sums are exact in
+    any order.
     """
 
     def __init__(self, dim: int = 256, ngram_sizes: Sequence[int] = (3, 4, 5)):
@@ -62,16 +84,32 @@ class HashingEmbedder:
     def _normalize_text(text: str) -> str:
         return " ".join(re.sub(r"[^a-z0-9]+", " ", text.lower()).split())
 
+    def _gram_hashes(self, text: bytes) -> np.ndarray:
+        """CRC-32 of every n-gram of every configured size, or of the whole
+        text when it is shorter than every size."""
+        if not text:
+            return np.zeros(0, dtype=np.uint32)
+        data = np.frombuffer(text, dtype=np.uint8)
+        sizes = sorted(self.ngram_sizes)
+        if not sizes or len(data) < sizes[0]:
+            sizes = [len(data)]
+        crc = np.full(len(data) - sizes[0] + 1, 0xFFFFFFFF, dtype=np.uint32)
+        hashes: list[np.ndarray] = []
+        consumed = 0
+        for n in sizes:
+            starts = len(data) - n + 1
+            if starts <= 0:
+                break
+            crc = crc[:starts]
+            for j in range(consumed, n):
+                crc = _CRC32_TABLE.take(crc.astype(np.uint8) ^ data[j : j + starts]) ^ (crc >> 8)
+            consumed = n
+            hashes.append(~crc)
+        return np.concatenate(hashes)
+
     def _embed_one(self, text: str) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.float64)
-        t = self._normalize_text(text)
-        grams = [t[i : i + n] for n in self.ngram_sizes for i in range(len(t) - n + 1)]
-        if not grams and t:
-            grams = [t]
-        for gram in grams:
-            h = zlib.crc32(gram.encode("utf-8"))
-            sign = 1.0 if (h >> 31) & 1 else -1.0
-            v[h % self.dim] += sign
+        h = self._gram_hashes(self._normalize_text(text).encode("ascii"))
+        v = np.bincount(h % self.dim, weights=np.where(h >> 31, 1.0, -1.0), minlength=self.dim)
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             v[0] = 1.0
@@ -80,7 +118,12 @@ class HashingEmbedder:
         return v
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        return np.stack([self._embed_one(t) for t in texts]).astype(np.float32)
+        # Rows go straight into the float32 result, so no float64 copy of
+        # the batch is ever held.
+        out = np.empty((len(texts), self.dim), dtype=np.float32)
+        for i, text in enumerate(texts):
+            out[i] = self._embed_one(text)
+        return out
 
 
 class RemoteEmbedder:
@@ -157,6 +200,13 @@ class RetrievalHit:
     query_index: int
 
 
+def _check_query(query: str, k: int) -> None:
+    if not query:
+        raise EmbedIndexError("empty query string")
+    if k < 1:
+        raise EmbedIndexError("k must be >= 1")
+
+
 class Index:
     """Immutable exact-cosine index: chunk ids plus their unit vectors."""
 
@@ -168,8 +218,9 @@ class Index:
         if vectors.shape[0] != len(ids):
             raise EmbedIndexError("ids/vectors row count mismatch")
         self.ids = list(ids)
-        self._stored = np.ascontiguousarray(vectors, dtype=np.float32)
-        self._matrix = self._stored.astype(np.float64)
+        # Rows are rounded to float32 (the stored precision) once, so a
+        # saved and reloaded index scores bit-identically to the original.
+        self._matrix = np.ascontiguousarray(vectors, dtype=np.float32).astype(np.float64)
         self.dim = int(vectors.shape[1])
         self.provider = provider
         self.provider_id = provider.provider_id
@@ -181,21 +232,32 @@ class Index:
     def vector(self, chunk_id: str) -> np.ndarray:
         return self._matrix[self._row_of[chunk_id]]
 
-    def search(self, query: str, k: int = 5) -> list[RetrievalHit]:
-        """Top-k by exact cosine; ties broken by ascending chunk id."""
-        if not query:
-            raise EmbedIndexError("empty query string")
-        if k < 1:
-            raise EmbedIndexError("k must be >= 1")
-        q = embed([query], self.provider)[0].astype(np.float64)
+    def search(self, query: str, k: int = 5, vector: np.ndarray | None = None) -> list[RetrievalHit]:
+        """Top-k by exact cosine; ties broken by ascending chunk id.
+
+        Every row is scored in float64. ``np.partition`` finds the k-th
+        largest score, and only the rows scoring at or above it (all ties
+        at the boundary included) are sorted by (-score, chunk id), so the
+        result equals a full sort under that key. ``vector`` is the
+        query's embedding when the caller already has it
+        (``retrieve_for_queries`` embeds all its queries in one call);
+        otherwise the query is embedded here.
+        """
+        _check_query(query, k)
+        if vector is None:
+            vector = embed([query], self.provider)[0]
+        q = vector.astype(np.float64)
         if q.shape[0] != self.dim:
             raise EmbedIndexError(f"query dim {q.shape[0]} does not match index dim {self.dim}")
         scores = self._matrix @ q
-        order = sorted(range(len(self.ids)), key=lambda i: (-scores[i], self.ids[i]))
-        return [
-            RetrievalHit(chunk_id=self.ids[i], score=float(scores[i]), query_index=0)
-            for i in order[: min(k, len(self.ids))]
-        ]
+        n = len(self.ids)
+        if k < n:
+            kth = np.partition(scores, n - k)[n - k]
+            rows = np.flatnonzero(scores >= kth)
+        else:
+            rows = range(n)
+        order = sorted(rows, key=lambda i: (-scores[i], self.ids[i]))
+        return [RetrievalHit(chunk_id=self.ids[i], score=float(scores[i]), query_index=0) for i in order[:k]]
 
     # --- persistence -------------------------------------------------------
     # Binary layout: magic, version, dim, count, provider id, id table,
@@ -215,7 +277,7 @@ class Index:
                 raw = cid.encode("utf-8")
                 fh.write(struct.pack("<I", len(raw)))
                 fh.write(raw)
-            fh.write(self._stored.tobytes(order="C"))
+            fh.write(self._matrix.astype(np.float32).data)
         sidecar = path.with_name(path.name + ".manifest.jsonl")
         with sidecar.open("w", encoding="utf-8") as fh:
             header = {
@@ -263,10 +325,6 @@ def build_index(chunks: Sequence[Chunk], provider: EmbeddingProvider) -> Index:
     return Index(ids, vectors, provider)
 
 
-def search(index: Index, query: str, k: int = 5) -> list[RetrievalHit]:
-    return index.search(query, k=k)
-
-
 def triple_query(triple: ReasoningTriple, style: str = "space") -> str:
     """Render a triple as a retrieval query string.
 
@@ -283,16 +341,21 @@ def triple_query(triple: ReasoningTriple, style: str = "space") -> str:
 def retrieve_for_queries(index: Index, queries: Sequence[str], k_per_query: int = 5) -> tuple[list[str], list[RetrievalHit]]:
     """Per-query top-k plus the de-duplicated union of chunk ids.
 
+    All queries are embedded in one ``embed`` call (one ``/embeddings``
+    round trip for a remote provider), then each is searched on its own.
     Union order is first occurrence: query order, then rank order within a
     query. The full hit lists are returned for tracing.
     """
     if not queries:
         raise EmbedIndexError("no queries to retrieve for")
+    for query in queries:
+        _check_query(query, k_per_query)
+    vectors = embed(queries, index.provider)
     ordered: list[str] = []
     seen: set[str] = set()
     hits: list[RetrievalHit] = []
-    for qi, query in enumerate(queries):
-        for hit in index.search(query, k=k_per_query):
+    for qi, (query, vector) in enumerate(zip(queries, vectors)):
+        for hit in index.search(query, k=k_per_query, vector=vector):
             hit = RetrievalHit(chunk_id=hit.chunk_id, score=hit.score, query_index=qi)
             hits.append(hit)
             if hit.chunk_id not in seen:

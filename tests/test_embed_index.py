@@ -1,11 +1,16 @@
 import json
 import random
+import re
+import subprocess
+import sys
 import threading
+import zlib
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchor_rag.corpus import Chunk
@@ -14,11 +19,11 @@ from anchor_rag.embed_index import (
     HashingEmbedder,
     Index,
     RemoteEmbedder,
+    RetrievalHit,
     build_index,
     embed,
     retrieve_for_queries,
     retrieve_for_triples,
-    search,
     triple_query,
 )
 from anchor_rag.prompt_kit import ReasoningTriple
@@ -94,6 +99,42 @@ def test_embed_rejects_empty_inputs():
         embed(["ok", ""], provider)
 
 
+def hashing_v1_reference(text: str, dim: int, ngram_sizes: tuple[int, ...]) -> np.ndarray:
+    """The scalar hashing-v1 embedder: one zlib.crc32 and one += per n-gram."""
+    v = np.zeros(dim, dtype=np.float64)
+    t = " ".join(re.sub(r"[^a-z0-9]+", " ", text.lower()).split())
+    grams = [t[i : i + n] for n in ngram_sizes for i in range(len(t) - n + 1)]
+    if not grams and t:
+        grams = [t]
+    for gram in grams:
+        h = zlib.crc32(gram.encode("utf-8"))
+        v[h % dim] += 1.0 if (h >> 31) & 1 else -1.0
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        v[0] = 1.0
+    else:
+        v /= norm
+    return v.astype(np.float32)
+
+
+UNICODE_WORDS = ["İstanbul", "café", "naïve", "Straße", "plays_for", "ŁÓDŹ", "東京タワー", "señor-año", "x1y2z3"]
+LONG_TEXTS = st.lists(st.sampled_from(UNICODE_WORDS + WORDS), min_size=600, max_size=800).map(" ".join)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    texts=st.lists(st.one_of(st.text(), st.text(alphabet="ab !_İé", max_size=6), LONG_TEXTS), min_size=1, max_size=6),
+    dim=st.sampled_from([2, 31, 256]),
+    ngram_sizes=st.sampled_from([(3, 4, 5), (5, 3, 4), (1,), (2, 6)]),
+)
+@example(texts=["", "!!! ???", "ab", "a", "İ", "é", "x" * 3001, " ".join(WORDS) * 20], dim=256, ngram_sizes=(3, 4, 5))
+def test_hashing_embedder_matches_scalar_reference(texts, dim, ngram_sizes):
+    got = HashingEmbedder(dim=dim, ngram_sizes=ngram_sizes).embed_batch(texts)
+    expected = np.stack([hashing_v1_reference(t, dim, ngram_sizes) for t in texts])
+    assert got.dtype == np.float32
+    assert np.array_equal(got, expected)
+
+
 # --- build / search -----------------------------------------------------------
 
 
@@ -124,6 +165,7 @@ def test_search_k_larger_than_index():
     index = build_index(chunks, HashingEmbedder())
     hits = index.search("river stone", k=50)
     assert len(hits) == 4
+    assert index.search("river stone", k=4) == hits
     assert [h.score for h in hits] == sorted((h.score for h in hits), reverse=True)
 
 
@@ -143,7 +185,7 @@ def test_search_matches_brute_force_argsort():
         query = " ".join(rng.choices(WORDS, k=rng.randint(2, 8)))
         k = rng.randint(1, 10)
         expected = brute_force_ranking(index, query)[:k]
-        hits = search(index, query, k=k)
+        hits = index.search(query, k=k)
         assert [h.chunk_id for h in hits] == [cid for cid, _ in expected]
         for hit, (_, score) in zip(hits, expected):
             assert hit.score == pytest.approx(score, abs=1e-9)
@@ -155,6 +197,18 @@ def test_tie_break_by_ascending_chunk_id():
     index = build_index(chunks, HashingEmbedder())
     hits = index.search("identical text", k=3)
     assert [h.chunk_id for h in hits] == ["c0001", "c0002", "c0003"]
+
+
+def test_ties_beyond_k_return_lowest_chunk_ids():
+    # five rows tie at the k-th score, below one strictly better row
+    copies = [make_chunk(i, "river stone castle meadow") for i in (7, 2, 9, 4, 5)]
+    others = [make_chunk(1, "river stone"), make_chunk(3, "falcon ember harbor"), make_chunk(8, "quill anchor")]
+    index = build_index(copies + others, HashingEmbedder())
+    assert [h.chunk_id for h in index.search("river stone castle meadow", k=2)] == ["c0002", "c0004"]
+    hits = index.search("river stone", k=3)
+    assert [h.chunk_id for h in hits] == ["c0001", "c0002", "c0004"]
+    expected = brute_force_ranking(index, "river stone")[:3]
+    assert [(h.chunk_id, h.score) for h in hits] == expected
 
 
 # --- persistence -----------------------------------------------------------------
@@ -277,6 +331,57 @@ def test_retrieve_for_queries_tags_query_index():
     assert [h.query_index for h in hits] == [0, 0, 0, 1, 1, 1]
 
 
+class CountingEmbedder(HashingEmbedder):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def embed_batch(self, texts):
+        self.calls += 1
+        return super().embed_batch(texts)
+
+
+def test_retrieve_for_queries_embeds_once_and_matches_search():
+    provider = CountingEmbedder()
+    index = build_index(soup_corpus(40, random.Random(12)), provider)
+    queries = ["river stone", "orchid nectar lagoon", "falcon plays_for summit", "quartz"]
+    provider.calls = 0
+    union, hits = retrieve_for_queries(index, queries, k_per_query=4)
+    assert provider.calls == 1
+    expected = [
+        RetrievalHit(h.chunk_id, h.score, qi) for qi, q in enumerate(queries) for h in index.search(q, k=4)
+    ]
+    assert hits == expected
+    assert union == list(dict.fromkeys(h.chunk_id for h in expected))
+
+
+@pytest.mark.parametrize(
+    ("queries", "k", "message"),
+    [
+        (["river", ""], 3, "empty query string"),
+        (["", "river"], 0, "empty query string"),
+        (["river", "stone"], 0, "k must be >= 1"),
+    ],
+)
+def test_retrieve_for_queries_rejects_bad_inputs(queries, k, message):
+    provider = CountingEmbedder()
+    index = build_index(soup_corpus(6, random.Random(13)), provider)
+    provider.calls = 0
+    with pytest.raises(EmbedIndexError, match=message):
+        retrieve_for_queries(index, queries, k_per_query=k)
+    assert provider.calls == 0
+
+
+def test_search_rejects_query_dim_mismatch():
+    chunks = soup_corpus(3, random.Random(14))
+    vectors = embed([c.text for c in chunks], HashingEmbedder(dim=32))
+    index = Index([c.chunk_id for c in chunks], vectors, HashingEmbedder(dim=64))
+    with pytest.raises(EmbedIndexError, match="query dim 64 does not match index dim 32"):
+        index.search("river", k=2)
+    with pytest.raises(EmbedIndexError, match="query dim 64 does not match index dim 32"):
+        retrieve_for_queries(index, ["river", "stone"])
+
+
 def test_triple_query_styles():
     t = ReasoningTriple("Modric", "plays_for", "AC Milan")
     assert triple_query(t) == "Modric plays_for AC Milan"
@@ -367,3 +472,15 @@ def test_scores_bounded(texts, query):
     index = build_index(chunks, HashingEmbedder(dim=32))
     for hit in index.search(query, k=len(chunks)):
         assert -1.0 - 1e-6 <= hit.score <= 1.0 + 1e-6
+
+
+def test_bench_retrieval_script_smoke(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_retrieval.py"
+    out = tmp_path / "BENCH_retrieval.json"
+    args = ["--sizes", "50", "--queries", "4", "--embed-texts", "2", "--embed-repeats", "1", "--out", str(out)]
+    subprocess.run([sys.executable, str(script), *args, "--label", "smoke"], check=True, capture_output=True, timeout=120)
+    run = json.loads(out.read_text(encoding="utf-8"))["runs"]["smoke"]
+    assert run["machine"]["cores"] >= 1
+    assert run["index"]["50"]["search"]["samples"] == 4
+    assert run["index"]["50"]["retrieve_4_queries"]["samples"] == 1
+    assert run["hashing_embed_per_chunk"]["400_tokens"]["median_ms"] > 0
