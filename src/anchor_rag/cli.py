@@ -20,6 +20,7 @@ from anchor_rag.corpus import (
     DEFAULT_STRIDE,
     DEFAULT_TOKENIZER,
     CorpusError,
+    Document,
     build_corpus,
     load_dataset,
     read_chunk_manifest,
@@ -83,12 +84,16 @@ def build_chat_provider(spec: dict):
 def cmd_ingest(args: argparse.Namespace) -> int:
     if args.sample_n is not None and args.sample_n < 1:
         raise CliError("--sample-n must be >= 1")
-    items, docs = load_dataset(args.data, args.format)
+    item_docs: list[tuple[Document, ...]] | None = [] if args.contexts == "sampled" else None
+    all_items, docs = load_dataset(args.data, args.format, item_docs=item_docs)
+    items = all_items
     if args.sample_n is not None:
         items = sample_questions(items, args.sample_n, args.seed)
-    if args.contexts == "sampled":
+    if item_docs is not None:
+        # The kept records' documents in the order a parse restricted to
+        # ``keep`` would list them: first appearance, in file order.
         keep = {q.question_id for q in items}
-        _, docs = load_dataset(args.data, args.format, restrict_to=keep)
+        docs = list(dict.fromkeys(d for q, ds in zip(all_items, item_docs) if q.question_id in keep for d in ds))
     chunks = build_corpus(docs, chunk_size=args.chunk_size, stride=args.stride)
     out = Path(args.out_dir)
     write_question_file(

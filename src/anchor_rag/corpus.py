@@ -16,7 +16,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -148,19 +148,33 @@ def _join_sentences(sentences: Iterable[str]) -> str:
     return " ".join(s.strip() for s in map(str, sentences) if s.strip())
 
 
-def _iter_records(path: Path) -> list[dict]:
-    raw = path.read_text(encoding="utf-8")
-    stripped = raw.lstrip()
-    try:
-        if stripped.startswith("["):
-            records = json.loads(raw)
-        else:
-            records = [json.loads(line) for line in raw.splitlines() if line.strip()]
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(records, list):
-        raise CorpusError(f"{path} does not contain a list of records")
-    return records
+def _iter_records(path: Path) -> Iterator[dict]:
+    """Yield the records of a dataset file in file order.
+
+    A file whose first non-blank character is ``[`` is one JSON array and is
+    parsed whole; any other file is JSONL, parsed one line at a time, so only
+    the current line is held. Blank lines are skipped.
+    """
+    with path.open("r", encoding="utf-8") as fh:
+        first = fh.read(1)
+        while first.isspace():
+            first = fh.read(1)
+        fh.seek(0)
+        if first == "[":
+            try:
+                records = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"cannot parse {path}: {exc}") from exc
+            yield from records
+            return
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"cannot parse {path}: line {lineno}: {exc.msg} (column {exc.colno})") from exc
+            yield record
 
 
 def _contexts_hotpot_style(record: dict) -> list[tuple[str, str]]:
@@ -204,7 +218,10 @@ def _support_titles(record: dict, fmt: str) -> frozenset[str] | None:
 
 
 def load_dataset(
-    path: str | Path, fmt: str, restrict_to: set[str] | None = None
+    path: str | Path,
+    fmt: str,
+    restrict_to: set[str] | None = None,
+    item_docs: list[tuple[Document, ...]] | None = None,
 ) -> tuple[list[QAItem], list[Document]]:
     """Read one dataset file in its distributed layout.
 
@@ -212,20 +229,28 @@ def load_dataset(
     as a :class:`Document`, de-duplicated by (title, text). Records missing
     a question or answer are skipped and counted in a log line. With
     ``restrict_to`` set, only records with those question ids contribute
-    (used to index contexts of a sampled subset only).
+    (the reference for ``ingest --contexts sampled``). With ``item_docs``
+    given, one tuple is appended to it per returned item: the documents of
+    that record's passages, in record order.
+
+    Records are consumed as they are parsed. A JSONL file (MuSiQue) is
+    streamed line by line, so memory holds the current line plus the
+    results. A JSON array (HotpotQA, 2Wiki) is parsed whole, which takes a
+    few times the file size; streaming it would need an incremental JSON
+    parser and is not done.
     """
     if fmt not in DATASET_TAGS:
         raise CorpusError(f"unknown dataset format: {fmt!r} (expected one of {DATASET_TAGS})")
     path = Path(path)
     if not path.is_file():
         raise CorpusError(f"dataset file not found: {path}")
-    records = _iter_records(path)
 
     items: list[QAItem] = []
-    docs: list[Document] = []
-    seen: set[tuple[str, str]] = set()
+    docs: dict[tuple[str, str], Document] = {}
     skipped = 0
-    for i, record in enumerate(records):
+    for i, record in enumerate(_iter_records(path)):
+        if not isinstance(record, dict):
+            raise CorpusError(f"{path}: record {i + 1} is not a JSON object")
         question = str(record.get("question") or "").strip()
         answer = str(record.get("answer") or "").strip()
         if not question or not answer:
@@ -244,17 +269,19 @@ def load_dataset(
             )
         )
         contexts = _contexts_musique(record) if fmt == "musique" else _contexts_hotpot_style(record)
+        record_docs = []
         for title, text in contexts:
             if not text:
                 continue
-            key = (title, text)
-            if key in seen:
-                continue
-            seen.add(key)
-            docs.append(Document(doc_id=_doc_id(title, text), title=title, text=text))
+            doc = docs.get((title, text))
+            if doc is None:
+                doc = docs[(title, text)] = Document(doc_id=_doc_id(title, text), title=title, text=text)
+            record_docs.append(doc)
+        if item_docs is not None:
+            item_docs.append(tuple(record_docs))
     if skipped:
         logger.warning("%s: skipped %d record(s) missing question or answer", path, skipped)
-    return items, docs
+    return items, list(docs.values())
 
 
 def sample_questions(items: Sequence[QAItem], n: int, seed: int) -> list[QAItem]:

@@ -15,6 +15,7 @@ fixed dimension) used for tests and offline runs.
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -295,18 +296,27 @@ class Index:
     def load(cls, path: str | Path, provider: EmbeddingProvider) -> "Index":
         path = Path(path)
         with path.open("rb") as fh:
-            if fh.read(4) != INDEX_MAGIC:
+            size = os.fstat(fh.fileno()).st_size
+
+            def read(n: int, what: str) -> bytes:
+                # Checked against the file size before reading, so a cut-off
+                # file is reported as such and a bad length never allocates.
+                if fh.tell() + n > size:
+                    raise EmbedIndexError(f"{path} is truncated: {what} runs past its end ({size} bytes)")
+                return fh.read(n)
+
+            if read(4, "the magic number") != INDEX_MAGIC:
                 raise EmbedIndexError(f"{path} is not an embedding index")
-            version, dim, count = struct.unpack("<IIQ", fh.read(16))
+            version, dim, count = struct.unpack("<IIQ", read(16, "the header"))
             if version != INDEX_VERSION:
                 raise EmbedIndexError(f"{path}: unsupported index version {version}")
-            (provider_len,) = struct.unpack("<I", fh.read(4))
-            provider_id = fh.read(provider_len).decode("utf-8")
+            (provider_len,) = struct.unpack("<I", read(4, "the provider id length"))
+            provider_id = read(provider_len, "the provider id").decode("utf-8")
             ids = []
             for _ in range(count):
-                (id_len,) = struct.unpack("<I", fh.read(4))
-                ids.append(fh.read(id_len).decode("utf-8"))
-            vectors = np.frombuffer(fh.read(count * dim * 4), dtype=np.float32).reshape(count, dim)
+                (id_len,) = struct.unpack("<I", read(4, "a chunk id length"))
+                ids.append(read(id_len, "a chunk id").decode("utf-8"))
+            vectors = np.frombuffer(read(count * dim * 4, "the vector block"), dtype=np.float32).reshape(count, dim)
         if provider.provider_id != provider_id:
             raise EmbedIndexError(
                 f"index was built with provider {provider_id!r}, got {provider.provider_id!r}"

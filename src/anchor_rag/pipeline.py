@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
 from anchor_rag.corpus import Chunk, QAItem, Tokenizer, get_tokenizer
 from anchor_rag.embed_index import EmbedIndexError, Index, RetrievalHit, retrieve_for_queries, triple_query
@@ -48,6 +49,8 @@ GATE_DECISIONS = ("complete", "continue", "ungated")
 
 EMPTY_HYPOTHESIS_SENTINEL = "unknown"
 TRACE_SCHEMA_VERSION = 1
+
+logger = logging.getLogger(__name__)
 
 
 class PipelineError(RuntimeError):
@@ -551,12 +554,12 @@ class Pipeline:
         try:
             if path is not None:
                 if resume and path.exists():
-                    header, existing = read_trace_file(path)
+                    header, existing, end = _scan_trace_file(path)
                     if header.get("config_hash") != self.config.config_hash():
                         raise PipelineError(
                             f"{path} was written under a different config; refusing to resume"
                         )
-                    writer = path.open("a", encoding="utf-8")
+                    writer = _append_after(path, end)
                 else:
                     path.parent.mkdir(parents=True, exist_ok=True)
                     writer = path.open("w", encoding="utf-8")
@@ -599,23 +602,66 @@ def _trace_header(config: RunConfig) -> dict:
 
 
 def read_trace_file(path: str | Path) -> tuple[dict, list[PipelineTrace]]:
+    header, traces, _ = _scan_trace_file(path)
+    return header, traces
+
+
+def _scan_trace_file(path: str | Path) -> tuple[dict, list[PipelineTrace], int]:
+    """Parse a trace file and return its header, its traces and the byte
+    length of the lines they came from.
+
+    A last line that has no newline and does not parse is what a crash
+    leaves behind mid-write: it is dropped with a warning and is not counted
+    in the length. Any other line that does not parse raises
+    :class:`PipelineError`.
+    """
     path = Path(path)
     if not path.is_file():
         raise PipelineError(f"trace file not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         first = fh.readline()
         if not first.strip():
             raise PipelineError(f"{path} is empty")
-        header = json.loads(first)
-        if header.get("kind") != "trace_file":
+        try:
+            header = json.loads(first)
+        except ValueError as exc:
+            raise PipelineError(f"{path}: cannot parse the header line: {exc}") from exc
+        if not isinstance(header, dict) or header.get("kind") != "trace_file":
             raise PipelineError(f"{path} is not a trace file")
         if header.get("schema_version") != TRACE_SCHEMA_VERSION:
             raise PipelineError(
                 f"{path}: schema version {header.get('schema_version')} "
                 f"(this build reads {TRACE_SCHEMA_VERSION})"
             )
-        traces = [PipelineTrace.from_json_dict(json.loads(line)) for line in fh if line.strip()]
-    return header, traces
+        traces = []
+        end = len(first)
+        for lineno, line in enumerate(fh, 2):
+            if line.strip():
+                try:
+                    traces.append(PipelineTrace.from_json_dict(json.loads(line)))
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    if not line.endswith(b"\n"):
+                        logger.warning("%s: dropping torn last line %d (%d bytes)", path, lineno, len(line))
+                        break
+                    raise PipelineError(f"{path}: line {lineno} is not a valid trace: {exc}") from exc
+            end += len(line)
+    return header, traces, end
+
+
+def _append_after(path: Path, end: int) -> TextIO:
+    """Open a trace file for appending after its first ``end`` bytes.
+
+    Whatever follows them (a torn last line) is cut off, and the kept part
+    is ended with a newline, so the next trace starts on a line of its own.
+    """
+    with path.open("r+b") as fh:
+        fh.truncate(end)
+        fh.seek(end - 1)
+        ends_line = fh.read(1) == b"\n"
+    writer = path.open("a", encoding="utf-8")
+    if not ends_line:
+        writer.write("\n")
+    return writer
 
 
 def write_trace_file(path: str | Path, config: RunConfig, traces: Iterable[PipelineTrace]) -> None:

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from anchor_rag import corpus
 from anchor_rag.cli import main
-from anchor_rag.corpus import read_chunk_manifest, read_question_file
+from anchor_rag.corpus import build_corpus, load_dataset, read_chunk_manifest, read_question_file, write_chunk_manifest
 from anchor_rag.pipeline import read_trace_file
 
 DATA = Path(__file__).parent / "data"
@@ -108,6 +109,29 @@ def test_run_refuses_overwrite_without_resume(workspace, capsys):
     assert "--resume" in capsys.readouterr().err
     rc, _ = run_full(workspace, extra=("--resume",))
     assert rc == 0
+
+
+@pytest.mark.parametrize("keep", [0, 3, 10, 30, 60, 3000, -1])
+def test_run_truncated_index_is_one_error_line(workspace, capsys, keep):
+    raw = (workspace / "index.bin").read_bytes()
+    cut = workspace / "cut.bin"
+    cut.write_bytes(raw[:keep])
+    rc = main(
+        [
+            "run",
+            "--questions", str(workspace / "questions.jsonl"),
+            "--index", str(cut),
+            "--chunks", str(workspace / "chunks.jsonl"),
+            "--mode", "full",
+            "--provider", "scripted",
+            "--fixtures", str(DATA / "scripted_fixtures.jsonl"),
+            "--out", str(workspace / "never.jsonl"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "truncated" in err[0].replace(str(cut), "")
 
 
 def test_run_requires_index_for_full_mode(workspace, capsys):
@@ -243,6 +267,37 @@ def test_ingest_sampled_contexts(tmp_path, bannan_docs, golden_questions):
     kept_titles = {c.title for c in chunks}
     expected = {d.title for d in (bannan_docs[:3] if items[0].question_id == "keep-me" else bannan_docs[3:])}
     assert kept_titles == expected
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ingest_sampled_contexts_parses_once(tmp_path, monkeypatch, seed):
+    # Passages shared across records, a duplicated question id and a skipped
+    # record: the kept documents must come out as a second parse restricted
+    # to the sampled ids lists them, while the file is parsed only once.
+    passage = {c: [f"Passage {c}.", f"It is about {c}."] for c in "ABCDEFG"}
+    layout = [("r0", "AB"), ("r1", "CA"), ("r2", "D"), ("r1", "EB"), ("r4", "FCG"), ("r5", "GA"), ("r6", "BD")]
+    records = [
+        {"_id": qid, "question": f"Question {qid}?", "answer": f"Answer {qid}", "context": [[c, passage[c]] for c in cs]}
+        for qid, cs in layout
+    ]
+    records.insert(3, {"_id": "no-answer", "question": "Skipped?", "context": [["Z", ["Never indexed."]]]})
+    data = tmp_path / "shared.json"
+    data.write_text(json.dumps(records), encoding="utf-8")
+
+    parses = []
+    real_iter_records = corpus._iter_records
+    monkeypatch.setattr(corpus, "_iter_records", lambda path: parses.append(path) or real_iter_records(path))
+    out = tmp_path / "sampled"
+    rc = main(["ingest", "--data", str(data), "--format", "hotpotqa", "--out-dir", str(out),
+               "--sample-n", "3", "--seed", str(seed), "--contexts", "sampled"])
+    assert rc == 0
+    assert len(parses) == 1
+
+    items, _ = read_question_file(out / "questions.jsonl")
+    _, docs = load_dataset(data, "hotpotqa", restrict_to={q.question_id for q in items})
+    reference = tmp_path / "reference.jsonl"
+    write_chunk_manifest(build_corpus(docs), reference, chunk_size=400, stride=50, tokenizer_id="wordpunct-v1")
+    assert (out / "chunks.jsonl").read_bytes() == reference.read_bytes()
 
 
 # --- eval / transitions / report / inspect ------------------------------------------

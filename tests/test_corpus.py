@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchor_rag import corpus
 from anchor_rag.corpus import (
     CorpusError,
     Document,
@@ -247,6 +249,128 @@ def test_restrict_to_filters_documents(tmp_path):
     items, docs = load_dataset(path, "hotpotqa", restrict_to={"q2"})
     assert [q.question_id for q in items] == ["q2"]
     assert all(d.title.startswith("b") for d in docs)
+
+
+# --- streaming ----------------------------------------------------------------------
+
+
+def whole_file_records(path):
+    """Reference parser: the whole file in memory, then every record at once."""
+    raw = path.read_text(encoding="utf-8")
+    if raw.lstrip().startswith("["):
+        return json.loads(raw)
+    return [json.loads(line) for line in raw.splitlines() if line.strip()]
+
+
+def musique_record(qid, titles):
+    return {
+        "id": qid,
+        "question": f"Question {qid}?",
+        "answer": f"Answer {qid}",
+        "paragraphs": [
+            {"idx": i, "title": t, "paragraph_text": f"Text of {t}, déjà vu.", "is_supporting": i == 0}
+            for i, t in enumerate(titles)
+        ],
+    }
+
+
+STREAM_RECORDS = [
+    musique_record("m1", ["a", "b"]),
+    {"id": "m2", "question": "No answer?", "paragraphs": []},
+    musique_record("m3", ["b", "c"]),
+    musique_record("", ["d"]),
+    musique_record("m5", ["a", "e"]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, fmt, body",
+    [
+        ("plain.jsonl", "musique", "".join(json.dumps(r) + "\n" for r in STREAM_RECORDS)),
+        (
+            "blank_lines.jsonl",
+            "musique",
+            "\n  \n" + "\n\n".join(json.dumps(r, ensure_ascii=False) for r in STREAM_RECORDS) + "\n \t\n",
+        ),
+        ("crlf_no_final_newline.jsonl", "musique", "\r\n".join(json.dumps(r) for r in STREAM_RECORDS)),
+        ("array.json", "hotpotqa", json.dumps([hotpot_record(f"h{i}", title_prefix="abc"[i % 3]) for i in range(5)])),
+        (
+            "indented_array.json",
+            "hotpotqa",
+            " \n\t\n  " + json.dumps([hotpot_record(f"h{i}", title_prefix="ab"[i % 2]) for i in range(5)], indent=2),
+        ),
+    ],
+    ids=["jsonl", "jsonl_blank_lines", "jsonl_crlf", "array", "array_indented"],
+)
+def test_streamed_load_matches_whole_file_parse(tmp_path, monkeypatch, name, fmt, body):
+    path = tmp_path / name
+    path.write_text(body, encoding="utf-8")
+    assert list(corpus._iter_records(path)) == whole_file_records(path)
+    streamed = load_dataset(path, fmt)
+    item_docs: list = []
+    restricted = load_dataset(path, fmt, restrict_to={streamed[0][-1].question_id}, item_docs=item_docs)
+    monkeypatch.setattr(corpus, "_iter_records", whole_file_records)
+    assert streamed == load_dataset(path, fmt)
+    assert restricted == load_dataset(path, fmt, restrict_to={streamed[0][-1].question_id})
+    # the one kept record's documents, in its own passage order
+    assert item_docs == [tuple(restricted[1])]
+
+
+@pytest.mark.parametrize(
+    "name, body, where",
+    [
+        ("bad.jsonl", json.dumps(musique_record("m1", ["a"])) + "\n\n{\"id\": \"m2\", \n", "line 3"),
+        ("bad.json", "  [" + json.dumps(hotpot_record("h1")) + ",", "line 1"),
+    ],
+    ids=["jsonl", "array"],
+)
+def test_parse_error_is_corpus_error(tmp_path, name, body, where):
+    path = tmp_path / name
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(CorpusError, match="cannot parse") as err:
+        load_dataset(path, "musique" if name.endswith(".jsonl") else "hotpotqa")
+    assert str(path) in str(err.value) and where in str(err.value)
+
+
+def test_non_object_record_rejected(tmp_path):
+    path = tmp_path / "list_line.jsonl"
+    path.write_text(json.dumps(musique_record("m1", ["a"])) + "\n[1, 2]\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="record 2 is not a JSON object"):
+        load_dataset(path, "musique")
+
+
+def test_jsonl_line_separator_inside_a_string(tmp_path):
+    # U+2028 may appear unescaped inside a JSON string; only \n ends a JSONL line
+    record = musique_record("m1", ["a"])
+    record["paragraphs"][0]["paragraph_text"] = "first line\u2028second line"
+    path = tmp_path / "ls.jsonl"
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    _, docs = load_dataset(path, "musique")
+    assert [d.text for d in docs] == ["first line\u2028second line"]
+
+
+def test_jsonl_load_memory_stays_below_half_the_file(tmp_path):
+    # ~5 MB of records whose passages all come from a pool of 40: the results
+    # are small, so the peak shows what the parser itself holds.
+    pool = [(f"Title {i}", f"passage {i} " + "lorem ipsum dolor sit amet " * 18) for i in range(40)]
+    path = tmp_path / "big.jsonl"
+    with path.open("w", encoding="utf-8") as fh:
+        for r in range(1000):
+            paragraphs = [
+                {"idx": j, "title": t, "paragraph_text": text, "is_supporting": j < 2}
+                for j, (t, text) in enumerate(pool[(r + j * 7) % 40] for j in range(10))
+            ]
+            fh.write(json.dumps({"id": f"q{r}", "question": f"Q{r}?", "answer": f"A{r}", "paragraphs": paragraphs}) + "\n")
+    size = path.stat().st_size
+    assert size > 4_500_000
+    tracemalloc.start()
+    try:
+        items, docs = load_dataset(path, "musique")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(items) == 1000 and len(docs) == 40
+    assert peak < size / 2, f"peak {peak} bytes while loading a {size}-byte file"
 
 
 # --- sampling -----------------------------------------------------------------

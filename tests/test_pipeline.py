@@ -447,6 +447,55 @@ def test_run_dataset_resume_skips_done(tmp_path, bannan_index, bannan_chunks):
     assert len(loaded) == 6
 
 
+def trace_lines_without_timing(path):
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for row in rows[1:]:
+        row.pop("stage_ms")
+    return rows
+
+
+@pytest.mark.parametrize("cut", [40, 1], ids=["torn_line", "newline_only"])
+def test_run_dataset_resume_after_torn_last_line(tmp_path, bannan_index, bannan_chunks, caplog, cut):
+    confidences = {f"q{i:02d}": -2.0 if i % 2 else -9.0 for i in range(5)}
+    items = threshold_items(confidences)
+
+    def fresh_pipeline():
+        provider = RecordingProvider(threshold_provider(confidences))
+        config = RunConfig(mode="threshold_gated", confidence_threshold=0.05)
+        return Pipeline(provider, config, index=bannan_index, chunks=bannan_chunks), provider
+
+    whole = tmp_path / "whole.jsonl"
+    fresh_pipeline()[0].run_dataset(items, trace_path=whole)
+    # a crash while writing the third trace: header plus three lines, cut short
+    torn = tmp_path / "torn.jsonl"
+    torn.write_bytes(b"".join(whole.read_bytes().splitlines(keepends=True)[:4])[:-cut])
+
+    pipe, recorder = fresh_pipeline()
+    with caplog.at_level("WARNING"):
+        traces = pipe.run_dataset(items, trace_path=torn, resume=True)
+    assert [t.question_id for t in traces] == sorted(confidences)
+    rerun = {r.question_id for r in recorder.requests}
+    if cut == 1:  # the third trace is whole and only its newline is missing
+        assert rerun == {"q03", "q04"} and "torn" not in caplog.text
+    else:
+        assert rerun == {"q02", "q03", "q04"} and "dropping torn last line 4" in caplog.text
+    assert trace_lines_without_timing(torn) == trace_lines_without_timing(whole)
+
+
+def test_read_trace_file_rejects_corrupt_inner_line(tmp_path, scripted_provider, bannan_index, bannan_chunks, golden_questions):
+    pipe = make_pipeline(scripted_provider, bannan_index, bannan_chunks, mode="system1_only")
+    path = tmp_path / "traces.jsonl"
+    pipe.run_dataset(list(golden_questions.values()), trace_path=path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) >= 3
+    lines[1] = lines[1][:-40] + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(PipelineError, match="line 2 is not a valid trace"):
+        read_trace_file(path)
+    with pytest.raises(PipelineError, match="line 2"):
+        pipe.run_dataset(list(golden_questions.values()), trace_path=path, resume=True)
+
+
 def test_run_dataset_resume_rejects_other_config(tmp_path, scripted_provider, bannan_index, bannan_chunks, golden_questions):
     items = list(golden_questions.values())
     path = tmp_path / "traces.jsonl"
