@@ -123,32 +123,28 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     return 0
 
 
+# `run` flags that override a config entry: flag name -> config key.
+_RUN_FLAGS = {"mode": "mode", "tau": "confidence_threshold", "k": "k_per_triple", "seed": "seed",
+              "concurrency": "concurrency", "max_failure_rate": "max_failure_rate"}
+_CHAT_FLAGS = {"provider": "kind", "fixtures": "fixtures", "endpoint": "base_url", "model": "model"}
+
+
+def _given_flags(args: argparse.Namespace, flags: dict[str, str]) -> dict:
+    """The config entries of the flags that were given on the command line."""
+    return {key: getattr(args, flag) for flag, key in flags.items() if getattr(args, flag) is not None}
+
+
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
     base: dict = {}
     if args.config:
-        base = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if args.mode is not None:
-        base["mode"] = args.mode
-    if args.tau is not None:
-        base["confidence_threshold"] = args.tau
-    if args.k is not None:
-        base["k_per_triple"] = args.k
-    if args.seed is not None:
-        base["seed"] = args.seed
-    if args.concurrency is not None:
-        base["concurrency"] = args.concurrency
-    if args.max_failure_rate is not None:
-        base["max_failure_rate"] = args.max_failure_rate
-    chat = dict(base.get("chat_provider") or {})
-    if args.provider is not None:
-        chat["kind"] = args.provider
-    if args.fixtures is not None:
-        chat["fixtures"] = args.fixtures
-    if args.endpoint is not None:
-        chat["base_url"] = args.endpoint
-    if args.model is not None:
-        chat["model"] = args.model
-    base["chat_provider"] = chat
+        try:
+            base = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise CliError(f"{args.config}: not a JSON config: {exc}") from exc
+        if not isinstance(base, dict):
+            raise CliError(f"{args.config}: not a JSON config: expected an object")
+    base.update(_given_flags(args, _RUN_FLAGS))
+    base["chat_provider"] = {**(base.get("chat_provider") or {}), **_given_flags(args, _CHAT_FLAGS)}
     embed = dict(base.get("embed_provider") or {})
     embed.setdefault("kind", args.embedder)
     if args.dim is not None:

@@ -16,7 +16,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -75,10 +75,6 @@ def get_tokenizer(tokenizer_id: str) -> Tokenizer:
         return _TOKENIZERS[tokenizer_id]
     except KeyError:
         raise CorpusError(f"unknown tokenizer id: {tokenizer_id!r}") from None
-
-
-def register_tokenizer(tokenizer: Tokenizer) -> None:
-    _TOKENIZERS[tokenizer.tokenizer_id] = tokenizer
 
 
 @dataclass(frozen=True)
@@ -155,26 +151,33 @@ def _iter_records(path: Path) -> Iterator[dict]:
     parsed whole; any other file is JSONL, parsed one line at a time, so only
     the current line is held. Blank lines are skipped.
     """
-    with path.open("r", encoding="utf-8") as fh:
-        first = fh.read(1)
-        while first.isspace():
+    try:
+        with path.open("r", encoding="utf-8") as fh:
             first = fh.read(1)
-        fh.seek(0)
-        if first == "[":
-            try:
-                records = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"cannot parse {path}: {exc}") from exc
-            yield from records
-            return
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"cannot parse {path}: line {lineno}: {exc.msg} (column {exc.colno})") from exc
-            yield record
+            while first.isspace():
+                first = fh.read(1)
+            fh.seek(0)
+            if first == "[":
+                try:
+                    records = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"cannot parse {path}: {exc}") from exc
+                yield from records
+                return
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"cannot parse {path}: line {lineno}: {exc.msg} (column {exc.colno})") from exc
+                yield record
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> CorpusError:
+    return CorpusError(f"cannot read {path}: not UTF-8 (byte 0x{exc.object[exc.start]:02x}: {exc.reason})")
 
 
 def _contexts_hotpot_style(record: dict) -> list[tuple[str, str]]:
@@ -391,34 +394,58 @@ def write_chunk_manifest(
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
-def read_chunk_manifest(path: str | Path) -> tuple[list[Chunk], dict]:
+def _json_object(path: Path, lineno: int, line: str) -> dict:
+    try:
+        row = json.loads(line)
+    except ValueError as exc:
+        raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+    if not isinstance(row, dict):
+        raise CorpusError(f"{path}: line {lineno}: not a JSON object")
+    return row
+
+
+def _read_jsonl(path: str | Path, kind: str, version: int, count_key: str, make: Callable) -> tuple[list, dict]:
+    """Read a JSONL file with a typed header line, making one item per row.
+
+    A line that does not parse, is not an object, lacks a key or holds a bad
+    value, a header of another kind or version, and a row count other than
+    the header's (a file cut at a line end) each raise :class:`CorpusError`
+    naming the path and, where there is one, the line.
+    """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "chunk_manifest":
-            raise CorpusError(f"{path} is not a chunk manifest")
-        if header.get("schema_version") != CHUNK_MANIFEST_VERSION:
-            raise CorpusError(f"{path}: unsupported chunk manifest version {header.get('schema_version')}")
-        chunks = []
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            chunks.append(
-                Chunk(
-                    chunk_id=row["chunk_id"],
-                    doc_id=row["doc_id"],
-                    start_token=row["start_token"],
-                    end_token=row["end_token"],
-                    text=row["text"],
-                    token_count=row["token_count"],
-                    tokenizer_id=row["tokenizer_id"],
-                    title=row.get("title", ""),
-                    start_char=row.get("start_char", 0),
-                    end_char=row.get("end_char", 0),
-                )
-            )
-    return chunks, header
+    what = kind.replace("_", " ")
+    items = []
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            header = _json_object(path, 1, fh.readline())
+            if header.get("kind") != kind:
+                raise CorpusError(f"{path} is not a {what}")
+            if header.get("schema_version") != version:
+                raise CorpusError(f"{path}: unsupported {what} version {header.get('schema_version')}")
+            for lineno, line in enumerate(fh, 2):
+                if line.strip():
+                    row = _json_object(path, lineno, line)
+                    try:
+                        items.append(make(row))
+                    except KeyError as exc:
+                        raise CorpusError(f"{path}: line {lineno}: missing key {exc}") from exc
+                    except (TypeError, ValueError) as exc:
+                        raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+    if header.get(count_key, len(items)) != len(items):
+        raise CorpusError(f"{path}: the header counts {header[count_key]} rows but the file has {len(items)}")
+    return items, header
+
+
+def _chunk_from_row(row: dict) -> Chunk:
+    # Manifest rows carry the Chunk fields under their own names; a missing
+    # required one is a TypeError.
+    return Chunk(**{k: v for k, v in row.items() if k in Chunk.__dataclass_fields__})
+
+
+def read_chunk_manifest(path: str | Path) -> tuple[list[Chunk], dict]:
+    return _read_jsonl(path, "chunk_manifest", CHUNK_MANIFEST_VERSION, "num_chunks", _chunk_from_row)
 
 
 def write_question_file(items: Sequence[QAItem], path: str | Path, meta: dict | None = None) -> None:
@@ -439,25 +466,16 @@ def write_question_file(items: Sequence[QAItem], path: str | Path, meta: dict | 
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
+def _question_from_row(row: dict) -> QAItem:
+    titles = row.get("gold_support_titles")
+    return QAItem(
+        question_id=row["question_id"],
+        question=row["question"],
+        gold_answer=row["gold_answer"],
+        gold_support_titles=frozenset(titles) if titles else None,
+        dataset_tag=row["dataset_tag"],
+    )
+
+
 def read_question_file(path: str | Path) -> tuple[list[QAItem], dict]:
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "question_file":
-            raise CorpusError(f"{path} is not a question file")
-        items = []
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            titles = row.get("gold_support_titles")
-            items.append(
-                QAItem(
-                    question_id=row["question_id"],
-                    question=row["question"],
-                    gold_answer=row["gold_answer"],
-                    gold_support_titles=frozenset(titles) if titles else None,
-                    dataset_tag=row["dataset_tag"],
-                )
-            )
-    return items, header
+    return _read_jsonl(path, "question_file", QUESTION_FILE_VERSION, "num_questions", _question_from_row)

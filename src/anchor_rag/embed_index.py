@@ -173,7 +173,6 @@ class RemoteEmbedder:
             raise EmbedIndexError("embedding endpoint returned a ragged batch")
         if self.dim == 0:
             self.dim = matrix.shape[1]
-            self.provider_id = f"remote:{self.model}"
         if matrix.shape[1] != self.dim:
             raise EmbedIndexError(f"endpoint returned dim {matrix.shape[1]}, expected {self.dim}")
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
@@ -373,16 +372,3 @@ def retrieve_for_queries(index: Index, queries: Sequence[str], k_per_query: int 
                 ordered.append(hit.chunk_id)
     return ordered, hits
 
-
-def retrieve_for_triples(
-    index: Index,
-    triples: Sequence[ReasoningTriple],
-    k_per_triple: int = 5,
-    style: str = "space",
-) -> list[str]:
-    """Retrieve top-k per triple and unite the results, dropping repeats."""
-    if not triples:
-        raise EmbedIndexError("no triples to retrieve for")
-    queries = [triple_query(t, style=style) for t in triples]
-    ordered, _ = retrieve_for_queries(index, queries, k_per_query=k_per_triple)
-    return ordered

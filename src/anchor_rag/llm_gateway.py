@@ -68,7 +68,6 @@ class ChatResponse:
     prompt_tokens: int
     completion_tokens: int
     provider_id: str
-    latency_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if self.token_logprobs is not None:
@@ -110,12 +109,15 @@ class ScriptedProvider:
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ScriptedProvider":
         provider = cls()
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
+        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
                 row = json.loads(line)
                 provider.add(row["stage_tag"], row["question_id"], row["text"], row.get("token_logprobs"))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise GatewayError(f"{path}: line {lineno}: {detail}") from exc
         return provider
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -133,7 +135,6 @@ class ScriptedProvider:
             prompt_tokens=prompt_tokens,
             completion_tokens=completion_tokens,
             provider_id=self.provider_id,
-            latency_ms=0.0,
         )
 
 
@@ -176,7 +177,6 @@ class OpenAIChatProvider:
         }
         if request.want_logprobs:
             payload["logprobs"] = True
-        started = time.perf_counter()
         resp = self._post(payload)
         if resp.status_code >= 400 and request.want_logprobs and "logprob" in resp.text.lower():
             # Endpoint rejects logprob requests: degrade to text-only.
@@ -184,7 +184,6 @@ class OpenAIChatProvider:
             resp = self._post(payload)
         if resp.status_code >= 400:
             raise GatewayError(f"chat endpoint error {resp.status_code}: {resp.text[:200]}")
-        latency_ms = (time.perf_counter() - started) * 1000.0
         body = resp.json()
         choice = body["choices"][0]
         text = (choice.get("message") or {}).get("content") or ""
@@ -202,7 +201,6 @@ class OpenAIChatProvider:
             prompt_tokens=int(usage.get("prompt_tokens") or 0),
             completion_tokens=completion_tokens,
             provider_id=self.provider_id,
-            latency_ms=latency_ms,
         )
 
 
@@ -269,25 +267,24 @@ def answer_token_span(
     return first, last + 1
 
 
-def mean_token_confidence(response: ChatResponse, span: tuple[int, int] | None = None) -> float | None:
-    """Mean per-token probability over the answer span (all tokens if None)."""
-    if not response.has_logprobs or not response.token_logprobs:
+def _span_logprobs(response: ChatResponse, span: tuple[int, int] | None) -> list[float] | None:
+    """Log-probabilities of the span's tokens; all tokens when the span is
+    None or empty, and None when the response carries no log-probabilities."""
+    if not response.token_logprobs:
         return None
     logprobs = [lp for _, lp in response.token_logprobs]
     if span is not None:
-        logprobs = logprobs[span[0] : span[1]]
-        if not logprobs:
-            logprobs = [lp for _, lp in response.token_logprobs]
-    return sum(math.exp(lp) for lp in logprobs) / len(logprobs)
+        return logprobs[span[0] : span[1]] or logprobs
+    return logprobs
+
+
+def mean_token_confidence(response: ChatResponse, span: tuple[int, int] | None = None) -> float | None:
+    """Mean per-token probability over the answer span (all tokens if None)."""
+    logprobs = _span_logprobs(response, span)
+    return None if logprobs is None else sum(math.exp(lp) for lp in logprobs) / len(logprobs)
 
 
 def mean_logprob(response: ChatResponse, span: tuple[int, int] | None = None) -> float | None:
     """Raw mean log-probability over the same span, kept for inspection."""
-    if not response.has_logprobs or not response.token_logprobs:
-        return None
-    logprobs = [lp for _, lp in response.token_logprobs]
-    if span is not None:
-        logprobs = logprobs[span[0] : span[1]]
-        if not logprobs:
-            logprobs = [lp for _, lp in response.token_logprobs]
-    return sum(logprobs) / len(logprobs)
+    logprobs = _span_logprobs(response, span)
+    return None if logprobs is None else sum(logprobs) / len(logprobs)

@@ -16,9 +16,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
-from anchor_rag.corpus import Chunk, QAItem, Tokenizer, get_tokenizer
+from anchor_rag.corpus import DEFAULT_TOKENIZER, Chunk, QAItem, Tokenizer, get_tokenizer
 from anchor_rag.embed_index import EmbedIndexError, Index, RetrievalHit, retrieve_for_queries, triple_query
 from anchor_rag.llm_gateway import (
     ChatProvider,
@@ -31,7 +31,6 @@ from anchor_rag.llm_gateway import (
     mean_token_confidence,
 )
 from anchor_rag.prompt_kit import (
-    PromptLibrary,
     PromptParseError,
     ReasoningTriple,
     RenderedPrompt,
@@ -45,7 +44,6 @@ from anchor_rag.prompt_kit import (
 )
 
 MODES = ("full", "system1_only", "no_initial_reasoning", "threshold_gated", "standard_rag")
-GATE_DECISIONS = ("complete", "continue", "ungated")
 
 EMPTY_HYPOTHESIS_SENTINEL = "unknown"
 TRACE_SCHEMA_VERSION = 1
@@ -99,9 +97,7 @@ class RunConfig:
             raise PipelineError("max_failure_rate must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["limits"] = asdict(self.limits)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -109,8 +105,7 @@ class RunConfig:
         limits = data.pop("limits", None) or data.pop("max_new_tokens", None)
         if isinstance(limits, dict):
             data["limits"] = StageTokenLimits(**limits)
-        allowed = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - allowed
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise PipelineError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -139,7 +134,12 @@ class StageUsage:
 
 @dataclass
 class PipelineTrace:
-    """Full per-question record of one pipeline pass."""
+    """Full per-question record of one pipeline pass.
+
+    Each stage method of :class:`Pipeline` writes its own fields here. In
+    JSON every field keeps its name; only ``triples``, ``hits`` and
+    ``usage`` change shape.
+    """
 
     question_id: str
     question: str
@@ -162,103 +162,36 @@ class PipelineTrace:
     flags: dict[str, int | bool] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
 
+    @property
+    def hypothesis(self) -> str:
+        """The fast answer as the later stages see it, never blank."""
+        return self.system1_answer or EMPTY_HYPOTHESIS_SENTINEL
+
     def to_json_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "question": self.question,
-            "gold_answer": self.gold_answer,
-            "dataset_tag": self.dataset_tag,
-            "mode": self.mode,
-            "system1_answer": self.system1_answer,
-            "confidence": self.confidence,
-            "mean_answer_logprob": self.mean_answer_logprob,
-            "gate_decision": self.gate_decision,
-            "triples": [[t.subject, t.predicate, t.object] for t in self.triples],
-            "retrieval_queries": list(self.retrieval_queries),
-            "hits": [{"chunk_id": h.chunk_id, "score": h.score, "query_index": h.query_index} for h in self.hits],
-            "retrieved_chunks": list(self.retrieved_chunks),
-            "final_answer": self.final_answer,
-            "payload_tokens": self.payload_tokens,
-            "saved_input_tokens": self.saved_input_tokens,
-            "usage": {stage: asdict(u) for stage, u in self.usage.items()},
-            "stage_ms": dict(self.stage_ms),
-            "flags": dict(self.flags),
-            "errors": list(self.errors),
-        }
+        # A shallow per-field build: dataclasses.asdict deep-copies and is
+        # several times slower per trace.
+        out = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        out["triples"] = [[t.subject, t.predicate, t.object] for t in self.triples]
+        out["hits"] = [{"chunk_id": h.chunk_id, "score": h.score, "query_index": h.query_index} for h in self.hits]
+        out["usage"] = {stage: asdict(u) for stage, u in self.usage.items()}
+        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PipelineTrace":
-        return cls(
-            question_id=data["question_id"],
-            question=data["question"],
-            gold_answer=data["gold_answer"],
-            dataset_tag=data["dataset_tag"],
-            mode=data["mode"],
-            system1_answer=data["system1_answer"],
-            confidence=data["confidence"],
-            mean_answer_logprob=data["mean_answer_logprob"],
-            gate_decision=data["gate_decision"],
-            triples=[ReasoningTriple(subject=s, predicate=p, object=o) for s, p, o in data["triples"]],
-            retrieval_queries=list(data["retrieval_queries"]),
-            hits=[RetrievalHit(**h) for h in data["hits"]],
-            retrieved_chunks=list(data["retrieved_chunks"]),
-            final_answer=data["final_answer"],
-            payload_tokens=data["payload_tokens"],
-            saved_input_tokens=data["saved_input_tokens"],
-            usage={stage: StageUsage(**u) for stage, u in data["usage"].items()},
-            stage_ms=dict(data["stage_ms"]),
-            flags=dict(data["flags"]),
-            errors=list(data["errors"]),
-        )
-
-
-# --- per-stage results -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class System1Result:
-    answer: str
-    confidence: float | None
-    mean_logprob: float | None
-    malformed: bool
-    empty: bool
-    usage: StageUsage | None
-    elapsed_ms: float
-    error: str | None
-
-
-@dataclass(frozen=True)
-class TripleGenResult:
-    triples: list[ReasoningTriple]
-    malformed_count: int
-    usage: StageUsage | None
-    elapsed_ms: float
-    error: str | None
-
-
-@dataclass(frozen=True)
-class EvidenceResult:
-    chunk_ids: list[str]
-    hits: list[RetrievalHit]
-    queries: list[str]
-    used_question_fallback: bool
-    elapsed_ms: float
-    error: str | None
-
-
-@dataclass(frozen=True)
-class System2Result:
-    answer: str
-    malformed: bool
-    fell_back_to_hypothesis: bool
-    empty: bool
-    usage: StageUsage | None
-    elapsed_ms: float
-    error: str | None
+        """Rebuild a trace; a missing field raises KeyError, extra keys are ignored."""
+        fields = {name: data[name] for name in cls.__dataclass_fields__}
+        fields["triples"] = [ReasoningTriple(subject=s, predicate=p, object=o) for s, p, o in data["triples"]]
+        fields["hits"] = [RetrievalHit(**h) for h in data["hits"]]
+        fields["usage"] = {stage: StageUsage(**u) for stage, u in data["usage"].items()}
+        return cls(**fields)
 
 
 class Pipeline:
-    """Wires one chat provider, one index, and one chunk set into a runner."""
+    """Wires one chat provider, one index, and one chunk set into a runner.
+
+    Each stage method reads what earlier stages left on the
+    :class:`PipelineTrace` it is given and writes its own result there.
+    """
 
     def __init__(
         self,
@@ -266,13 +199,11 @@ class Pipeline:
         config: RunConfig,
         index: Index | None = None,
         chunks: Sequence[Chunk] = (),
-        library: PromptLibrary | None = None,
         retry_sleep: Callable[[float], None] = time.sleep,
     ):
         self.provider = provider
         self.config = config
         self.index = index
-        self.library = library or PromptLibrary()
         self._retry_sleep = retry_sleep
         self._chunks_by_id = {c.chunk_id: c for c in chunks}
         if len(self._chunks_by_id) != len(chunks):
@@ -286,17 +217,20 @@ class Pipeline:
                     f"index references {len(missing)} chunk id(s) absent from the chunk manifest "
                     f"(first: {missing[0]!r}); index and manifest are out of sync"
                 )
-        if chunks:
-            tokenizer_ids = {c.tokenizer_id for c in chunks}
-            if len(tokenizer_ids) > 1:
-                raise PipelineError(f"chunk set mixes tokenizers: {sorted(tokenizer_ids)}")
-            self.tokenizer: Tokenizer = get_tokenizer(next(iter(tokenizer_ids)))
-        else:
-            self.tokenizer = get_tokenizer("wordpunct-v1")
+        tokenizer_ids = {c.tokenizer_id for c in chunks} or {DEFAULT_TOKENIZER.tokenizer_id}
+        if len(tokenizer_ids) > 1:
+            raise PipelineError(f"chunk set mixes tokenizers: {sorted(tokenizer_ids)}")
+        self.tokenizer: Tokenizer = get_tokenizer(tokenizer_ids.pop())
 
     # --- stage calls --------------------------------------------------------
 
-    def _call(self, prompt: RenderedPrompt, max_new_tokens: int, want_logprobs: bool = False):
+    def _call(
+        self, trace: PipelineTrace, prompt: RenderedPrompt, max_new_tokens: int, want_logprobs: bool = False
+    ) -> ChatResponse | None:
+        """Send one stage prompt and record its time, its usage and any
+        gateway error on the trace; ``system2_noanchor`` is recorded as
+        ``system2``. Returns None when the call failed."""
+        stage = "system2" if prompt.stage_tag == "system2_noanchor" else prompt.stage_tag
         request = ChatRequest(
             system_prompt=prompt.system_text,
             user_prompt=prompt.user_text,
@@ -309,138 +243,119 @@ class Pipeline:
         started = time.perf_counter()
         try:
             response: ChatResponse | None = complete(request, self.provider, sleep=self._retry_sleep)
-            error = None
         except GatewayError as exc:
-            response, error = None, f"{prompt.stage_tag}: {exc}"
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        return response, error, elapsed_ms
+            response = None
+            trace.errors.append(f"{prompt.stage_tag}: {exc}")
+        trace.stage_ms[stage] = (time.perf_counter() - started) * 1000.0
+        if response is not None:
+            trace.usage[stage] = StageUsage(response.prompt_tokens, response.completion_tokens)
+        return response
 
-    @staticmethod
-    def _usage(response: ChatResponse | None) -> StageUsage | None:
-        if response is None:
-            return None
-        return StageUsage(prompt_tokens=response.prompt_tokens, completion_tokens=response.completion_tokens)
+    def _chunks(self, trace: PipelineTrace) -> list[Chunk]:
+        return [self._chunks_by_id[cid] for cid in trace.retrieved_chunks]
 
-    def answer_system1(self, q: QAItem) -> System1Result:
+    def answer_system1(self, q: QAItem, trace: PipelineTrace) -> None:
         """Fast direct answer plus its mean answer-token probability."""
-        prompt = render_system1(q, self.library)
-        response, error, elapsed = self._call(prompt, self.config.limits.system1, want_logprobs=True)
+        response = self._call(trace, render_system1(q), self.config.limits.system1, want_logprobs=True)
         if response is None:
-            return System1Result("", None, None, False, True, None, elapsed, error)
+            trace.flags["system1_empty"] = True
+            return
         try:
-            value, malformed = parse_answer(response.text)
+            trace.system1_answer, malformed = parse_answer(response.text)
         except PromptParseError as exc:
-            return System1Result(
-                "", None, None, True, True, self._usage(response), elapsed, f"system1: {exc}"
-            )
+            trace.flags.update(system1_malformed=True, system1_empty=True)
+            trace.errors.append(f"system1: {exc}")
+            return
+        if malformed:
+            trace.flags["system1_malformed"] = True
         span = answer_token_span(response)
-        return System1Result(
-            answer=value,
-            confidence=mean_token_confidence(response, span),
-            mean_logprob=mean_logprob(response, span),
-            malformed=malformed,
-            empty=False,
-            usage=self._usage(response),
-            elapsed_ms=elapsed,
-            error=None,
-        )
+        trace.confidence = mean_token_confidence(response, span)
+        trace.mean_answer_logprob = mean_logprob(response, span)
 
-    def generate_triples(self, q: QAItem, hypothesis: str) -> TripleGenResult:
+    def generate_triples(self, q: QAItem, trace: PipelineTrace) -> None:
         """Explain the hypothesis as triples; an empty list is legal output."""
-        prompt = render_triplegen(q, hypothesis, self.library)
-        response, error, elapsed = self._call(prompt, self.config.limits.triple_gen)
-        if response is None:
-            return TripleGenResult([], 0, None, elapsed, error)
-        triples, malformed_count = parse_triples(response.text)
-        return TripleGenResult(triples, malformed_count, self._usage(response), elapsed, None)
+        response = self._call(trace, render_triplegen(q, trace.hypothesis), self.config.limits.triple_gen)
+        if response is not None:
+            trace.triples, malformed_count = parse_triples(response.text)
+            if malformed_count:
+                trace.flags["triples_malformed"] = malformed_count
 
-    def gather_evidence(self, q: QAItem, triples: Sequence[ReasoningTriple]) -> EvidenceResult:
-        """Triple-anchored retrieval; falls back to the raw question when
-        no triples survived parsing."""
+    def gather_evidence(self, q: QAItem, trace: PipelineTrace, queries: Sequence[str] | None = None) -> None:
+        """Retrieve top-k per query and record the union on the trace.
+
+        Without ``queries`` the trace's triples are the queries (triple-
+        anchored retrieval), or the raw question, flagged, when no triple
+        survived parsing; a failed anchored retrieval still records its
+        queries, with no hits. With ``queries`` given (the standard-RAG
+        baseline) a failure is recorded as its error alone.
+        """
         if self.index is None:
             raise PipelineError("gather_evidence requires an index")
-        fallback = not triples
-        queries = (
-            [q.question] if fallback else [triple_query(t, style=self.config.query_style) for t in triples]
-        )
+        anchored = queries is None
+        if anchored:
+            queries = [triple_query(t, style=self.config.query_style) for t in trace.triples] or [q.question]
         started = time.perf_counter()
         try:
             chunk_ids, hits = retrieve_for_queries(self.index, queries, k_per_query=self.config.k_per_triple)
-            error = None
-        except EmbedIndexError as exc:
-            chunk_ids, hits, error = [], [], f"retrieval: {exc}"
-        elapsed = (time.perf_counter() - started) * 1000.0
-        return EvidenceResult(chunk_ids, hits, queries, fallback, elapsed, error)
-
-    def answer_system2(
-        self,
-        q: QAItem,
-        hypothesis: str,
-        triples: Sequence[ReasoningTriple],
-        chunk_ids: Sequence[str],
-        include_anchor: bool = True,
-    ) -> System2Result:
-        """Deliberate re-answer over the evidence.
-
-        When the model produces no usable final answer the hypothesis is
-        reused, provided it was in the prompt (anchored modes only).
-        """
-        chunks = [self._chunks_by_id[cid] for cid in chunk_ids]
-        prompt = render_system2(q, hypothesis, triples, chunks, include_anchor=include_anchor, library=self.library)
-        response, error, elapsed = self._call(prompt, self.config.limits.system2)
-        if response is None:
-            if include_anchor and hypothesis:
-                return System2Result(hypothesis, False, True, False, None, elapsed, error)
-            return System2Result("", False, False, True, None, elapsed, error)
-        try:
-            value, malformed = parse_final(response.text)
-        except PromptParseError as exc:
-            if include_anchor and hypothesis:
-                return System2Result(
-                    hypothesis, True, True, False, self._usage(response), elapsed, f"system2: {exc}"
-                )
-            return System2Result("", True, False, True, self._usage(response), elapsed, f"system2: {exc}")
-        return System2Result(value, malformed, False, False, self._usage(response), elapsed, None)
-
-    # --- per-question orchestration ------------------------------------------
-
-    def _payload(self, chunk_ids: Sequence[str]) -> int:
-        return sum(self._chunks_by_id[cid].token_count for cid in chunk_ids)
-
-    def _system2_prompt_tokens(
-        self, q: QAItem, hypothesis: str, triples: Sequence[ReasoningTriple], chunk_ids: Sequence[str]
-    ) -> int:
-        chunks = [self._chunks_by_id[cid] for cid in chunk_ids]
-        prompt = render_system2(q, hypothesis, triples, chunks, include_anchor=True, library=self.library)
-        return self.tokenizer.count(prompt.system_text) + self.tokenizer.count(prompt.user_text)
-
-    def _run_standard_rag(self, q: QAItem, trace: PipelineTrace) -> None:
-        started = time.perf_counter()
-        try:
-            chunk_ids, hits = retrieve_for_queries(self.index, [q.question], k_per_query=self.config.k_per_triple)
         except EmbedIndexError as exc:
             trace.errors.append(f"retrieval: {exc}")
-            return
+            if not anchored:
+                return
+            chunk_ids, hits = [], []
         trace.stage_ms["retrieval"] = (time.perf_counter() - started) * 1000.0
-        trace.retrieval_queries = [q.question]
-        trace.hits = hits
-        trace.retrieved_chunks = chunk_ids
-        trace.payload_tokens = self._payload(chunk_ids)
-        chunks = [self._chunks_by_id[cid] for cid in chunk_ids]
-        prompt = render_standard_rag(q, chunks, library=self.library)
-        response, error, elapsed = self._call(prompt, self.config.limits.system2)
-        trace.stage_ms["standard_rag"] = elapsed
-        if response is None:
-            trace.errors.append(error)
+        trace.retrieval_queries = list(queries)
+        trace.retrieved_chunks, trace.hits = chunk_ids, hits
+        trace.payload_tokens = sum(c.token_count for c in self._chunks(trace))
+        if anchored and not trace.triples:
+            trace.flags["fallback_question_query"] = True
+
+    def _system2_prompt(self, q: QAItem, trace: PipelineTrace, include_anchor: bool = True) -> RenderedPrompt:
+        return render_system2(q, trace.hypothesis, trace.triples, self._chunks(trace), include_anchor=include_anchor)
+
+    def answer_system2(self, q: QAItem, trace: PipelineTrace, include_anchor: bool = True) -> None:
+        """Deliberate re-answer over the retrieved evidence.
+
+        When there is no evidence or the model produces no usable final
+        answer, the hypothesis is reused, provided it was in the prompt
+        (anchored modes only).
+        """
+        if not trace.retrieved_chunks:
+            trace.errors.append("system2: no retrieved chunks to answer over")
+            trace.final_answer = trace.hypothesis if include_anchor else ""
+            trace.flags["final_fell_back_to_hypothesis"] = include_anchor
             return
-        trace.usage["standard_rag"] = self._usage(response)
+        response = self._call(trace, self._system2_prompt(q, trace, include_anchor), self.config.limits.system2)
+        if response is not None:
+            try:
+                trace.final_answer, malformed = parse_final(response.text)
+            except PromptParseError as exc:
+                trace.flags["final_malformed"] = True
+                trace.errors.append(f"system2: {exc}")
+            else:
+                if malformed:
+                    trace.flags["final_malformed"] = True
+                return
+        if include_anchor:
+            trace.final_answer = trace.hypothesis
+            trace.flags["final_fell_back_to_hypothesis"] = True
+        else:
+            trace.flags["final_empty"] = True
+
+    def answer_standard_rag(self, q: QAItem, trace: PipelineTrace) -> None:
+        """Baseline: retrieve on the raw question and answer directly over it."""
+        self.gather_evidence(q, trace, [q.question])
+        if not trace.retrieved_chunks:  # the retrieval failed
+            return
+        prompt = render_standard_rag(q, self._chunks(trace))
+        response = self._call(trace, prompt, self.config.limits.system2)
+        if response is None:
+            return
         try:
-            value, malformed = parse_answer(response.text)
+            trace.final_answer, trace.flags["final_malformed"] = parse_answer(response.text)
         except PromptParseError as exc:
             trace.errors.append(f"standard_rag: {exc}")
-            return
-        trace.final_answer = value
-        trace.flags["final_malformed"] = malformed
+
+    # --- per-question orchestration ------------------------------------------
 
     def run_question(self, q: QAItem) -> PipelineTrace:
         """Run one question under the configured mode; never raises per-question."""
@@ -453,81 +368,29 @@ class Pipeline:
             mode=cfg.mode,
         )
         if cfg.mode == "standard_rag":
-            self._run_standard_rag(q, trace)
+            self.answer_standard_rag(q, trace)
             return trace
 
-        s1 = self.answer_system1(q)
-        trace.system1_answer = s1.answer
-        trace.confidence = s1.confidence
-        trace.mean_answer_logprob = s1.mean_logprob
-        trace.stage_ms["system1"] = s1.elapsed_ms
-        if s1.usage:
-            trace.usage["system1"] = s1.usage
-        if s1.malformed:
-            trace.flags["system1_malformed"] = True
-        if s1.empty:
-            trace.flags["system1_empty"] = True
-        if s1.error:
-            trace.errors.append(s1.error)
-
+        self.answer_system1(q, trace)
         if cfg.mode == "system1_only":
-            trace.final_answer = s1.answer
+            trace.final_answer = trace.system1_answer
             return trace
-
         if cfg.mode == "threshold_gated":
-            trace.gate_decision = decide_gate(s1.confidence, cfg.confidence_threshold)
+            trace.gate_decision = decide_gate(trace.confidence, cfg.confidence_threshold)
 
-        hypothesis = s1.answer if s1.answer else EMPTY_HYPOTHESIS_SENTINEL
-
-        tg = self.generate_triples(q, hypothesis)
-        trace.triples = tg.triples
-        trace.stage_ms["triple_gen"] = tg.elapsed_ms
-        if tg.usage:
-            trace.usage["triple_gen"] = tg.usage
-        if tg.malformed_count:
-            trace.flags["triples_malformed"] = tg.malformed_count
-        if tg.error:
-            trace.errors.append(tg.error)
-
-        ev = self.gather_evidence(q, tg.triples)
-        trace.retrieval_queries = ev.queries
-        trace.hits = ev.hits
-        trace.retrieved_chunks = ev.chunk_ids
-        trace.stage_ms["retrieval"] = ev.elapsed_ms
-        trace.payload_tokens = self._payload(ev.chunk_ids)
-        if ev.used_question_fallback:
-            trace.flags["fallback_question_query"] = True
-        if ev.error:
-            trace.errors.append(ev.error)
+        self.generate_triples(q, trace)
+        self.gather_evidence(q, trace)
 
         if trace.gate_decision == "complete":
             # Confident enough: keep the fast answer and only render (never
             # send) the deliberate prompt, recording the input tokens saved.
-            trace.final_answer = s1.answer
-            if ev.chunk_ids:
-                trace.saved_input_tokens = self._system2_prompt_tokens(q, hypothesis, tg.triples, ev.chunk_ids)
+            trace.final_answer = trace.system1_answer
+            if trace.retrieved_chunks:
+                prompt = self._system2_prompt(q, trace)
+                trace.saved_input_tokens = sum(map(self.tokenizer.count, (prompt.system_text, prompt.user_text)))
             return trace
 
-        if not ev.chunk_ids:
-            trace.errors.append("system2: no retrieved chunks to answer over")
-            trace.final_answer = hypothesis if cfg.mode != "no_initial_reasoning" else ""
-            trace.flags["final_fell_back_to_hypothesis"] = cfg.mode != "no_initial_reasoning"
-            return trace
-
-        include_anchor = cfg.mode != "no_initial_reasoning"
-        s2 = self.answer_system2(q, hypothesis, tg.triples, ev.chunk_ids, include_anchor=include_anchor)
-        trace.final_answer = s2.answer
-        trace.stage_ms["system2"] = s2.elapsed_ms
-        if s2.usage:
-            trace.usage["system2"] = s2.usage
-        if s2.malformed:
-            trace.flags["final_malformed"] = True
-        if s2.fell_back_to_hypothesis:
-            trace.flags["final_fell_back_to_hypothesis"] = True
-        if s2.empty:
-            trace.flags["final_empty"] = True
-        if s2.error:
-            trace.errors.append(s2.error)
+        self.answer_system2(q, trace, include_anchor=cfg.mode != "no_initial_reasoning")
         return trace
 
     # --- dataset runs ---------------------------------------------------------
@@ -568,17 +431,10 @@ class Pipeline:
             done = {t.question_id for t in existing}
             todo = [q for q in ordered if q.question_id not in done]
             fresh: list[PipelineTrace] = []
-            if self.config.concurrency > 1 and len(todo) > 1:
-                with ThreadPoolExecutor(max_workers=self.config.concurrency) as pool:
-                    results = pool.map(self.run_question, todo)
-                    for trace in results:
-                        fresh.append(trace)
-                        if writer:
-                            writer.write(json.dumps(trace.to_json_dict(), ensure_ascii=False) + "\n")
-                            writer.flush()
-            else:
-                for q in todo:
-                    trace = self.run_question(q)
+            # The pool starts threads only when work is submitted to it.
+            with ThreadPoolExecutor(max_workers=self.config.concurrency) as pool:
+                parallel = self.config.concurrency > 1 and len(todo) > 1
+                for trace in (pool.map if parallel else map)(self.run_question, todo):
                     fresh.append(trace)
                     if writer:
                         writer.write(json.dumps(trace.to_json_dict(), ensure_ascii=False) + "\n")
@@ -663,11 +519,3 @@ def _append_after(path: Path, end: int) -> TextIO:
         writer.write("\n")
     return writer
 
-
-def write_trace_file(path: str | Path, config: RunConfig, traces: Iterable[PipelineTrace]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_trace_header(config)) + "\n")
-        for trace in traces:
-            fh.write(json.dumps(trace.to_json_dict(), ensure_ascii=False) + "\n")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from anchor_rag.corpus import Chunk, QAItem
@@ -64,19 +63,14 @@ class ParseResult(NamedTuple):
 
 
 class PromptLibrary:
-    """Loads stage templates from packaged assets or an override directory."""
+    """Loads the packaged stage templates, reading each file once."""
 
-    def __init__(self, template_dir: str | Path | None = None):
-        self._dir = Path(template_dir) if template_dir is not None else None
+    def __init__(self):
         self._cache: dict[str, str] = {}
 
     def raw(self, name: str) -> str:
         if name not in self._cache:
-            if self._dir is not None:
-                text = (self._dir / name).read_text(encoding="utf-8")
-            else:
-                text = resources.files("anchor_rag.templates").joinpath(name).read_text(encoding="utf-8")
-            self._cache[name] = text
+            self._cache[name] = resources.files("anchor_rag.templates").joinpath(name).read_text(encoding="utf-8")
         return self._cache[name]
 
     def pair(self, stage_tag: str) -> tuple[str, str]:
@@ -108,28 +102,26 @@ def format_documents(chunks: Sequence[Chunk]) -> str:
     return "\n".join(lines)
 
 
-def render_system1(q: QAItem, library: PromptLibrary = DEFAULT_LIBRARY) -> RenderedPrompt:
-    """Direct-answer prompt: the bare question, no retrieved context."""
-    system, user = library.pair("system1")
+def _render(stage_tag: str, q: QAItem, library: PromptLibrary, **substitutions: str) -> RenderedPrompt:
+    system, user = library.pair(stage_tag)
     return RenderedPrompt(
-        stage_tag="system1",
+        stage_tag=stage_tag,
         system_text=system,
-        user_text=_fill(user, {"question": q.question}),
+        user_text=_fill(user, {"question": q.question, **substitutions}),
         source_question_id=q.question_id,
     )
+
+
+def render_system1(q: QAItem, library: PromptLibrary = DEFAULT_LIBRARY) -> RenderedPrompt:
+    """Direct-answer prompt: the bare question, no retrieved context."""
+    return _render("system1", q, library)
 
 
 def render_triplegen(q: QAItem, hypothesis: str, library: PromptLibrary = DEFAULT_LIBRARY) -> RenderedPrompt:
     """Ask the model to explain its hypothesis as subject-predicate-object triples."""
     if not hypothesis:
         raise ValueError("hypothesis must be non-empty (it may be wrong, but not blank)")
-    system, user = library.pair("triple_gen")
-    return RenderedPrompt(
-        stage_tag="triple_gen",
-        system_text=system,
-        user_text=_fill(user, {"question": q.question, "answer": hypothesis}),
-        source_question_id=q.question_id,
-    )
+    return _render("triple_gen", q, library, answer=hypothesis)
 
 
 def render_system2(
@@ -147,17 +139,11 @@ def render_system2(
     """
     if not chunks:
         raise ValueError("system2 prompt requires at least one retrieved chunk")
-    stage = "system2" if include_anchor else "system2_noanchor"
-    system, user = library.pair(stage)
-    substitutions = {"question": q.question, "documents": format_documents(chunks)}
-    if include_anchor:
-        substitutions["initial_guess"] = hypothesis
-        substitutions["triples"] = format_triples_inline(triples)
-    return RenderedPrompt(
-        stage_tag=stage,
-        system_text=system,
-        user_text=_fill(user, substitutions),
-        source_question_id=q.question_id,
+    documents = format_documents(chunks)
+    if not include_anchor:
+        return _render("system2_noanchor", q, library, documents=documents)
+    return _render(
+        "system2", q, library, documents=documents, initial_guess=hypothesis, triples=format_triples_inline(triples)
     )
 
 
@@ -165,13 +151,7 @@ def render_standard_rag(q: QAItem, chunks: Sequence[Chunk], library: PromptLibra
     """One-shot retrieve-then-answer baseline prompt."""
     if not chunks:
         raise ValueError("standard_rag prompt requires at least one retrieved chunk")
-    system, user = library.pair("standard_rag")
-    return RenderedPrompt(
-        stage_tag="standard_rag",
-        system_text=system,
-        user_text=_fill(user, {"question": q.question, "documents": format_documents(chunks)}),
-        source_question_id=q.question_id,
-    )
+    return _render("standard_rag", q, library, documents=format_documents(chunks))
 
 
 def render_triple(t: ReasoningTriple) -> str:

@@ -368,3 +368,74 @@ def test_inspect_unknown_id(workspace, capsys):
     rc = main(["inspect", "--traces", str(trace_path), "--question-id", "zzz"])
     assert rc == 1
     assert "zzz" in capsys.readouterr().err
+
+
+# --- damaged inputs end in one error line ------------------------------------------
+
+
+def error_lines(capsys):
+    return capsys.readouterr().err.strip().splitlines()
+
+
+def cut_offset(data: bytes, where: str) -> int:
+    header_end = data.index(b"\n") + 1
+    return {
+        "mid_header": header_end // 2,
+        "after_header": header_end,
+        "before_last_row": data.rindex(b"\n", 0, len(data) - 1) + 1,
+        "mid_file": len(data) // 2,
+        "last_20_bytes": len(data) - 20,
+    }[where]
+
+
+@pytest.mark.parametrize("where", ["mid_header", "after_header", "before_last_row", "mid_file", "last_20_bytes"])
+@pytest.mark.parametrize("command, manifest", [("build-index", "chunks"), ("run", "chunks"), ("run", "questions")])
+def test_torn_manifest_is_one_error_line(workspace, capsys, command, manifest, where):
+    torn = workspace / f"torn_{manifest}.jsonl"
+    data = (workspace / f"{manifest}.jsonl").read_bytes()
+    torn.write_bytes(data[: cut_offset(data, where)])
+    paths = {"chunks": str(workspace / "chunks.jsonl"), "questions": str(workspace / "questions.jsonl")}
+    paths[manifest] = str(torn)
+    if command == "build-index":
+        argv = ["build-index", "--chunks", paths["chunks"], "--out", str(workspace / "torn_index.bin")]
+    else:
+        argv = ["run", "--questions", paths["questions"], "--index", str(workspace / "index.bin"),
+                "--chunks", paths["chunks"], "--mode", "full", "--provider", "scripted",
+                "--fixtures", str(DATA / "scripted_fixtures.jsonl"), "--out", str(workspace / "torn_run.jsonl")]
+    assert main(argv) == 1
+    err = error_lines(capsys)
+    assert len(err) == 1 and err[0].startswith(f"error: {torn}")
+
+
+def test_ingest_non_utf8_dataset_is_one_error_line(tmp_path, capsys):
+    data = tmp_path / "bad.jsonl"
+    data.write_bytes(b'{"id": "m1", "question": "\xff", "answer": "A"}\n')
+    rc = main(["ingest", "--data", str(data), "--format", "musique", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = error_lines(capsys)
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read {data}: not UTF-8")
+
+
+@pytest.mark.parametrize(
+    "name, body, flag, expected",
+    [
+        ("fixtures.jsonl", '{"stage_tag": "system1", "question_id": "q", "text": "x"}\n{not json\n', "--fixtures",
+         "line 2: "),
+        ("fixtures.jsonl", '{"stage_tag": "system1", "text": "<answer>x</answer>"}\n', "--fixtures",
+         "line 1: missing key 'question_id'"),
+        ("fixtures.jsonl", '[1, 2]\n', "--fixtures", "line 1: "),
+        ("config.json", '{"mode": "system1_only",\n', "--config", "not a JSON config"),
+        ("config.json", '["system1_only"]\n', "--config", "not a JSON config"),
+    ],
+    ids=["fixtures_bad_json", "fixtures_missing_key", "fixtures_not_object", "config_bad_json", "config_not_object"],
+)
+def test_run_bad_json_input_is_one_error_line(workspace, capsys, name, body, flag, expected):
+    path = workspace / name
+    path.write_text(body, encoding="utf-8")
+    # the last of two --fixtures flags wins
+    argv = ["run", "--questions", str(workspace / "questions.jsonl"), "--mode", "system1_only",
+            "--provider", "scripted", "--fixtures", str(DATA / "scripted_fixtures.jsonl"),
+            "--out", str(workspace / "bad_json_run.jsonl"), flag, str(path)]
+    assert main(argv) == 1
+    err = error_lines(capsys)
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: {expected}")

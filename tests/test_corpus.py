@@ -339,6 +339,23 @@ def test_non_object_record_rejected(tmp_path):
         load_dataset(path, "musique")
 
 
+@pytest.mark.parametrize(
+    "name, fmt, body",
+    [
+        ("one.jsonl", "musique", b'{"id": "m1", "question": "caf\xff?", "answer": "A"}\n'),
+        ("lead.jsonl", "musique", b"\xff\n"),
+        ("array.json", "hotpotqa", b'[{"_id": "h1", "question": "caf\xff?", "answer": "A"}]'),
+    ],
+    ids=["jsonl", "first_byte", "array"],
+)
+def test_non_utf8_dataset_is_corpus_error(tmp_path, name, fmt, body):
+    path = tmp_path / name
+    path.write_bytes(body)
+    with pytest.raises(CorpusError, match="not UTF-8") as err:
+        load_dataset(path, fmt)
+    assert str(path) in str(err.value) and "0xff" in str(err.value)
+
+
 def test_jsonl_line_separator_inside_a_string(tmp_path):
     # U+2028 may appear unescaped inside a JSON string; only \n ends a JSONL line
     record = musique_record("m1", ["a"])
@@ -442,3 +459,74 @@ def test_manifest_kind_checked(tmp_path):
         read_chunk_manifest(path)
     with pytest.raises(CorpusError):
         read_question_file(path)
+
+
+def test_question_file_version_checked(tmp_path):
+    path = tmp_path / "questions.jsonl"
+    write_question_file(make_items(2), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = json.dumps({**json.loads(lines[0]), "schema_version": 7}) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(CorpusError, match="unsupported question file version 7"):
+        read_question_file(path)
+
+
+def _manifest_files(tmp_path):
+    chunks_path, questions_path = tmp_path / "chunks.jsonl", tmp_path / "questions.jsonl"
+    write_chunk_manifest(build_corpus([make_doc(900, "a")]), chunks_path, 400, 50, TOK.tokenizer_id)
+    write_question_file(make_items(3), questions_path)
+    return [(read_chunk_manifest, chunks_path), (read_question_file, questions_path)]
+
+
+@pytest.mark.parametrize(
+    "lineno, line, message",
+    [
+        (1, '{"kind": "chunk_manifest", ', "line 1: "),
+        (1, "[1, 2]", "line 1: not a JSON object"),
+        (1, "", "line 1: "),
+        (3, '{"chunk_id": "a:0", "doc_id": ', "line 3: "),
+        (3, '"just a string"', "line 3: not a JSON object"),
+        (3, "{}", "line 3: "),
+        (3, '{"question_id": "q1", "chunk_id": "a:1"}', "line 3: "),
+    ],
+    ids=["header_torn", "header_not_object", "header_empty", "row_torn", "row_not_object", "row_empty_object",
+         "row_missing_keys"],
+)
+def test_manifest_bad_line_names_path_and_line(tmp_path, lineno, line, message):
+    for reader, path in _manifest_files(tmp_path):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[lineno - 1] = line + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(CorpusError) as err:
+            reader(path)
+        assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_manifest_missing_key_is_named(tmp_path):
+    for reader, path in _manifest_files(tmp_path):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[2])
+        key = "question" if "question" in row else "tokenizer_id"
+        del row[key]
+        lines[2] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"line 3: .*'{key}'"):
+            reader(path)
+
+
+def test_manifest_cut_at_a_line_end_is_caught_by_the_row_count(tmp_path):
+    for reader, path in _manifest_files(tmp_path):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"header counts {len(lines) - 1} rows but the file has {len(lines) - 2}"):
+            reader(path)
+
+
+def test_manifest_cut_inside_a_character(tmp_path):
+    doc = Document(doc_id="z", title="Zürich", text="Zürich lies on the Limmat.")
+    path = tmp_path / "chunks.jsonl"
+    write_chunk_manifest(build_corpus([doc]), path, 400, 50, TOK.tokenizer_id)
+    data = path.read_bytes()
+    path.write_bytes(data[: data.rindex("ü".encode("utf-8")) + 1])
+    with pytest.raises(CorpusError, match="not UTF-8"):
+        read_chunk_manifest(path)

@@ -23,7 +23,6 @@ from anchor_rag.embed_index import (
     build_index,
     embed,
     retrieve_for_queries,
-    retrieve_for_triples,
     triple_query,
 )
 from anchor_rag.prompt_kit import ReasoningTriple
@@ -266,6 +265,11 @@ def cluster_corpus() -> list[Chunk]:
     return [make_chunk(i, text) for i, text in enumerate(schools + recipes)]
 
 
+def triple_union(index, triples, k_per_triple=5):
+    """The union of chunk ids retrieved with one query per triple."""
+    return retrieve_for_queries(index, [triple_query(t) for t in triples], k_per_query=k_per_triple)[0]
+
+
 def test_disjoint_triples_union_is_concatenation():
     index = build_index(cluster_corpus(), HashingEmbedder())
     t_school = ReasoningTriple("river", "university_football", "conference stadium")
@@ -273,7 +277,7 @@ def test_disjoint_triples_union_is_concatenation():
     per_school = [h.chunk_id for h in index.search(triple_query(t_school), k=5)]
     per_recipe = [h.chunk_id for h in index.search(triple_query(t_recipe), k=5)]
     assert not set(per_school) & set(per_recipe)  # engineered disjoint
-    union = retrieve_for_triples(index, [t_school, t_recipe], k_per_triple=5)
+    union = triple_union(index, [t_school, t_recipe], k_per_triple=5)
     assert union == per_school + per_recipe
     assert len(union) == 10
 
@@ -286,7 +290,7 @@ def test_shared_hit_kept_at_first_occurrence():
     second = [h.chunk_id for h in index.search(triple_query(t2), k=5)]
     shared = set(first) & set(second)
     assert shared  # engineered overlap
-    union = retrieve_for_triples(index, [t1, t2], k_per_triple=5)
+    union = triple_union(index, [t1, t2], k_per_triple=5)
     assert len(union) == len(set(union))
     for cid in shared:
         assert union.index(cid) == first.index(cid)
@@ -306,13 +310,13 @@ def test_union_matches_brute_force_oracle():
         for cid, _ in brute_force_ranking(index, triple_query(t))[:5]:
             if cid not in expected:
                 expected.append(cid)
-    assert retrieve_for_triples(index, triples, k_per_triple=5) == expected
+    assert triple_union(index, triples, k_per_triple=5) == expected
 
 
 def test_union_idempotent_under_repeated_triples():
     index = build_index(soup_corpus(15, random.Random(5)), HashingEmbedder())
     triples = [ReasoningTriple("ember", "lights", "lantern"), ReasoningTriple("dune", "borders", "lagoon")]
-    assert retrieve_for_triples(index, triples + triples) == retrieve_for_triples(index, triples)
+    assert triple_union(index, triples + triples) == triple_union(index, triples)
 
 
 def test_union_monotonic_in_k():
@@ -320,7 +324,7 @@ def test_union_monotonic_in_k():
     triples = [ReasoningTriple("quartz", "veined_with", "jasper"), ReasoningTriple("prairie", "meets", "tundra")]
     previous: set[str] = set()
     for k in (1, 2, 3, 5, 8):
-        current = set(retrieve_for_triples(index, triples, k_per_triple=k))
+        current = set(triple_union(index, triples, k_per_triple=k))
         assert previous <= current
         previous = current
 
@@ -393,7 +397,7 @@ def test_triple_query_styles():
 def test_empty_triples_rejected():
     index = build_index(soup_corpus(3, random.Random(9)), HashingEmbedder())
     with pytest.raises(EmbedIndexError):
-        retrieve_for_triples(index, [])
+        triple_union(index, [])
 
 
 # --- remote embeddings endpoint ------------------------------------------------

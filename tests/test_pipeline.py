@@ -93,87 +93,103 @@ def test_decide_gate_rules():
 # --- stage behavior over the golden fixtures -----------------------------------
 
 
+def new_trace(q, mode="full", **fields):
+    """An empty trace for ``q``, with earlier stages' results given as fields."""
+    return PipelineTrace(q.question_id, q.question, q.gold_answer, q.dataset_tag, mode, **fields)
+
+
 def test_answer_system1_bannan(scripted_provider, bannan_index, bannan_chunks, golden_questions):
     pipe = make_pipeline(scripted_provider, bannan_index, bannan_chunks)
-    result = pipe.answer_system1(golden_questions["bannan-conference"])
-    assert result.answer == "Big Ten Conference"
+    trace = new_trace(golden_questions["bannan-conference"])
+    pipe.answer_system1(golden_questions["bannan-conference"], trace)
+    assert trace.system1_answer == "Big Ten Conference"
     expected_conf = (math.exp(-0.9) + math.exp(-1.2) + math.exp(-0.7)) / 3
-    assert result.confidence == pytest.approx(expected_conf)
-    assert not result.malformed and not result.empty
-    assert result.usage.prompt_tokens > 0
+    assert trace.confidence == pytest.approx(expected_conf)
+    assert "system1_malformed" not in trace.flags and "system1_empty" not in trace.flags
+    assert trace.usage["system1"].prompt_tokens > 0
 
 
 def test_answer_system1_unity(scripted_provider, bannan_index, bannan_chunks, golden_questions):
     pipe = make_pipeline(scripted_provider, bannan_index, bannan_chunks)
-    result = pipe.answer_system1(golden_questions["ac-london"])
-    assert result.answer == "Unity"
-    assert result.confidence == pytest.approx(math.exp(-1.6))
+    trace = new_trace(golden_questions["ac-london"])
+    pipe.answer_system1(golden_questions["ac-london"], trace)
+    assert trace.system1_answer == "Unity"
+    assert trace.confidence == pytest.approx(math.exp(-1.6))
 
 
 def test_generate_triples_bannan(scripted_provider, bannan_index, bannan_chunks, golden_questions):
     pipe = make_pipeline(scripted_provider, bannan_index, bannan_chunks)
-    result = pipe.generate_triples(golden_questions["bannan-conference"], "Big Ten Conference")
-    assert result.triples == BANNAN_TRIPLES
-    assert result.malformed_count == 0
+    q = golden_questions["bannan-conference"]
+    trace = new_trace(q, system1_answer="Big Ten Conference")
+    pipe.generate_triples(q, trace)
+    assert trace.triples == BANNAN_TRIPLES
+    assert "triples_malformed" not in trace.flags
 
 
 def test_generate_triples_garbage_output(bannan_index, bannan_chunks, golden_questions):
     provider = ScriptedProvider()
     provider.add("triple_gen", "bannan-conference", "<triple>broken</triple> and nothing else")
     pipe = make_pipeline(provider, bannan_index, bannan_chunks)
-    result = pipe.generate_triples(golden_questions["bannan-conference"], "Big Ten Conference")
-    assert result.triples == [] and result.malformed_count == 1
+    q = golden_questions["bannan-conference"]
+    trace = new_trace(q, system1_answer="Big Ten Conference")
+    pipe.generate_triples(q, trace)
+    assert trace.triples == [] and trace.flags["triples_malformed"] == 1
 
 
 def test_gather_evidence_uses_triples(scripted_provider, bannan_index, bannan_chunks, golden_questions):
     pipe = make_pipeline(scripted_provider, bannan_index, bannan_chunks)
-    ev = pipe.gather_evidence(golden_questions["bannan-conference"], BANNAN_TRIPLES)
-    assert not ev.used_question_fallback
-    assert ev.queries == [
+    q = golden_questions["bannan-conference"]
+    trace = new_trace(q, triples=list(BANNAN_TRIPLES))
+    pipe.gather_evidence(q, trace)
+    assert "fallback_question_query" not in trace.flags
+    assert trace.retrieval_queries == [
         "Justin_Bannan played_college_football_for Penn_State_Nittany_Lions",
         "Penn_State_Nittany_Lions current_conference_member_of Big_Ten_Conference",
     ]
-    assert "doc01:0" in ev.chunk_ids and "doc08:0" in ev.chunk_ids
-    assert len(ev.chunk_ids) == len(set(ev.chunk_ids))
+    assert "doc01:0" in trace.retrieved_chunks and "doc08:0" in trace.retrieved_chunks
+    assert len(trace.retrieved_chunks) == len(set(trace.retrieved_chunks))
 
 
 def test_gather_evidence_question_fallback(scripted_provider, bannan_index, bannan_chunks, golden_questions):
     pipe = make_pipeline(scripted_provider, bannan_index, bannan_chunks)
     q = golden_questions["bannan-conference"]
-    ev = pipe.gather_evidence(q, [])
-    assert ev.used_question_fallback
-    assert ev.queries == [q.question]
-    assert len(ev.chunk_ids) == 5
+    trace = new_trace(q)
+    pipe.gather_evidence(q, trace)
+    assert trace.flags["fallback_question_query"]
+    assert trace.retrieval_queries == [q.question]
+    assert len(trace.retrieved_chunks) == 5
 
 
 def test_answer_system2_bannan(scripted_provider, bannan_index, bannan_chunks, golden_questions):
     pipe = make_pipeline(scripted_provider, bannan_index, bannan_chunks)
+    q = golden_questions["bannan-conference"]
     ids = [c.chunk_id for c in bannan_chunks]
-    result = pipe.answer_system2(
-        golden_questions["bannan-conference"], "Big Ten Conference", BANNAN_TRIPLES, ids
-    )
-    assert result.answer == "Pac-12 Conference"
-    assert not result.malformed and not result.fell_back_to_hypothesis
+    trace = new_trace(q, system1_answer="Big Ten Conference", triples=list(BANNAN_TRIPLES), retrieved_chunks=ids)
+    pipe.answer_system2(q, trace)
+    assert trace.final_answer == "Pac-12 Conference"
+    assert "final_malformed" not in trace.flags and "final_fell_back_to_hypothesis" not in trace.flags
 
 
 def test_answer_system2_falls_back_to_hypothesis(bannan_index, bannan_chunks, golden_questions):
     provider = ScriptedProvider()  # no system2 fixture -> gateway error
     pipe = make_pipeline(provider, bannan_index, bannan_chunks)
-    result = pipe.answer_system2(
-        golden_questions["bannan-conference"], "Big Ten Conference", BANNAN_TRIPLES, ["doc01:0"]
+    q = golden_questions["bannan-conference"]
+    trace = new_trace(
+        q, system1_answer="Big Ten Conference", triples=list(BANNAN_TRIPLES), retrieved_chunks=["doc01:0"]
     )
-    assert result.answer == "Big Ten Conference"
-    assert result.fell_back_to_hypothesis
-    assert result.error
+    pipe.answer_system2(q, trace)
+    assert trace.final_answer == "Big Ten Conference"
+    assert trace.flags["final_fell_back_to_hypothesis"]
+    assert trace.errors
 
 
 def test_answer_system2_no_anchor_records_empty(bannan_index, bannan_chunks, golden_questions):
     provider = ScriptedProvider()
     pipe = make_pipeline(provider, bannan_index, bannan_chunks, mode="no_initial_reasoning")
-    result = pipe.answer_system2(
-        golden_questions["bannan-conference"], "Big Ten Conference", [], ["doc01:0"], include_anchor=False
-    )
-    assert result.answer == "" and result.empty
+    q = golden_questions["bannan-conference"]
+    trace = new_trace(q, "no_initial_reasoning", system1_answer="Big Ten Conference", retrieved_chunks=["doc01:0"])
+    pipe.answer_system2(q, trace, include_anchor=False)
+    assert trace.final_answer == "" and trace.flags["final_empty"]
 
 
 # --- run_question per mode ---------------------------------------------------------
