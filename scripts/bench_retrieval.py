@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
 """Time the retrieval layer on its own and record the numbers in a JSON file.
 
-Three timings, each a median over repeated calls after a warm-up:
+Timings, each a median over repeated calls after a warm-up:
 
 - ``Index.search`` (embed one query, score, select the top k) over N random
-  unit vectors of dimension 256, for each N in ``--sizes``;
+  unit vectors of dimension 256, for each N in ``--sizes``, next to the
+  bytes of the arrays the index holds;
 - ``retrieve_for_queries`` with 4 queries (one question's triples) over the
   same index;
-- ``HashingEmbedder.embed_batch`` per chunk, for chunks of 80 and 400 tokens.
+- ``HashingEmbedder.embed_batch`` per chunk, for chunks of 80 and 400 tokens;
+- the tokenizer: ``count`` over a standard-RAG prompt (the question and k
+  retrieved 400-token chunks, system and user text, as the scripted
+  provider counts it) and ``chunk_document`` of a 3,000-token document into
+  400/50 windows.
 
 Queries are short strings of random words embedded by the hashing embedder,
 so search times include embedding the query. Each run is stored under
@@ -32,13 +37,17 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from anchor_rag.corpus import DEFAULT_TOKENIZER, Document, QAItem, chunk_document
 from anchor_rag.embed_index import HashingEmbedder, Index, retrieve_for_queries
+from anchor_rag.prompt_kit import render_standard_rag
 
 DIM = 256
 K = 5
 SEED = 0
 QUERIES_PER_QUESTION = 4
 CHUNK_TOKENS = (80, 400)
+DOCUMENT_TOKENS = 3000
+TOKENIZER_REPEATS = 200
 WORDS = (
     "river stone castle meadow falcon ember harbor lantern cedar summit violet marble thunder quill "
     "anchor breeze canyon dune ivory jasper kestrel lagoon mosaic nectar orchid prairie quartz russet "
@@ -83,13 +92,14 @@ def bench_index(n: int, queries: list[str]) -> dict:
     rows = random_unit_rows(n, np.random.default_rng(SEED))
     index = Index([f"c{i:07d}" for i in range(n)], rows, provider)
     del rows
+    held = sum(v.nbytes for v in vars(index).values() if isinstance(v, np.ndarray))
     for q in queries[:2]:
         index.search(q, k=K)
     search = [timed_ms(index.search, q, k=K) for q in queries]
     groups = [queries[i : i + QUERIES_PER_QUESTION] for i in range(0, len(queries), QUERIES_PER_QUESTION)]
     groups = [g for g in groups if len(g) == QUERIES_PER_QUESTION]
     retrieve = [timed_ms(retrieve_for_queries, index, g, k_per_query=K) for g in groups]
-    return {"search": summary(search), "retrieve_4_queries": summary(retrieve)}
+    return {"matrix_bytes": held, "search": summary(search), "retrieve_4_queries": summary(retrieve)}
 
 
 def bench_embed(tokens: int, texts: int, repeats: int, rng: random.Random) -> dict:
@@ -98,6 +108,40 @@ def bench_embed(tokens: int, texts: int, repeats: int, rng: random.Random) -> di
     provider.embed_batch(batch[:2])
     per_chunk = [timed_ms(provider.embed_batch, batch) / texts for _ in range(repeats)]
     return summary(per_chunk)
+
+
+def prose(tokens: int, rng: random.Random) -> str:
+    """Words with punctuation between some of them, ``tokens`` tokens long."""
+    out: list[str] = []
+    while len(out) < tokens:
+        out.append(rng.choice(WORDS))
+        if len(out) < tokens and rng.random() < 0.2:
+            out.append(rng.choice(",.;()'-"))
+    return " ".join(out)
+
+
+def bench_tokenizer(rng: random.Random) -> dict:
+    def count_prompt(prompt) -> int:
+        return DEFAULT_TOKENIZER.count(prompt.system_text) + DEFAULT_TOKENIZER.count(prompt.user_text)
+
+    docs = [Document(doc_id=f"d{i}", title=f"Title {i}", text=prose(400, rng)) for i in range(K)]
+    chunks = [c for d in docs for c in chunk_document(d)]
+    question = QAItem(question_id="q", question=prose(16, rng), gold_answer="x")
+    prompt = render_standard_rag(question, chunks)
+    document = Document(doc_id="long", title="Long", text=prose(DOCUMENT_TOKENS, rng))
+    count_prompt(prompt)
+    chunk_document(document)
+    return {
+        "count_standard_rag_prompt": {
+            "tokens": count_prompt(prompt),
+            **summary([timed_ms(count_prompt, prompt) for _ in range(TOKENIZER_REPEATS)]),
+        },
+        "chunk_document": {
+            "tokens": DOCUMENT_TOKENS,
+            "chunks": len(chunk_document(document)),
+            **summary([timed_ms(chunk_document, document) for _ in range(TOKENIZER_REPEATS)]),
+        },
+    }
 
 
 def main() -> int:
@@ -119,6 +163,7 @@ def main() -> int:
         "hashing_embed_per_chunk": {
             f"{t}_tokens": bench_embed(t, args.embed_texts, args.embed_repeats, rng) for t in CHUNK_TOKENS
         },
+        "tokenizer": bench_tokenizer(rng),
     }
 
     out = Path(args.out)

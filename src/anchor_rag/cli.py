@@ -143,6 +143,9 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
             raise CliError(f"{args.config}: not a JSON config: {exc}") from exc
         if not isinstance(base, dict):
             raise CliError(f"{args.config}: not a JSON config: expected an object")
+        for key in ("chat_provider", "embed_provider"):
+            if not isinstance(base.get(key) or {}, dict):
+                raise CliError(f"{args.config}: config {key} must be an object")
     base.update(_given_flags(args, _RUN_FLAGS))
     base["chat_provider"] = {**(base.get("chat_provider") or {}), **_given_flags(args, _CHAT_FLAGS)}
     embed = dict(base.get("embed_provider") or {})

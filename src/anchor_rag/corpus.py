@@ -15,8 +15,9 @@ import logging
 import random
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -32,16 +33,10 @@ class CorpusError(ValueError):
     """Bad dataset file, unknown format, or invalid chunking parameters."""
 
 
-class TokenSpan(NamedTuple):
-    text: str
-    start_char: int
-    end_char: int
-
-
 class Tokenizer(Protocol):
     tokenizer_id: str
 
-    def tokenize(self, text: str) -> list[TokenSpan]: ...
+    def spans(self, text: str) -> tuple[list[int], list[int]]: ...
 
     def count(self, text: str) -> int: ...
 
@@ -51,16 +46,25 @@ class WordPunctTokenizer:
 
     Words (``\\w+``) and individual punctuation characters are separate
     tokens; whitespace is never a token. Spans index into the original text.
+
+    Neither method builds a per-token object: ``count`` takes the length of
+    ``findall``, and ``spans`` splits the text on a capturing pattern into
+    alternating gaps and tokens, whose running lengths are the offsets.
     """
 
     tokenizer_id = "wordpunct-v1"
     _pattern = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+    _splitter = re.compile(f"({_pattern.pattern})", re.UNICODE)
 
-    def tokenize(self, text: str) -> list[TokenSpan]:
-        return [TokenSpan(m.group(), m.start(), m.end()) for m in self._pattern.finditer(text)]
+    def spans(self, text: str) -> tuple[list[int], list[int]]:
+        """Start and end character offsets of every token, in order."""
+        # split() yields gap, token, gap, ..., token, gap; offsets[2i + 1]
+        # and offsets[2i + 2] are where token i starts and ends.
+        offsets = list(accumulate(map(len, self._splitter.split(text)), initial=0))
+        return offsets[1:-1:2], offsets[2::2]
 
     def count(self, text: str) -> int:
-        return sum(1 for _ in self._pattern.finditer(text))
+        return len(self._pattern.findall(text))
 
 
 _TOKENIZERS: dict[str, Tokenizer] = {
@@ -310,8 +314,8 @@ def chunk_document(
         raise CorpusError(f"need chunk_size > stride >= 0, got {chunk_size=}, {stride=}")
     if not doc.text:
         raise CorpusError(f"document {doc.doc_id!r} has empty text")
-    tokens = tokenizer.tokenize(doc.text)
-    total = len(tokens)
+    starts, ends = tokenizer.spans(doc.text)
+    total = len(starts)
     if total == 0:
         raise CorpusError(f"document {doc.doc_id!r} has no tokens")
 
@@ -320,8 +324,8 @@ def chunk_document(
     start = 0
     while True:
         end = min(start + chunk_size, total)
-        start_char = tokens[start].start_char
-        end_char = tokens[end - 1].end_char
+        start_char = starts[start]
+        end_char = ends[end - 1]
         chunks.append(
             Chunk(
                 chunk_id=f"{doc.doc_id}:{start}",

@@ -2,11 +2,22 @@
 
 The index is a plain (ids, matrix) pair searched by brute-force cosine,
 which is exact and fast at desk scale (hundreds of thousands of chunks).
-Vectors are unit-normalized, stored on disk as float32, and held and
-scored in float64. A search scores every row with one matrix-vector
-product, then finds the top k by partial selection (``np.partition``)
-rather than a full sort; only the rows at or above the k-th score are
-sorted, so ties at the boundary still break by ascending chunk id.
+Vectors are unit-normalized and held in float32, the precision stored on
+disk; there is no float64 copy. A search is two steps, as in FAISS
+``IndexFlatIP`` with a refinement pass:
+
+1. Candidates: one float32 matrix-vector product scores every row, and
+   ``np.partition`` finds the k-th largest score. Every row within a
+   proven margin of it is kept. A float32 score differs from the exact
+   dot product by at most (γ_dim,f32 + u_f32)·‖row‖·‖q‖ (the float32 dot
+   plus rounding the query to float32) and the float64 rescore by at most
+   γ_dim,f64·‖row‖·‖q‖, so a row whose float32 score lies more than twice
+   their sum below the k-th cannot enter the float64 top k.
+2. Rescoring: the candidates are scored again in float64 by an
+   elementwise product and numpy's pairwise sum, which depends only on the
+   row and the query (a BLAS product over a subset of rows can round a
+   row differently depending on its position), and sorted by
+   (-score, chunk id), so ties at the boundary break by ascending id.
 Two providers are included: an OpenAI-compatible HTTP embedder and a
 deterministic hashing embedder (character n-grams feature-hashed into a
 fixed dimension) used for tests and offline runs.
@@ -26,12 +37,23 @@ import numpy as np
 import requests
 
 from anchor_rag.corpus import Chunk
+from anchor_rag.llm_gateway import ThreadLocalSession
 from anchor_rag.prompt_kit import ReasoningTriple
 
 INDEX_MAGIC = b"ARIX"
 INDEX_VERSION = 1
 
 QUERY_STYLES = ("space", "pipe")
+
+# Unit roundoff of float32 and float64.
+_U32 = float(np.finfo(np.float32).eps) / 2
+_U64 = float(np.finfo(np.float64).eps) / 2
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's γ_n = n·u / (1 - n·u): the relative error bound of an
+    n-term dot product summed in any order."""
+    return n * u / (1.0 - n * u)
 
 
 class EmbedIndexError(ValueError):
@@ -146,13 +168,14 @@ class RemoteEmbedder:
         self.batch_size = batch_size
         self.timeout_s = timeout_s
         self.provider_id = f"remote:{model}"
+        self._http = ThreadLocalSession()
 
     def _post(self, texts: Sequence[str]) -> list[list[float]]:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            resp = requests.post(
+            resp = self._http.session.post(
                 f"{self.base_url}/embeddings",
                 json={"model": self.model, "input": list(texts)},
                 headers=headers,
@@ -218,10 +241,17 @@ class Index:
         if vectors.shape[0] != len(ids):
             raise EmbedIndexError("ids/vectors row count mismatch")
         self.ids = list(ids)
-        # Rows are rounded to float32 (the stored precision) once, so a
-        # saved and reloaded index scores bit-identically to the original.
-        self._matrix = np.ascontiguousarray(vectors, dtype=np.float32).astype(np.float64)
+        # Held at the stored precision, so a saved and reloaded index scores
+        # bit-identically to the original. Float32 rows (as ``load`` reads
+        # them) are kept without a copy.
+        self._matrix = np.ascontiguousarray(vectors, dtype=np.float32)
         self.dim = int(vectors.shape[1])
+        # Candidate margin per unit of query norm (see the module docstring).
+        # The 1% headroom covers rounding in the norms and in the margin
+        # arithmetic itself, which is below 1e-12 relative.
+        max_row_norm = float(np.sqrt(np.einsum("ij,ij->i", self._matrix, self._matrix, dtype=np.float64).max()))
+        bound = _gamma(self.dim, _U32) * (1.0 + _U32) + _U32 + _gamma(self.dim, _U64)
+        self._margin_per_query_norm = 2.0 * bound * max_row_norm * 1.01
         self.provider = provider
         self.provider_id = provider.provider_id
         self._row_of = {cid: i for i, cid in enumerate(self.ids)}
@@ -235,29 +265,39 @@ class Index:
     def search(self, query: str, k: int = 5, vector: np.ndarray | None = None) -> list[RetrievalHit]:
         """Top-k by exact cosine; ties broken by ascending chunk id.
 
-        Every row is scored in float64. ``np.partition`` finds the k-th
-        largest score, and only the rows scoring at or above it (all ties
-        at the boundary included) are sorted by (-score, chunk id), so the
-        result equals a full sort under that key. ``vector`` is the
-        query's embedding when the caller already has it
-        (``retrieve_for_queries`` embeds all its queries in one call);
-        otherwise the query is embedded here.
+        Every row is scored in float32 and ``np.partition`` finds the k-th
+        largest score. The rows within the candidate margin of it (see the
+        module docstring) are rescored in float64 and sorted by (-score,
+        chunk id), so the result and its scores are those of a float64
+        search over every row. ``vector`` is the query's embedding when
+        the caller already has it (``retrieve_for_queries`` embeds all its
+        queries in one call); otherwise the query is embedded here.
         """
         _check_query(query, k)
         if vector is None:
             vector = embed([query], self.provider)[0]
-        q = vector.astype(np.float64)
+        q = np.asarray(vector, dtype=np.float64)
         if q.shape[0] != self.dim:
             raise EmbedIndexError(f"query dim {q.shape[0]} does not match index dim {self.dim}")
-        scores = self._matrix @ q
         n = len(self.ids)
         if k < n:
-            kth = np.partition(scores, n - k)[n - k]
-            rows = np.flatnonzero(scores >= kth)
+            scores = self._matrix @ q.astype(np.float32)
+            kth = float(np.partition(scores, n - k)[n - k])
+            floor = kth - self._margin_per_query_norm * float(np.linalg.norm(q))
+            # Round the floor down to float32, never up, so no row inside
+            # the margin is dropped by the comparison. (float() matters: a
+            # float32 compared with a Python float rounds the float first.)
+            floor32 = np.float32(floor)
+            if float(floor32) > floor:
+                floor32 = np.nextafter(floor32, np.float32(-np.inf))
+            rows = np.flatnonzero(scores >= floor32)
         else:
-            rows = range(n)
-        order = sorted(rows, key=lambda i: (-scores[i], self.ids[i]))
-        return [RetrievalHit(chunk_id=self.ids[i], score=float(scores[i]), query_index=0) for i in order[:k]]
+            rows = np.arange(n)
+        exact = (self._matrix[rows] * q).sum(axis=1)
+        order = sorted(range(len(rows)), key=lambda j: (-exact[j], self.ids[rows[j]]))
+        return [
+            RetrievalHit(chunk_id=self.ids[rows[j]], score=float(exact[j]), query_index=0) for j in order[:k]
+        ]
 
     # --- persistence -------------------------------------------------------
     # Binary layout: magic, version, dim, count, provider id, id table,
@@ -277,7 +317,7 @@ class Index:
                 raw = cid.encode("utf-8")
                 fh.write(struct.pack("<I", len(raw)))
                 fh.write(raw)
-            fh.write(self._matrix.astype(np.float32).data)
+            fh.write(self._matrix.data)
         sidecar = path.with_name(path.name + ".manifest.jsonl")
         with sidecar.open("w", encoding="utf-8") as fh:
             header = {

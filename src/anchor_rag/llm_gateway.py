@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -138,6 +139,18 @@ class ScriptedProvider:
         )
 
 
+class ThreadLocalSession(threading.local):
+    """One ``requests.Session`` per thread, so an HTTP client's calls from a
+    thread reuse a kept-alive connection instead of opening one per call.
+
+    A session is not documented as safe to share between threads, hence one
+    per thread; it and its pooled connections are released with its thread.
+    """
+
+    def __init__(self) -> None:
+        self.session = requests.Session()
+
+
 class OpenAIChatProvider:
     """OpenAI-compatible ``/chat/completions`` client with logprobs support."""
 
@@ -147,13 +160,14 @@ class OpenAIChatProvider:
         self.api_key = api_key
         self.timeout_s = timeout_s
         self.provider_id = f"openai:{model}"
+        self._http = ThreadLocalSession()
 
     def _post(self, payload: dict) -> requests.Response:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            resp = requests.post(
+            resp = self._http.session.post(
                 f"{self.base_url}/chat/completions",
                 json=payload,
                 headers=headers,

@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Sequence, TextIO, get_args, get_type_hints
 
 from anchor_rag.corpus import DEFAULT_TOKENIZER, Chunk, QAItem, Tokenizer, get_tokenizer
 from anchor_rag.embed_index import EmbedIndexError, Index, RetrievalHit, retrieve_for_queries, triple_query
@@ -55,6 +55,28 @@ class PipelineError(RuntimeError):
     """Configuration or wiring problem that prevents a run from starting."""
 
 
+def _check_field_types(obj: object, what: str) -> None:
+    """Raise PipelineError for a dataclass field whose value does not match
+    its annotation (an int is accepted for a float; a bool never is), so a
+    bad value from a JSON config ends as one error, not a TypeError."""
+    for name, hint in get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        allowed = get_args(hint) or (hint,)
+        expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        if float in allowed:
+            allowed += (int,)
+        if (isinstance(value, bool) and bool not in allowed) or not isinstance(value, allowed):
+            raise PipelineError(f"{what} {name} must be {expected}, got {type(value).__name__} {value!r}")
+
+
+def _from_dict(cls: type, data: dict, what: str):
+    """``cls(**data)``, with unknown keys reported as a PipelineError."""
+    unknown = set(data) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise PipelineError(f"unknown {what} keys: {sorted(unknown)}")
+    return cls(**data)
+
+
 @dataclass(frozen=True)
 class StageTokenLimits:
     """Max new tokens per stage; the deliberate pass gets the largest budget."""
@@ -64,6 +86,7 @@ class StageTokenLimits:
     system2: int = 1024
 
     def __post_init__(self) -> None:
+        _check_field_types(self, "limits")
         if min(self.system1, self.triple_gen, self.system2) < 1:
             raise PipelineError("stage token limits must be >= 1")
         if self.system2 < self.system1:
@@ -85,6 +108,7 @@ class RunConfig:
     embed_provider: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _check_field_types(self, "config")
         if self.mode not in MODES:
             raise PipelineError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.k_per_triple < 1:
@@ -102,13 +126,14 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         data = dict(data)
-        limits = data.pop("limits", None) or data.pop("max_new_tokens", None)
-        if isinstance(limits, dict):
-            data["limits"] = StageTokenLimits(**limits)
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise PipelineError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        limits = data.pop("limits", None)
+        if limits is None:
+            limits = data.pop("max_new_tokens", None)
+        if limits is not None:
+            if not isinstance(limits, dict):
+                raise PipelineError(f"config limits must be an object, got {type(limits).__name__} {limits!r}")
+            data["limits"] = _from_dict(StageTokenLimits, limits, "limits")
+        return _from_dict(cls, data, "config")
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)

@@ -439,3 +439,43 @@ def test_run_bad_json_input_is_one_error_line(workspace, capsys, name, body, fla
     assert main(argv) == 1
     err = error_lines(capsys)
     assert len(err) == 1 and err[0].startswith(f"error: {path}: {expected}")
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        ({"k_per_triple": "5"}, "config k_per_triple must be int, got str '5'"),
+        ({"k_per_triple": True}, "config k_per_triple must be int, got bool True"),
+        ({"confidence_threshold": "0.5"}, "config confidence_threshold must be float or null, got str '0.5'"),
+        ({"limits": 32}, "config limits must be an object, got int 32"),
+        ({"limits": []}, "config limits must be an object, got list []"),
+        ({"limits": {"system1": "64"}}, "limits system1 must be int, got str '64'"),
+        ({"limits": {"system_1": 64}}, "unknown limits keys: ['system_1']"),
+        ({"chat_provider": "scripted"}, "{path}: config chat_provider must be an object"),
+        ({"embed_provider": ["hashing"]}, "{path}: config embed_provider must be an object"),
+    ],
+    ids=["k_str", "k_bool", "tau_str", "limits_int", "limits_list", "limit_str", "limit_unknown_key",
+         "chat_provider_str", "embed_provider_list"],
+)
+def test_run_config_with_bad_values_is_one_error_line(workspace, capsys, config, expected):
+    path = workspace / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["run", "--questions", str(workspace / "questions.jsonl"), "--mode", "system1_only",
+            "--provider", "scripted", "--fixtures", str(DATA / "scripted_fixtures.jsonl"),
+            "--out", str(workspace / "bad_config_run.jsonl"), "--config", str(path)]
+    assert main(argv) == 1
+    err = error_lines(capsys)
+    assert err == [f"error: {expected.format(path=path)}"]
+    assert not (workspace / "bad_config_run.jsonl").exists()
+
+
+def test_run_config_limits_are_used(workspace):
+    path = workspace / "config.json"
+    path.write_text(json.dumps({"limits": {"system1": 32, "triple_gen": 128, "system2": 512}}), encoding="utf-8")
+    out = workspace / "limits_run.jsonl"
+    argv = ["run", "--questions", str(workspace / "questions.jsonl"), "--mode", "system1_only",
+            "--provider", "scripted", "--fixtures", str(DATA / "scripted_fixtures.jsonl"),
+            "--out", str(out), "--config", str(path)]
+    assert main(argv) == 0
+    header = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
+    assert header["config"]["limits"] == {"system1": 32, "triple_gen": 128, "system2": 512}

@@ -1,8 +1,9 @@
 import json
+import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchor_rag import corpus
@@ -31,15 +32,58 @@ def make_doc(n_tokens: int, doc_id: str = "doc") -> Document:
 # --- tokenizer ---------------------------------------------------------------
 
 
+def token_texts(text: str) -> list[str]:
+    return [text[s:e] for s, e in zip(*TOK.spans(text))]
+
+
 def test_tokenizer_splits_words_and_punctuation():
-    spans = TOK.tokenize("Hello, world!")
-    assert [s.text for s in spans] == ["Hello", ",", "world", "!"]
-    assert spans[0].start_char == 0 and spans[0].end_char == 5
+    starts, ends = TOK.spans("Hello, world!")
+    assert token_texts("Hello, world!") == ["Hello", ",", "world", "!"]
+    assert starts[0] == 0 and ends[0] == 5
 
 
 def test_tokenizer_count_matches_tokenize():
     text = "Justin Lewis Bannan (born April 18, 1979) is a former American football defensive tackle."
-    assert TOK.count(text) == len(TOK.tokenize(text))
+    assert TOK.count(text) == len(token_texts(text)) == 18
+
+
+# Characters whose token class is easy to get wrong: information separators,
+# line and paragraph separators and the no-break space are whitespace (\s);
+# underscore is a word character; combining marks and the zero-width space
+# are neither, so each is a token of its own.
+TRICKY = "\x1c\x1d\x1e\x1f\u2028\u2029\u00a0\u0085_\u0301\u0308\u200b\u3000 \t\n.,-'a1é"
+UNICODE_TEXT = st.text(alphabet=st.one_of(st.characters(), st.sampled_from(TRICKY)), max_size=300)
+
+
+def reference_spans(text: str) -> list[tuple[int, int]]:
+    return [m.span() for m in re.finditer(r"\w+|[^\w\s]", text)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=UNICODE_TEXT)
+@example(text="a\x1cb\u2028c\u00a0d_e\u0301 \u0308!")
+@example(text="")
+def test_count_and_spans_match_token_enumeration(text):
+    expected = reference_spans(text)
+    assert TOK.count(text) == len(expected)
+    starts, ends = TOK.spans(text)
+    assert list(zip(starts, ends)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=UNICODE_TEXT, chunk_size=st.integers(2, 12), stride=st.integers(0, 1))
+def test_chunk_offsets_match_token_enumeration(text, chunk_size, stride):
+    expected = reference_spans(text)
+    doc = Document(doc_id="d", title="T", text=text or "x")
+    if not expected and text:
+        with pytest.raises(CorpusError):
+            chunk_document(doc, chunk_size=chunk_size, stride=stride)
+        return
+    expected = expected or [(0, 1)]
+    for c in chunk_document(doc, chunk_size=chunk_size, stride=stride):
+        assert (c.start_char, c.end_char) == (expected[c.start_token][0], expected[c.end_token - 1][1])
+        assert c.text == doc.text[c.start_char : c.end_char]
+    assert c.end_token == len(expected)
 
 
 # --- chunk_document ------------------------------------------------------------
@@ -120,11 +164,11 @@ def test_chunking_invariants(total, chunk_size, stride_frac):
         assert prev.end_token - nxt.start_token >= stride
 
     # reconstruction from non-overlapping suffixes
-    token_texts = [t.text for t in TOK.tokenize(doc.text)]
-    rebuilt = token_texts[chunks[0].start_token : chunks[0].end_token]
+    tokens = token_texts(doc.text)
+    rebuilt = tokens[chunks[0].start_token : chunks[0].end_token]
     for prev, nxt in zip(chunks, chunks[1:]):
-        rebuilt.extend(token_texts[prev.end_token : nxt.end_token])
-    assert rebuilt == token_texts
+        rebuilt.extend(tokens[prev.end_token : nxt.end_token])
+    assert rebuilt == tokens
 
 
 def test_chunk_text_slices_original_document():

@@ -5,7 +5,8 @@ import subprocess
 import sys
 import threading
 import zlib
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from fractions import Fraction
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,88 @@ def test_ties_beyond_k_return_lowest_chunk_ids():
     assert [h.chunk_id for h in hits] == ["c0001", "c0002", "c0004"]
     expected = brute_force_ranking(index, "river stone")[:3]
     assert [(h.chunk_id, h.score) for h in hits] == expected
+
+
+class UnusedProvider:
+    """Stands in for an embedder in indexes searched only by vector."""
+
+    provider_id = "unused"
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def embed_batch(self, texts):
+        raise AssertionError("searched by vector, nothing to embed")
+
+
+def planted_rows(rng: np.random.Generator, n: int, dim: int, q: np.ndarray) -> np.ndarray:
+    """Random non-unit float32 rows: a cluster of near-ties close to the
+    query's direction (inside the float32 candidate margin of each other),
+    exact duplicates of cluster rows, and plain noise rows."""
+    rows = rng.standard_normal((n, dim)) * rng.uniform(0.1, 10.0, size=(n, 1))
+    cluster = rng.choice(n, size=max(2, n // 3), replace=False)
+    base = q / np.linalg.norm(q) * rng.uniform(1.0, 2.0) + 0.05 * rng.standard_normal(dim)
+    for i in cluster:
+        rows[i] = base + 1e-6 * rng.standard_normal(dim)
+    for i, j in rng.choice(n, size=(max(1, n // 6), 2)):
+        rows[j] = rows[i]
+    return rows.astype(np.float32)
+
+
+def exact_scores(rows: np.ndarray, q: np.ndarray) -> list[Fraction]:
+    qf = [Fraction(float(x)) for x in q]
+    return [sum((Fraction(float(x)) * y for x, y in zip(row, qf)), Fraction(0)) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    dim=st.sampled_from([2, 7, 64, 256]),
+    query_dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_search_matches_float64_oracle_with_planted_near_ties(seed, n, dim, query_dtype):
+    rng = np.random.default_rng(seed)
+    q = (rng.standard_normal(dim) * rng.uniform(0.1, 10.0)).astype(query_dtype)
+    rows = planted_rows(rng, n, dim, q.astype(np.float64))
+    ids = [f"c{i:03d}" for i in rng.permutation(n)]
+    index = Index(ids, rows, UnusedProvider(dim))
+    exact = exact_scores(rows, q)
+    ranked = sorted(range(n), key=lambda i: (-exact[i], ids[i]))
+    for k in sorted({1, 2, n - 1, n, n + 3} - {0}):
+        hits = index.search("q", k=k, vector=q)
+        assert [h.chunk_id for h in hits] == [ids[i] for i in ranked[:k]]
+        for hit, i in zip(hits, ranked):
+            assert abs(hit.score - float(exact[i])) <= 1e-12 * max(1.0, abs(float(exact[i])))
+
+
+def test_rescored_score_does_not_depend_on_the_other_candidates():
+    rng = np.random.default_rng(11)
+    n, dim = 37, 256
+    q = rng.standard_normal(dim)
+    rows = planted_rows(rng, n, dim, q)
+    ids = [f"c{i:03d}" for i in range(n)]
+    seen: dict[str, float] = {}
+    for trial in range(30):
+        # each trial reorders the rows, so every chunk sits at other row
+        # positions among other candidate sets
+        perm = rng.permutation(n)
+        index = Index([ids[i] for i in perm], rows[perm], UnusedProvider(dim))
+        for k in (1, 2, 3, 5, 8, 13, 21, n):
+            for hit in index.search("q", k=k, vector=q):
+                assert seen.setdefault(hit.chunk_id, hit.score) == hit.score, (trial, k, hit.chunk_id)
+    assert len(seen) == n
+
+
+def test_index_holds_only_the_float32_rows(tmp_path):
+    chunks = soup_corpus(30, random.Random(5))
+    provider = HashingEmbedder()
+    index = build_index(chunks, provider)
+    index.save(tmp_path / "index.bin")
+    for idx in (index, Index.load(tmp_path / "index.bin", provider)):
+        arrays = [v for v in vars(idx).values() if isinstance(v, np.ndarray)]
+        assert [(a.dtype, a.shape) for a in arrays] == [(np.dtype(np.float32), (30, 256))]
+        assert idx.vector(chunks[3].chunk_id).dtype == np.float32
 
 
 # --- persistence -----------------------------------------------------------------
@@ -455,6 +538,33 @@ def test_remote_embedder_dim_mismatch(fake_embeddings_endpoint):
         provider.embed_batch(["text"])
 
 
+class KeepAliveEmbeddingsHandler(FakeEmbeddingsHandler):
+    """HTTP/1.1 variant of the fake endpoint that counts TCP connections."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 10
+    connections = 0
+
+    def setup(self):
+        KeepAliveEmbeddingsHandler.connections += 1
+        super().setup()
+
+
+def test_remote_embedder_reuses_one_connection():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveEmbeddingsHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    FakeEmbeddingsHandler.seen_payloads = []
+    KeepAliveEmbeddingsHandler.connections = 0
+    try:
+        provider = RemoteEmbedder(base_url=f"http://127.0.0.1:{server.server_address[1]}/v1", model="m", batch_size=2)
+        for i in range(4):
+            assert embed(["ab", "abcd", "a" * (i + 1)], provider).shape == (3, 4)
+        assert (len(FakeEmbeddingsHandler.seen_payloads), KeepAliveEmbeddingsHandler.connections) == (8, 1)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_remote_embedder_transport_failure():
     provider = RemoteEmbedder(base_url="http://127.0.0.1:9", model="m", timeout_s=0.2)
     with pytest.raises(EmbedIndexError):
@@ -488,3 +598,6 @@ def test_bench_retrieval_script_smoke(tmp_path):
     assert run["index"]["50"]["search"]["samples"] == 4
     assert run["index"]["50"]["retrieve_4_queries"]["samples"] == 1
     assert run["hashing_embed_per_chunk"]["400_tokens"]["median_ms"] > 0
+    assert run["index"]["50"]["matrix_bytes"] == 50 * 256 * 4
+    assert run["tokenizer"]["chunk_document"]["chunks"] == 9
+    assert run["tokenizer"]["count_standard_rag_prompt"]["tokens"] > 5 * 400

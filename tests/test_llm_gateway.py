@@ -1,7 +1,7 @@
 import json
 import math
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +355,40 @@ def test_openai_provider_degrades_when_logprobs_rejected(fake_endpoint):
     assert response.text == "<answer>Paris</answer>"
     assert not response.has_logprobs
     assert mean_token_confidence(response) is None
+
+
+class KeepAliveChatHandler(FakeChatHandler):
+    """HTTP/1.1 variant of the fake endpoint that counts TCP connections."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 10
+    connections = 0
+
+    def setup(self):
+        KeepAliveChatHandler.connections += 1
+        super().setup()
+
+
+def test_openai_provider_reuses_one_connection_per_thread():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveChatHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    FakeChatHandler.behaviour = "ok"
+    FakeChatHandler.seen_payloads = []
+    KeepAliveChatHandler.connections = 0
+    try:
+        provider = OpenAIChatProvider(base_url=f"http://127.0.0.1:{server.server_address[1]}/v1", model="m")
+        for _ in range(8):
+            assert complete(make_request(), provider).text == "<answer>Paris</answer>"
+        assert (len(FakeChatHandler.seen_payloads), KeepAliveChatHandler.connections) == (8, 1)
+        # another thread gets its own session, so its own connection
+        other = threading.Thread(target=lambda: [complete(make_request(), provider) for _ in range(3)])
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        assert (len(FakeChatHandler.seen_payloads), KeepAliveChatHandler.connections) == (11, 2)
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_openai_provider_transport_error_on_unreachable_host():
