@@ -59,12 +59,11 @@ def main() -> int:
         "standard_rag": RunConfig(mode="standard_rag"),
     }
 
-    score_rows = []
+    runs = {}
     for name, config in configs.items():
         pipe = Pipeline(provider, config, index=index, chunks=chunks)
         traces = pipe.run_dataset(items, trace_path=out_dir / f"{name}.jsonl")
-        em, f1 = evaluation.aggregate(evaluation.score_traces(traces, "final"))
-        score_rows.append((name, em, f1, len(traces)))
+        runs[name], _ = evaluation.summarize_run(config.mode, traces)
         t = traces[0]
         print(f"== {name}")
         print(f"   fast answer : {t.system1_answer!r} (confidence {t.confidence})")
@@ -73,7 +72,7 @@ def main() -> int:
         print(f"   final       : {t.final_answer!r}  gate={t.gate_decision}  payload={t.payload_tokens} tokens")
         print()
 
-    print(evaluation.render_score_table(score_rows))
+    print(evaluation.render_score_table(runs))
     print(f"\ntraces written to {out_dir}/")
     return 0
 

@@ -185,15 +185,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     _, traces = read_trace_file(args.traces)
-    scores = evaluation.score_traces(traces, answer=args.answers)
-    em, f1 = evaluation.aggregate(scores)
-    label = f"{Path(args.traces).stem}:{args.answers}"
-    print(evaluation.render_score_table([(label, em, f1, len(scores))]))
+    entry = evaluation.score_summary(evaluation.score_traces(traces, answer=args.answers))
+    print(evaluation.render_score_table({f"{Path(args.traces).stem}:{args.answers}": entry}))
     if args.out:
-        evaluation.write_summary_json(
-            args.out,
-            {"traces": str(args.traces), "answers": args.answers, "em": em, "f1": f1, "n": len(scores)},
-        )
+        evaluation.write_summary_json(args.out, {"traces": str(args.traces), "answers": args.answers, **entry})
     return 0
 
 
@@ -211,66 +206,35 @@ def cmd_transitions(args: argparse.Namespace) -> int:
         label = Path(args.traces).stem
     else:
         raise CliError("pass either --traces or both --sys1 and --sys2")
-    report = evaluation.transitions(before, after)
-    print(evaluation.render_transition_table([(label, report)]))
+    print(evaluation.render_transition_table({label: {"transitions": evaluation.transitions(before, after).to_dict()}}))
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    # A run is labelled by its file's stem; two files with one stem would
+    # share a summary entry and a scores file.
+    labels = [Path(trace_path).stem for trace_path in args.traces]
+    duplicates = sorted({label for label in labels if labels.count(label) > 1})
+    if duplicates:
+        raise CliError(f"two or more trace files share the run label {', '.join(map(repr, duplicates))}; rename them")
+    runs: dict[str, dict] = {}
+    scores = {}
+    for label, trace_path in zip(labels, args.traces):
+        header, traces = read_trace_file(trace_path)
+        runs[label], scores[label] = evaluation.summarize_run(header["config"]["mode"], traces)
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    score_rows = []
-    payload_rows = []
-    transition_rows = []
-    savings_rows = []
-    summary: dict = {"runs": {}}
-    for trace_path in args.traces:
-        header, traces = read_trace_file(trace_path)
-        label = Path(trace_path).stem
-        mode = header["config"]["mode"]
-        final_scores = evaluation.score_traces(traces, answer="final")
-        em, f1 = evaluation.aggregate(final_scores)
-        score_rows.append((label, em, f1, len(final_scores)))
-        payload = evaluation.payload_tokens(traces)
-        payload_rows.append((label, payload))
-        run_summary = {
-            "mode": mode,
-            "em": em,
-            "f1": f1,
-            "n": len(final_scores),
-            "avg_payload_tokens": payload.overall_mean,
-            "payload_per_dataset": payload.per_dataset,
-        }
-        if mode in ("full", "no_initial_reasoning", "threshold_gated"):
-            sys1_scores = evaluation.score_traces(traces, answer="system1")
-            rep = evaluation.transitions(sys1_scores, final_scores)
-            transition_rows.append((label, rep))
-            run_summary["transitions"] = {
-                "both_correct": rep.both_correct,
-                "gained": rep.gained,
-                "lost": rep.lost,
-                "both_incorrect": rep.both_incorrect,
-                "net_gain": rep.net_gain,
-            }
-        if mode == "threshold_gated":
-            savings = evaluation.threshold_savings(traces)
-            savings_rows.append((label, savings))
-            run_summary["threshold"] = {
-                "complete": savings.complete,
-                "continue": savings.continued,
-                "avg_input_tokens_saved": savings.avg_input_tokens_saved,
-            }
+    for label, final_scores in scores.items():
         evaluation.write_scores_csv(out_dir / f"{label}.scores.csv", final_scores)
-        summary["runs"][label] = run_summary
-
-    sections = [evaluation.render_score_table(score_rows), evaluation.render_payload_table(payload_rows)]
-    if transition_rows:
-        sections.append(evaluation.render_transition_table(transition_rows))
-    if savings_rows:
-        sections.append(evaluation.render_savings_table(savings_rows))
+    sections = [evaluation.render_score_table(runs), evaluation.render_payload_table(runs)]
+    if any("transitions" in run for run in runs.values()):
+        sections.append(evaluation.render_transition_table(runs))
+    if any("threshold" in run for run in runs.values()):
+        sections.append(evaluation.render_savings_table(runs))
     text = "\n\n".join(sections) + "\n"
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
-    evaluation.write_summary_json(out_dir / "summary.json", summary)
+    evaluation.write_summary_json(out_dir / "summary.json", {"runs": runs})
     print(text, end="")
     print(f"report written to {out_dir}")
     return 0

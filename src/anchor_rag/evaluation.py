@@ -13,7 +13,7 @@ import json
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -97,6 +97,9 @@ class TransitionReport:
     def total(self) -> int:
         return self.both_correct + self.gained + self.lost + self.both_incorrect
 
+    def to_dict(self) -> dict:
+        return {**asdict(self), "net_gain": self.net_gain}
+
 
 def transitions(sys1_scores: Sequence[EvalScore], sys2_scores: Sequence[EvalScore]) -> TransitionReport:
     """Four-way classification of per-question correctness changes.
@@ -177,43 +180,71 @@ def threshold_savings(traces: Sequence["PipelineTrace"]) -> ThresholdSavingsRepo
     return ThresholdSavingsReport(complete=len(complete), continued=continued, avg_input_tokens_saved=avg_saved)
 
 
-# --- report rendering -------------------------------------------------------
+# --- per-run summary and report rendering -----------------------------------
 
 
-def render_score_table(rows: Sequence[tuple[str, float, float, int]]) -> str:
-    """Plain-text EM/F1 table; one row per (label, em%, f1%, n)."""
-    lines = [f"{'run':<32} {'EM':>8} {'F1':>8} {'n':>6}"]
-    for label, em, f1, n in rows:
-        lines.append(f"{label:<32} {em:>8.2f} {f1:>8.2f} {n:>6d}")
+def score_summary(scores: Sequence[EvalScore]) -> dict:
+    em, f1 = aggregate(scores)
+    return {"em": em, "f1": f1, "n": len(scores)}
+
+
+def summarize_run(mode: str, traces: Sequence["PipelineTrace"]) -> tuple[dict, list[EvalScore]]:
+    """A run's ``summary.json`` entry, and the final-answer scores it came from.
+
+    Every run gets mode, EM/F1/n and payload; the anchored modes add their
+    System-1 -> final ``transitions``, and ``threshold_gated`` its gate
+    ``threshold`` outcome.
+    """
+    final_scores = score_traces(traces, answer="final")
+    payload = payload_tokens(traces)
+    entry = {"mode": mode, **score_summary(final_scores),
+             "avg_payload_tokens": payload.overall_mean, "payload_per_dataset": payload.per_dataset}
+    if mode in ("full", "no_initial_reasoning", "threshold_gated"):
+        entry["transitions"] = transitions(score_traces(traces, answer="system1"), final_scores).to_dict()
+    if mode == "threshold_gated":
+        savings = threshold_savings(traces)
+        entry["threshold"] = {"complete": savings.complete, "continue": savings.continued,
+                              "avg_input_tokens_saved": savings.avg_input_tokens_saved}
+    return entry, final_scores
+
+
+def _table(columns: Sequence[tuple[str, int, str]], rows: Iterable[tuple[str, Sequence]]) -> str:
+    """A 32-wide ``run`` label column, then one right-aligned column per
+    (header, width, format) with one value per row."""
+    lines = [f"{'run':<32}" + "".join(f" {header:>{width}}" for header, width, _ in columns)]
+    for label, values in rows:
+        cells = "".join(f" {value:>{width}{fmt}}" for (_, width, fmt), value in zip(columns, values))
+        lines.append(f"{label:<32}{cells}")
     return "\n".join(lines)
 
 
-def render_transition_table(rows: Sequence[tuple[str, TransitionReport]]) -> str:
-    lines = [f"{'run':<32} {'C->C':>6} {'I->C':>6} {'C->I':>6} {'I->I':>6} {'net':>6}"]
-    for label, rep in rows:
-        lines.append(
-            f"{label:<32} {rep.both_correct:>6d} {rep.gained:>6d} {rep.lost:>6d} "
-            f"{rep.both_incorrect:>6d} {rep.net_gain:>6d}"
-        )
-    return "\n".join(lines)
+def render_score_table(runs: dict[str, dict]) -> str:
+    """EM/F1/n of every run in ``runs`` (label -> summary entry)."""
+    rows = [(label, (run["em"], run["f1"], run["n"])) for label, run in runs.items()]
+    return _table([("EM", 8, ".2f"), ("F1", 8, ".2f"), ("n", 6, "d")], rows)
 
 
-def render_payload_table(rows: Sequence[tuple[str, PayloadReport]]) -> str:
-    lines = [f"{'run':<32} {'avg payload tokens':>20}"]
-    for label, rep in rows:
-        lines.append(f"{label:<32} {rep.overall_mean:>20.2f}")
-        for tag, mean in rep.per_dataset.items():
-            lines.append(f"  {tag:<30} {mean:>20.2f}")
-    return "\n".join(lines)
+def render_payload_table(runs: dict[str, dict]) -> str:
+    """Average payload tokens per run, then one indented row per dataset."""
+    rows = []
+    for label, run in runs.items():
+        rows.append((label, (run["avg_payload_tokens"],)))
+        rows += [(f"  {tag}", (mean,)) for tag, mean in run["payload_per_dataset"].items()]
+    return _table([("avg payload tokens", 20, ".2f")], rows)
 
 
-def render_savings_table(rows: Sequence[tuple[str, ThresholdSavingsReport]]) -> str:
-    lines = [f"{'run':<32} {'complete':>9} {'continue':>9} {'avg saved':>12}"]
-    for label, rep in rows:
-        lines.append(
-            f"{label:<32} {rep.complete:>9d} {rep.continued:>9d} {rep.avg_input_tokens_saved:>12.2f}"
-        )
-    return "\n".join(lines)
+def render_transition_table(runs: dict[str, dict]) -> str:
+    """Correctness flow of every run with a ``transitions`` entry."""
+    keys = ("both_correct", "gained", "lost", "both_incorrect", "net_gain")
+    rows = [(label, [run["transitions"][k] for k in keys]) for label, run in runs.items() if "transitions" in run]
+    return _table([(h, 6, "d") for h in ("C->C", "I->C", "C->I", "I->I", "net")], rows)
+
+
+def render_savings_table(runs: dict[str, dict]) -> str:
+    """Gate outcomes of every run with a ``threshold`` entry."""
+    keys = ("complete", "continue", "avg_input_tokens_saved")
+    rows = [(label, [run["threshold"][k] for k in keys]) for label, run in runs.items() if "threshold" in run]
+    return _table([("complete", 9, "d"), ("continue", 9, "d"), ("avg saved", 12, ".2f")], rows)
 
 
 def write_scores_csv(path: str | Path, scores: Sequence[EvalScore]) -> None:

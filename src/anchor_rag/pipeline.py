@@ -310,9 +310,9 @@ class Pipeline:
 
         Without ``queries`` the trace's triples are the queries (triple-
         anchored retrieval), or the raw question, flagged, when no triple
-        survived parsing; a failed anchored retrieval still records its
-        queries, with no hits. With ``queries`` given (the standard-RAG
-        baseline) a failure is recorded as its error alone.
+        survived parsing. With ``queries`` given (the standard-RAG baseline)
+        they are used as they are. A failed retrieval records its error and
+        still records its queries and time, with no hits.
         """
         if self.index is None:
             raise PipelineError("gather_evidence requires an index")
@@ -324,8 +324,6 @@ class Pipeline:
             chunk_ids, hits = retrieve_for_queries(self.index, queries, k_per_query=self.config.k_per_triple)
         except EmbedIndexError as exc:
             trace.errors.append(f"retrieval: {exc}")
-            if not anchored:
-                return
             chunk_ids, hits = [], []
         trace.stage_ms["retrieval"] = (time.perf_counter() - started) * 1000.0
         trace.retrieval_queries = list(queries)
@@ -514,6 +512,9 @@ def _scan_trace_file(path: str | Path) -> tuple[dict, list[PipelineTrace], int]:
                 f"{path}: schema version {header.get('schema_version')} "
                 f"(this build reads {TRACE_SCHEMA_VERSION})"
             )
+        config = header.get("config")
+        if not isinstance(config, dict) or config.get("mode") not in MODES:
+            raise PipelineError(f"{path}: the header has no config object naming a mode")
         traces = []
         end = len(first)
         for lineno, line in enumerate(fh, 2):

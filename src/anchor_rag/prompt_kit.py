@@ -10,9 +10,11 @@ answer text can be extracted at all.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 from anchor_rag.corpus import Chunk, QAItem
@@ -62,24 +64,19 @@ class ParseResult(NamedTuple):
     malformed: bool
 
 
-class PromptLibrary:
-    """Loads the packaged stage templates, reading each file once."""
-
-    def __init__(self):
-        self._cache: dict[str, str] = {}
-
-    def raw(self, name: str) -> str:
-        if name not in self._cache:
-            self._cache[name] = resources.files("anchor_rag.templates").joinpath(name).read_text(encoding="utf-8")
-        return self._cache[name]
-
-    def pair(self, stage_tag: str) -> tuple[str, str]:
-        if stage_tag not in STAGE_TAGS:
-            raise ValueError(f"unknown stage tag: {stage_tag!r}")
-        return self.raw(f"{stage_tag}.system.txt"), self.raw(f"{stage_tag}.user.txt")
+@functools.cache
+def template_pair(stage_tag: str) -> tuple[str, str]:
+    """A stage's packaged (system, user) templates, each file read once."""
+    if stage_tag not in STAGE_TAGS:
+        raise ValueError(f"unknown stage tag: {stage_tag!r}")
+    files = resources.files("anchor_rag.templates")
+    system, user = (files.joinpath(f"{stage_tag}.{part}.txt").read_text(encoding="utf-8") for part in ("system", "user"))
+    return system, user
 
 
-DEFAULT_LIBRARY = PromptLibrary()
+# The benchmark's workload generator (perfbench/gen.py) reads the system
+# prompts through this name.
+DEFAULT_LIBRARY = SimpleNamespace(pair=template_pair)
 
 
 def _fill(template: str, substitutions: dict[str, str]) -> str:
@@ -102,8 +99,8 @@ def format_documents(chunks: Sequence[Chunk]) -> str:
     return "\n".join(lines)
 
 
-def _render(stage_tag: str, q: QAItem, library: PromptLibrary, **substitutions: str) -> RenderedPrompt:
-    system, user = library.pair(stage_tag)
+def _render(stage_tag: str, q: QAItem, **substitutions: str) -> RenderedPrompt:
+    system, user = template_pair(stage_tag)
     return RenderedPrompt(
         stage_tag=stage_tag,
         system_text=system,
@@ -112,16 +109,16 @@ def _render(stage_tag: str, q: QAItem, library: PromptLibrary, **substitutions: 
     )
 
 
-def render_system1(q: QAItem, library: PromptLibrary = DEFAULT_LIBRARY) -> RenderedPrompt:
+def render_system1(q: QAItem) -> RenderedPrompt:
     """Direct-answer prompt: the bare question, no retrieved context."""
-    return _render("system1", q, library)
+    return _render("system1", q)
 
 
-def render_triplegen(q: QAItem, hypothesis: str, library: PromptLibrary = DEFAULT_LIBRARY) -> RenderedPrompt:
+def render_triplegen(q: QAItem, hypothesis: str) -> RenderedPrompt:
     """Ask the model to explain its hypothesis as subject-predicate-object triples."""
     if not hypothesis:
         raise ValueError("hypothesis must be non-empty (it may be wrong, but not blank)")
-    return _render("triple_gen", q, library, answer=hypothesis)
+    return _render("triple_gen", q, answer=hypothesis)
 
 
 def render_system2(
@@ -130,7 +127,6 @@ def render_system2(
     triples: Sequence[ReasoningTriple],
     chunks: Sequence[Chunk],
     include_anchor: bool = True,
-    library: PromptLibrary = DEFAULT_LIBRARY,
 ) -> RenderedPrompt:
     """Deliberate re-answer prompt: question, optional anchor, numbered evidence.
 
@@ -141,17 +137,15 @@ def render_system2(
         raise ValueError("system2 prompt requires at least one retrieved chunk")
     documents = format_documents(chunks)
     if not include_anchor:
-        return _render("system2_noanchor", q, library, documents=documents)
-    return _render(
-        "system2", q, library, documents=documents, initial_guess=hypothesis, triples=format_triples_inline(triples)
-    )
+        return _render("system2_noanchor", q, documents=documents)
+    return _render("system2", q, documents=documents, initial_guess=hypothesis, triples=format_triples_inline(triples))
 
 
-def render_standard_rag(q: QAItem, chunks: Sequence[Chunk], library: PromptLibrary = DEFAULT_LIBRARY) -> RenderedPrompt:
+def render_standard_rag(q: QAItem, chunks: Sequence[Chunk]) -> RenderedPrompt:
     """One-shot retrieve-then-answer baseline prompt."""
     if not chunks:
         raise ValueError("standard_rag prompt requires at least one retrieved chunk")
-    return _render("standard_rag", q, library, documents=format_documents(chunks))
+    return _render("standard_rag", q, documents=format_documents(chunks))
 
 
 def render_triple(t: ReasoningTriple) -> str:

@@ -354,6 +354,46 @@ def test_report_rejects_schema_mismatch(workspace, capsys):
     assert "schema version" in capsys.readouterr().err
 
 
+def test_report_rejects_duplicate_run_labels(workspace, capsys):
+    # Both files are labelled "traces": one would overwrite the other's
+    # summary entry and scores file.
+    paths = []
+    for sub in ("a", "b"):
+        (workspace / sub).mkdir()
+        paths.append(str(run_full(workspace, out_name=f"{sub}/traces.jsonl")[1]))
+    capsys.readouterr()
+    out_dir = workspace / "report"
+    rc = main(["report", "--traces", *paths, "--out-dir", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'traces'" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        {"kind": "trace_file", "schema_version": 1},
+        {"kind": "trace_file", "schema_version": 1, "config": "full"},
+        {"kind": "trace_file", "schema_version": 1, "config": {"seed": 42}},
+        {"kind": "trace_file", "schema_version": 1, "config": {"mode": "no_such_mode"}},
+    ],
+    ids=["missing_config", "config_not_object", "config_without_mode", "unknown_mode"],
+)
+def test_report_rejects_header_without_config_mode(workspace, capsys, header):
+    _, trace_path = run_full(workspace)
+    lines = trace_path.read_text(encoding="utf-8").splitlines()
+    bad = workspace / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["report", "--traces", str(bad), "--out-dir", str(workspace / "r")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bad.jsonl" in err and "config" in err
+
+
 def test_inspect_command(workspace, capsys):
     _, trace_path = run_full(workspace)
     capsys.readouterr()

@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchor_rag import prompt_kit
 from anchor_rag.corpus import Chunk, QAItem
 from anchor_rag.prompt_kit import (
-    DEFAULT_LIBRARY,
     PromptParseError,
     ReasoningTriple,
     format_documents,
@@ -136,6 +138,10 @@ def test_format_documents_uses_doc_id_when_untitled():
 # --- template fidelity -----------------------------------------------------------
 
 
+def stored(name: str) -> str:
+    return (Path(prompt_kit.__file__).parent / "templates" / name).read_text(encoding="utf-8")
+
+
 def blank(rendered: str, substitutions: dict[str, str]) -> str:
     out = rendered
     for key, value in substitutions.items():
@@ -149,17 +155,15 @@ def test_rendered_prompts_match_stored_templates_byte_for_byte():
     triple = ReasoningTriple("XSUBJX", "XPREDX", "XOBJX")
 
     prompt = render_system1(q)
-    assert prompt.system_text == DEFAULT_LIBRARY.raw("system1.system.txt")
-    assert blank(prompt.user_text, {"question": "XQUESTIONX"}) == DEFAULT_LIBRARY.raw("system1.user.txt")
+    assert prompt.system_text == stored("system1.system.txt")
+    assert blank(prompt.user_text, {"question": "XQUESTIONX"}) == stored("system1.user.txt")
 
     prompt = render_triplegen(q, "XHYPX")
-    assert prompt.system_text == DEFAULT_LIBRARY.raw("triple_gen.system.txt")
-    assert blank(prompt.user_text, {"question": "XQUESTIONX", "answer": "XHYPX"}) == DEFAULT_LIBRARY.raw(
-        "triple_gen.user.txt"
-    )
+    assert prompt.system_text == stored("triple_gen.system.txt")
+    assert blank(prompt.user_text, {"question": "XQUESTIONX", "answer": "XHYPX"}) == stored("triple_gen.user.txt")
 
     prompt = render_system2(q, "XHYPX", [triple], [chunk])
-    assert prompt.system_text == DEFAULT_LIBRARY.raw("system2.system.txt")
+    assert prompt.system_text == stored("system2.system.txt")
     blanked = blank(
         prompt.user_text,
         {
@@ -169,17 +173,17 @@ def test_rendered_prompts_match_stored_templates_byte_for_byte():
             "documents": "1. XTITLEX: XDOCTEXTX",
         },
     )
-    assert blanked == DEFAULT_LIBRARY.raw("system2.user.txt")
+    assert blanked == stored("system2.user.txt")
 
     prompt = render_system2(q, "XHYPX", [triple], [chunk], include_anchor=False)
-    assert prompt.system_text == DEFAULT_LIBRARY.raw("system2_noanchor.system.txt")
+    assert prompt.system_text == stored("system2_noanchor.system.txt")
     blanked = blank(prompt.user_text, {"question": "XQUESTIONX", "documents": "1. XTITLEX: XDOCTEXTX"})
-    assert blanked == DEFAULT_LIBRARY.raw("system2_noanchor.user.txt")
+    assert blanked == stored("system2_noanchor.user.txt")
 
     prompt = render_standard_rag(q, [chunk])
-    assert prompt.system_text == DEFAULT_LIBRARY.raw("standard_rag.system.txt")
+    assert prompt.system_text == stored("standard_rag.system.txt")
     blanked = blank(prompt.user_text, {"question": "XQUESTIONX", "documents": "1. XTITLEX: XDOCTEXTX"})
-    assert blanked == DEFAULT_LIBRARY.raw("standard_rag.user.txt")
+    assert blanked == stored("standard_rag.user.txt")
 
 
 # --- parse_answer -----------------------------------------------------------------

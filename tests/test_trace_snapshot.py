@@ -1,26 +1,36 @@
-"""Trace snapshot: every mode over three questions, on the happy path and on
-each error path a question can take, compared line by line with a committed
-trace file.
+"""Trace and report snapshots: every mode over three questions, on the happy
+path and on each error path a question can take, compared line by line with
+committed files.
 
 ``stage_ms`` values are wall-clock times, so they are blanked (the keys
 stay: which stages were timed is part of the trace). Everything else,
 key order included, must match ``tests/data/trace_snapshot.jsonl``.
 
-Regenerate the snapshot (only when a trace change is intended) with
+For each case, ``report``, ``eval`` and ``transitions`` then run over its
+five mode files. Their exit codes, stdout and stderr and every file
+``report`` and ``eval --out`` write must match
+``tests/data/report_snapshot.jsonl`` byte for byte, with the work
+directory written as ``<work>``.
+
+Regenerate both snapshots (only when a trace or report change is intended)
+with
 
     PYTHONPATH=src python3 tests/test_trace_snapshot.py
 """
 
+import io
 import json
 import sys
 import tempfile
-from contextlib import nullcontext
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from anchor_rag import pipeline as pipeline_module
+from anchor_rag.cli import main as cli_main
 from anchor_rag.corpus import Document, QAItem, build_corpus, read_question_file
 from anchor_rag.embed_index import EmbedIndexError, HashingEmbedder, Index, build_index
 from anchor_rag.llm_gateway import ScriptedProvider
@@ -29,6 +39,7 @@ from anchor_rag.prompt_kit import PromptParseError
 
 DATA = Path(__file__).parent / "data"
 SNAPSHOT = DATA / "trace_snapshot.jsonl"
+REPORT_SNAPSHOT = DATA / "report_snapshot.jsonl"
 
 # A third question whose fast answer is unsure, so the gate sends it on.
 GATE_LOW = QAItem(
@@ -81,6 +92,10 @@ def _with_texts(rows, texts):
     """The rows, with the reply of each stage named in ``texts`` replaced by
     the text given there (and no log-probabilities)."""
     return [dict(r, text=texts[r["stage_tag"]], token_logprobs=None) if r["stage_tag"] in texts else r for r in rows]
+
+
+def _case_names():
+    return [name for name, *_ in _cases(None, None)]
 
 
 def _cases(index, down_index):
@@ -144,9 +159,62 @@ def snapshot_lines(work_dir):
     return lines
 
 
-def test_traces_match_snapshot(tmp_path):
+def _cli(work_dir, *argv):
+    """Run one CLI command in-process: its exit code, stdout and stderr, with
+    the work directory written as ``<work>``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli_main([str(a) for a in argv])
+    work = str(work_dir)
+    return {"exit": rc, "stdout": out.getvalue().replace(work, "<work>"), "stderr": err.getvalue().replace(work, "<work>")}
+
+
+def _file(work_dir, path):
+    return {"file": Path(path).read_text(encoding="utf-8").replace(str(work_dir), "<work>")}
+
+
+def report_lines(work_dir):
+    """Run ``report``, ``eval`` and ``transitions`` over the trace files that
+    :func:`snapshot_lines` wrote into ``work_dir`` and return one line per
+    output, tagged with its case and command."""
+    work = Path(work_dir)
+    outputs = []
+    for name in _case_names():
+        files = [work / f"{name}.{mode}.jsonl" for mode in MODES]
+        report_dir = work / f"{name}.report"
+        outputs.append((name, "report", _cli(work, "report", "--traces", *files, "--out-dir", report_dir)))
+        for path in sorted(report_dir.iterdir()):
+            outputs.append((name, f"report/{path.name}", _file(work, path)))
+        for path in files:
+            for answers in ("final", "system1"):
+                out_json = work / f"{path.stem}.{answers}.eval.json"
+                cmd = f"eval {path.name} --answers {answers} --out"
+                outputs.append((name, cmd, _cli(work, "eval", "--traces", path, "--answers", answers, "--out", out_json)))
+                outputs.append((name, f"{cmd} file", _file(work, out_json)))
+            outputs.append((name, f"transitions {path.name}", _cli(work, "transitions", "--traces", path)))
+        sys1, sys2 = work / f"{name}.system1_only.jsonl", work / f"{name}.full.jsonl"
+        outputs.append((name, "transitions system1_only -> full", _cli(work, "transitions", "--sys1", sys1, "--sys2", sys2)))
+    return [json.dumps({"case": name, "output": what, **result}, ensure_ascii=False) for name, what, result in outputs]
+
+
+@pytest.fixture(scope="module")
+def snapshot_run(tmp_path_factory):
+    """The trace lines of every case, and the directory holding their files."""
+    work = tmp_path_factory.mktemp("snapshot")
+    return snapshot_lines(work), work
+
+
+def test_traces_match_snapshot(snapshot_run):
     expected = SNAPSHOT.read_text(encoding="utf-8").splitlines()
-    got = snapshot_lines(tmp_path)
+    got, _ = snapshot_run
+    assert len(got) == len(expected)
+    for want, have in zip(expected, got):
+        assert have == want
+
+
+def test_reports_match_snapshot(snapshot_run):
+    expected = REPORT_SNAPSHOT.read_text(encoding="utf-8").splitlines()
+    got = report_lines(snapshot_run[1])
     assert len(got) == len(expected)
     for want, have in zip(expected, got):
         assert have == want
@@ -155,4 +223,5 @@ def test_traces_match_snapshot(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         SNAPSHOT.write_text("\n".join(snapshot_lines(tmp)) + "\n", encoding="utf-8")
-    print(f"wrote {SNAPSHOT}", file=sys.stderr)
+        REPORT_SNAPSHOT.write_text("\n".join(report_lines(tmp)) + "\n", encoding="utf-8")
+    print(f"wrote {SNAPSHOT} and {REPORT_SNAPSHOT}", file=sys.stderr)
