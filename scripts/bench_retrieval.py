@@ -9,6 +9,10 @@ Timings, each a median over repeated calls after a warm-up:
 - ``retrieve_for_queries`` with 4 queries (one question's triples) over the
   same index;
 - ``HashingEmbedder.embed_batch`` per chunk, for chunks of 80 and 400 tokens;
+- ``HashingEmbedder.embed_batch`` of one query of 5 to 10 words (per call,
+  as ``standard_rag`` embeds one query per question), and of one build-sized
+  batch of 3,000 80-token chunks (the chunk count of the ``short_docs_full``
+  benchmark workload);
 - the tokenizer: ``count`` over a standard-RAG prompt (the question and k
   retrieved 400-token chunks, system and user text, as the scripted
   provider counts it) and ``chunk_document`` of a 3,000-token document into
@@ -48,6 +52,10 @@ QUERIES_PER_QUESTION = 4
 CHUNK_TOKENS = (80, 400)
 DOCUMENT_TOKENS = 3000
 TOKENIZER_REPEATS = 200
+QUERY_SAMPLES = 41
+QUERY_CALLS_PER_SAMPLE = 200
+BUILD_CHUNK_TOKENS = 80
+BUILD_TEXTS = 3000
 WORDS = (
     "river stone castle meadow falcon ember harbor lantern cedar summit violet marble thunder quill "
     "anchor breeze canyon dune ivory jasper kestrel lagoon mosaic nectar orchid prairie quartz russet "
@@ -110,6 +118,28 @@ def bench_embed(tokens: int, texts: int, repeats: int, rng: random.Random) -> di
     return summary(per_chunk)
 
 
+def bench_embed_one_query(rng: random.Random) -> dict:
+    provider = HashingEmbedder(dim=DIM)
+    query = [" ".join(rng.choices(WORDS, k=rng.randint(5, 10)))]
+    provider.embed_batch(query)
+    per_call = [
+        timed_ms(lambda: [provider.embed_batch(query) for _ in range(QUERY_CALLS_PER_SAMPLE)]) / QUERY_CALLS_PER_SAMPLE
+        for _ in range(QUERY_SAMPLES)
+    ]
+    return {"words": len(query[0].split()), "calls_per_sample": QUERY_CALLS_PER_SAMPLE, **summary(per_call)}
+
+
+def bench_embed_build_batch(repeats: int, rng: random.Random) -> dict:
+    provider = HashingEmbedder(dim=DIM)
+    batch = [" ".join(rng.choices(WORDS, k=BUILD_CHUNK_TOKENS)) for _ in range(BUILD_TEXTS)]
+    provider.embed_batch(batch[:2])
+    return {
+        "texts": BUILD_TEXTS,
+        "tokens_per_text": BUILD_CHUNK_TOKENS,
+        **summary([timed_ms(provider.embed_batch, batch) for _ in range(repeats)]),
+    }
+
+
 def prose(tokens: int, rng: random.Random) -> str:
     """Words with punctuation between some of them, ``tokens`` tokens long."""
     out: list[str] = []
@@ -163,6 +193,8 @@ def main() -> int:
         "hashing_embed_per_chunk": {
             f"{t}_tokens": bench_embed(t, args.embed_texts, args.embed_repeats, rng) for t in CHUNK_TOKENS
         },
+        "hashing_embed_one_query": bench_embed_one_query(random.Random(SEED)),
+        "hashing_embed_build_batch": bench_embed_build_batch(args.embed_repeats, random.Random(SEED)),
         "tokenizer": bench_tokenizer(rng),
     }
 

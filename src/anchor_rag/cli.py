@@ -47,8 +47,11 @@ def _env_key(spec: dict, default_env: str) -> str | None:
 
 def build_embed_provider(spec: dict):
     kind = spec.get("kind", "hashing")
+    dim = spec.get("dim")
+    if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int)):
+        raise CliError(f"config embed_provider dim must be int or null, got {type(dim).__name__} {dim!r}")
     if kind == "hashing":
-        return HashingEmbedder(dim=int(spec.get("dim") or 256))
+        return HashingEmbedder(dim=256 if dim is None else dim)
     if kind == "remote":
         if not spec.get("base_url") or not spec.get("model"):
             raise CliError("remote embedder needs base_url and model")
@@ -56,7 +59,7 @@ def build_embed_provider(spec: dict):
             base_url=spec["base_url"],
             model=spec["model"],
             api_key=_env_key(spec, DEFAULT_EMBED_KEY_ENV),
-            dim=int(spec["dim"]) if spec.get("dim") else None,
+            dim=dim,
         )
     raise CliError(f"unknown embedder kind: {kind!r}")
 

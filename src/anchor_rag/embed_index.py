@@ -21,13 +21,25 @@ disk; there is no float64 copy. A search is two steps, as in FAISS
 Two providers are included: an OpenAI-compatible HTTP embedder and a
 deterministic hashing embedder (character n-grams feature-hashed into a
 fixed dimension) used for tests and offline runs.
+
+The hashing embedder works on blocks of texts, with a fixed number of numpy
+calls per block. A text is normalized to its ``[a-z0-9]`` runs joined by
+single spaces, by ``str.lower()``, ASCII encoding and one byte table (no
+regex). A block's texts share one buffer. One table-driven CRC-32 pass over
+it, indexed by each gram's last byte, gives the hash of every n-gram of
+every size. A gram that would start before its own text gets a trash key.
+A text shorter than every size is hashed whole: its hash is read at its
+last byte after as many steps as it has bytes. One ``np.bincount`` over
+``(row·dim + bucket)·2 + sign`` then counts the whole block. The signed
+counts are integers, so their sum of squares is exact and the row norm
+equals ``np.linalg.norm``'s bit for bit: rows match the scalar
+``hashing-v1`` definition exactly.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,8 +90,46 @@ def _crc32_table() -> np.ndarray:
 _CRC32_TABLE = _crc32_table()
 
 
+def _crc32_zero_byte(register: np.ndarray) -> np.ndarray:
+    """One step of the CRC-32 register over a zero byte."""
+    return _CRC32_TABLE[register & 0xFF] ^ (register >> 8)
+
+
+def _gram_tables(n: int) -> list[np.ndarray]:
+    """``tables[j][b]``: the share of byte ``b``, placed ``j`` bytes before
+    the last byte of a string of up to ``n`` bytes, in that string's CRC-32.
+
+    zlib's CRC-32 starts its register at 0xFFFFFFFF, steps it over each byte
+    ``b`` as ``r = T[(r ^ b) & 0xFF] ^ (r >> 8)`` and returns ``~r``. ``T``
+    is linear over GF(2), so a step is ``Z(r) ^ T[b]`` with ``Z`` the step
+    over a zero byte, and the CRC of a k-byte string is
+    ``F_k ^ XOR_j Z^j(T[b_(k-1-j)])`` with ``F_k = ~Z^k(0xFFFFFFFF)``.
+    Folding ``F_(j+1) ^ F_j`` into table j makes the constants telescope:
+    the XOR of the first k tables' entries is the CRC for every k <= n.
+    """
+    tables = []
+    table, register, final = _CRC32_TABLE, np.uint32(0xFFFFFFFF), np.uint32(0)
+    for _ in range(n):
+        register = _crc32_zero_byte(register)
+        tables.append(table ^ final ^ ~register)
+        final = ~register
+        table = _crc32_zero_byte(table)
+    return tables
+
+
+# Maps every byte outside [a-z0-9] to a space.
+_WORD_BYTES = bytes(b if 48 <= b <= 57 or 97 <= b <= 122 else 32 for b in range(256))
+
+# Normalized bytes embedded per block, each text also counting `dim` for its
+# row of bucket counts; a longer text is a block of its own. Keeps a block's
+# temporaries under 2 MB (about 1.5 MB for 80- and 400-token chunks).
+_BLOCK_BYTES = 1 << 14
+
+
 class HashingEmbedder:
-    """Deterministic text embedder: feature-hashed character n-grams.
+    """Deterministic text embedder: feature-hashed character n-grams
+    (Weinberger et al., "Feature Hashing for Large Scale Multitask
+    Learning", ICML 2009).
 
     Text is lowercased and every non-alphanumeric run becomes one space, so
     snake_case predicates land in the same buckets as their plain-text
@@ -87,12 +137,28 @@ class HashingEmbedder:
     is then L2-normalized. A text shorter than every n-gram size is hashed
     whole, and one that normalizes to nothing maps to the first axis.
 
-    The CRC-32 (zlib's, so vectors match a per-gram ``zlib.crc32`` loop
-    bit for bit) of every n-gram is computed at once with a byte table:
-    grams of all sizes share their leading bytes, so the CRC state runs
-    over the longest size once and is read off at each size on the way.
-    Bucket counts are small integers, so their float64 sums are exact in
-    any order.
+    Texts are embedded in blocks of about ``_BLOCK_BYTES``, with a fixed
+    number of numpy calls per block, not per text:
+
+    - Normalization needs no regex: ``str.lower()`` (so ``İ`` and the
+      Kelvin sign lower as before), ASCII with ``?`` for the rest, a byte
+      table mapping everything outside ``[a-z0-9]`` to a space, then
+      split and join. That gives the same ``[a-z0-9]`` runs.
+    - The block's texts are joined into one buffer, and grams are indexed
+      by their last byte. Step j looks up every byte j positions back in
+      ``_gram_tables``' table j and XORs it into the previous step, so
+      step k holds the CRC-32 (zlib's, so rows match a per-gram
+      ``zlib.crc32`` loop bit for bit) of the k bytes ending at every
+      position. The steps run up to the largest size and are read off at
+      each size.
+    - A gram that would start before its own text is sent to a trash row
+      of keys; the whole-text hash of a text shorter than every size is
+      the state after as many steps as the text has bytes, at its last
+      byte.
+    - One ``np.bincount`` over ``(row·dim + bucket)·2 + sign`` counts every
+      gram of the block. The counts are integers, so the sum of squares is
+      exact, and dividing by its square root equals dividing by
+      ``np.linalg.norm`` of the float64 count vector bit for bit.
     """
 
     def __init__(self, dim: int = 256, ngram_sizes: Sequence[int] = (3, 4, 5)):
@@ -100,53 +166,75 @@ class HashingEmbedder:
             raise EmbedIndexError("embedding dim must be >= 2")
         self.dim = dim
         self.ngram_sizes = tuple(ngram_sizes)
+        if not self.ngram_sizes or len(set(self.ngram_sizes)) != len(self.ngram_sizes):
+            raise EmbedIndexError(f"ngram sizes must be distinct and non-empty, got {self.ngram_sizes}")
+        if min(self.ngram_sizes) < 1:
+            raise EmbedIndexError(f"ngram sizes must be >= 1, got {self.ngram_sizes}")
         sizes = "-".join(str(n) for n in self.ngram_sizes)
         self.provider_id = f"hashing-v1:d{dim}:n{sizes}"
-
-    @staticmethod
-    def _normalize_text(text: str) -> str:
-        return " ".join(re.sub(r"[^a-z0-9]+", " ", text.lower()).split())
-
-    def _gram_hashes(self, text: bytes) -> np.ndarray:
-        """CRC-32 of every n-gram of every configured size, or of the whole
-        text when it is shorter than every size."""
-        if not text:
-            return np.zeros(0, dtype=np.uint32)
-        data = np.frombuffer(text, dtype=np.uint8)
-        sizes = sorted(self.ngram_sizes)
-        if not sizes or len(data) < sizes[0]:
-            sizes = [len(data)]
-        crc = np.full(len(data) - sizes[0] + 1, 0xFFFFFFFF, dtype=np.uint32)
-        hashes: list[np.ndarray] = []
-        consumed = 0
-        for n in sizes:
-            starts = len(data) - n + 1
-            if starts <= 0:
-                break
-            crc = crc[:starts]
-            for j in range(consumed, n):
-                crc = _CRC32_TABLE.take(crc.astype(np.uint8) ^ data[j : j + starts]) ^ (crc >> 8)
-            consumed = n
-            hashes.append(~crc)
-        return np.concatenate(hashes)
-
-    def _embed_one(self, text: str) -> np.ndarray:
-        h = self._gram_hashes(self._normalize_text(text).encode("ascii"))
-        v = np.bincount(h % self.dim, weights=np.where(h >> 31, 1.0, -1.0), minlength=self.dim)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            v[0] = 1.0
-        else:
-            v /= norm
-        return v
+        self._sizes = sorted(self.ngram_sizes)
+        self._tables = _gram_tables(self._sizes[-1])
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         # Rows go straight into the float32 result, so no float64 copy of
         # the batch is ever held.
         out = np.empty((len(texts), self.dim), dtype=np.float32)
+        block: list[bytes] = []
+        first = cost = 0
         for i, text in enumerate(texts):
-            out[i] = self._embed_one(text)
+            data = b" ".join(text.lower().encode("ascii", "replace").translate(_WORD_BYTES).split())
+            if block and cost + len(data) + self.dim > _BLOCK_BYTES:
+                self._embed_block(block, out[first:i])
+                block, first, cost = [], i, 0
+            block.append(data)
+            cost += len(data) + self.dim
+        if block:
+            self._embed_block(block, out[first:])
         return out
+
+    def _embed_block(self, texts: list[bytes], out: np.ndarray) -> None:
+        """Write the rows of normalized ``texts`` into ``out``."""
+        dim, sizes, n = self.dim, self._sizes, len(self._tables)
+        lengths = [len(t) for t in texts]
+        total = sum(lengths)
+        # Byte e of the joined texts is data[n - 1 + e]; the zero bytes in
+        # front let every step read n - 1 bytes back from any position.
+        data = np.frombuffer(bytes(n - 1) + b"".join(texts), dtype=np.uint8).astype(np.intp)
+        # steps[j][e]: CRC-32 of the j + 1 bytes ending at byte e.
+        steps: list[np.ndarray] = []
+        for j, table in enumerate(self._tables):
+            h = table.take(data[n - 1 - j : n - 1 - j + total])
+            if j:
+                h ^= steps[-1]
+            steps.append(h)
+        hashes = np.concatenate([steps[size - 1] for size in sizes])
+        # Each hash's key offset, laid out by one np.repeat: its text's row,
+        # or the trash row for a gram that would start before its text.
+        trash = 2 * dim * len(texts)
+        offsets: list[int] = []
+        counts: list[int] = []
+        for i, size in enumerate(sizes):
+            end = -1
+            for row, length in enumerate(lengths):
+                end += length
+                if length >= size:
+                    kept = length - size + 1
+                elif i == 0 and length:
+                    hashes[end] = steps[length - 1][end]
+                    kept = 1
+                else:
+                    kept = 0
+                offsets += (trash, 2 * dim * row)
+                counts += (length - kept, kept)
+        keys = (((hashes % dim) << 1) | (hashes >> 31)) + np.repeat(offsets, counts)
+        bins = np.bincount(keys, minlength=trash + 2 * dim)[:trash]
+        v = (bins[1::2] - bins[::2]).reshape(-1, dim)
+        squares = (v * v).sum(axis=1)
+        if np.count_nonzero(squares) < len(squares):
+            empty = squares == 0
+            v[empty, 0] = 1
+            squares[empty] = 1
+        np.divide(v, np.sqrt(squares)[:, None], out=out)
 
 
 class RemoteEmbedder:
@@ -161,6 +249,8 @@ class RemoteEmbedder:
         batch_size: int = 128,
         timeout_s: float = 60.0,
     ):
+        if dim is not None and dim < 1:
+            raise EmbedIndexError("embedding dim must be >= 1")
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key
@@ -210,7 +300,8 @@ def embed(texts: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
     if any(not t for t in texts):
         raise EmbedIndexError("texts must be non-empty strings")
     matrix = provider.embed_batch(texts)
-    norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
+    # Squared norms summed in float64 without a float64 copy of the batch.
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
     if not np.all(np.abs(norms - 1.0) <= 1e-6):
         raise EmbedIndexError("provider returned non-unit vectors")
     return matrix

@@ -519,3 +519,42 @@ def test_run_config_limits_are_used(workspace):
     assert main(argv) == 0
     header = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
     assert header["config"]["limits"] == {"system1": 32, "triple_gen": 128, "system2": 512}
+
+
+@pytest.mark.parametrize(
+    "embedder, dim, expected",
+    [("hashing", "0", "embedding dim must be >= 2"), ("hashing", "1", "embedding dim must be >= 2"),
+     ("hashing", "-3", "embedding dim must be >= 2"), ("remote", "0", "embedding dim must be >= 1"),
+     ("remote", "-3", "embedding dim must be >= 1")],
+)
+def test_build_index_bad_dim_is_one_error_line(workspace, capsys, embedder, dim, expected):
+    out = workspace / "dim_index.bin"
+    argv = ["build-index", "--chunks", str(workspace / "chunks.jsonl"), "--out", str(out),
+            "--embedder", embedder, "--dim", dim]
+    if embedder == "remote":
+        # Nothing listens on the discard port; the dim must be refused before any request.
+        argv += ["--endpoint", "http://127.0.0.1:9/v1", "--model", "m"]
+    assert main(argv) == 1
+    assert error_lines(capsys) == [f"error: {expected}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "dim, expected",
+    [("abc", "str 'abc'"), (2.7, "float 2.7"), (True, "bool True"), (0, None)],
+    ids=["dim_str", "dim_float", "dim_bool", "dim_zero"],
+)
+def test_run_config_bad_embed_dim_is_one_error_line(workspace, capsys, dim, expected):
+    path = workspace / "config.json"
+    path.write_text(json.dumps({"embed_provider": {"dim": dim}}), encoding="utf-8")
+    argv = ["run", "--questions", str(workspace / "questions.jsonl"), "--mode", "standard_rag",
+            "--index", str(workspace / "index.bin"), "--chunks", str(workspace / "chunks.jsonl"),
+            "--provider", "scripted", "--fixtures", str(DATA / "scripted_fixtures.jsonl"),
+            "--out", str(workspace / "bad_dim_run.jsonl"), "--config", str(path)]
+    assert main(argv) == 1
+    if expected is None:
+        expected_line = "error: embedding dim must be >= 2"
+    else:
+        expected_line = f"error: config embed_provider dim must be int or null, got {expected}"
+    assert error_lines(capsys) == [expected_line]
+    assert not (workspace / "bad_dim_run.jsonl").exists()

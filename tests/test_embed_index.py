@@ -4,16 +4,19 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import zlib
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from anchor_rag import embed_index
 from anchor_rag.corpus import Chunk
 from anchor_rag.embed_index import (
     EmbedIndexError,
@@ -133,6 +136,76 @@ def test_hashing_embedder_matches_scalar_reference(texts, dim, ngram_sizes):
     expected = np.stack([hashing_v1_reference(t, dim, ngram_sizes) for t in texts])
     assert got.dtype == np.float32
     assert np.array_equal(got, expected)
+
+
+# Empty, 1- and 2-character and all-punctuation texts, each of which hashes
+# whole or to nothing, between texts long enough for every size; one text is
+# longer than any block below.
+EDGE_TEXTS = ["", "a", "!!! ???", "ab", "river stone", "é", "İ", "x" * 90, "Zq", "", "plays_for AC Milan", "?",
+              "K", "cedar summit", "b c", "ab", "", "quill"]
+
+
+@pytest.mark.parametrize("ngram_sizes", [(3, 4, 5), (2, 6), (1,)])
+@pytest.mark.parametrize("dim", [2, 8])
+def test_hashing_embedder_rows_across_block_edges(monkeypatch, dim, ngram_sizes):
+    blocks: list[list[bytes]] = []
+    embed_block = HashingEmbedder._embed_block
+
+    def spy(self, texts, out):
+        blocks.append(list(texts))
+        embed_block(self, texts, out)
+
+    monkeypatch.setattr(HashingEmbedder, "_embed_block", spy)
+    expected = np.stack([hashing_v1_reference(t, dim, ngram_sizes) for t in EDGE_TEXTS])
+    for block_bytes in range(1, 60):
+        monkeypatch.setattr(embed_index, "_BLOCK_BYTES", block_bytes)
+        got = HashingEmbedder(dim=dim, ngram_sizes=ngram_sizes).embed_batch(EDGE_TEXTS)
+        assert np.array_equal(got, expected), block_bytes
+    # Blocks of one text each, blocks of many, and one text alone in a block
+    # it overflows were all formed.
+    assert min(map(len, blocks)) == 1 and max(map(len, blocks)) >= 5
+    assert [b"x" * 90] in blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(st.one_of(st.text(max_size=12), st.text(alphabet="ab !_İé", max_size=6), LONG_TEXTS), max_size=8),
+    block_bytes=st.sampled_from([1, 24, 300, embed_index._BLOCK_BYTES]),
+    dim=st.sampled_from([2, 31, 256]),
+)
+def test_hashing_embedder_batch_equals_rows_embedded_alone(texts, block_bytes, dim):
+    provider = HashingEmbedder(dim=dim)
+    with mock.patch.object(embed_index, "_BLOCK_BYTES", block_bytes):
+        got = provider.embed_batch(texts)
+    alone = [provider.embed_batch([t]) for t in texts]
+    assert np.array_equal(got, np.concatenate(alone) if alone else np.empty((0, dim), dtype=np.float32))
+
+
+@pytest.mark.parametrize("ngram_sizes", [(), (3, 3), (3, 4, 3), (0,), (0, 3), (-1, 2)])
+def test_hashing_embedder_rejects_degenerate_ngram_sizes(ngram_sizes):
+    with pytest.raises(EmbedIndexError, match="ngram sizes"):
+        HashingEmbedder(ngram_sizes=ngram_sizes)
+
+
+def test_embed_checks_norms_without_copying_the_batch():
+    rows = np.random.default_rng(0).standard_normal((20_000, 64), dtype=np.float32)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+
+    class Prebuilt:
+        provider_id = "prebuilt"
+        dim = 64
+
+        def embed_batch(self, texts):
+            return rows
+
+    texts = ["t"] * len(rows)
+    tracemalloc.start()
+    try:
+        assert embed(texts, Prebuilt()) is rows
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes / 4
 
 
 # --- build / search -----------------------------------------------------------
@@ -598,6 +671,10 @@ def test_bench_retrieval_script_smoke(tmp_path):
     assert run["index"]["50"]["search"]["samples"] == 4
     assert run["index"]["50"]["retrieve_4_queries"]["samples"] == 1
     assert run["hashing_embed_per_chunk"]["400_tokens"]["median_ms"] > 0
+    assert 5 <= run["hashing_embed_one_query"]["words"] <= 10
+    assert run["hashing_embed_one_query"]["samples"] == 41 and run["hashing_embed_one_query"]["median_ms"] > 0
+    assert run["hashing_embed_build_batch"]["texts"] == 3000
+    assert run["hashing_embed_build_batch"]["samples"] == 1 and run["hashing_embed_build_batch"]["median_ms"] > 0
     assert run["index"]["50"]["matrix_bytes"] == 50 * 256 * 4
     assert run["tokenizer"]["chunk_document"]["chunks"] == 9
     assert run["tokenizer"]["count_standard_rag_prompt"]["tokens"] > 5 * 400
