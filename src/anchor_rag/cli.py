@@ -168,8 +168,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not args.index or not args.chunks:
             raise CliError(f"mode {config.mode!r} requires --index and --chunks")
         chunks, _ = read_chunk_manifest(args.chunks)
+        # Filled in outside the config, so its hash stays as given; --model
+        # names the chat model, so a remote embedder's comes from the index.
         embed_spec = dict(config.embed_provider)
         embed_spec.setdefault("base_url", args.endpoint)
+        if embed_spec.get("kind") == "remote" and not embed_spec.get("model"):
+            kind, _, model = Index.read_provider_id(args.index).partition(":")
+            if kind == "remote":
+                embed_spec["model"] = model
         index = Index.load(args.index, build_embed_provider(embed_spec))
     provider = build_chat_provider(config.chat_provider)
     out = Path(args.out)
@@ -337,6 +343,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        # Traces written so far are whole lines; `run --resume` continues.
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

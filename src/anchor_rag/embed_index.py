@@ -18,9 +18,14 @@ disk; there is no float64 copy. A search is two steps, as in FAISS
    row and the query (a BLAS product over a subset of rows can round a
    row differently depending on its position), and sorted by
    (-score, chunk id), so ties at the boundary break by ascending id.
+
 Two providers are included: an OpenAI-compatible HTTP embedder and a
 deterministic hashing embedder (character n-grams feature-hashed into a
-fixed dimension) used for tests and offline runs.
+fixed dimension) used for tests and offline runs. The HTTP embedder posts
+through ``llm_gateway``'s client and retry helper, as the chat provider
+does; a failure left after the retries, or a malformed reply, is an
+:class:`EmbedIndexError`.
+:func:`embed` checks that a provider returns one unit row per text.
 
 The hashing embedder works on blocks of texts, with a fixed number of numpy
 calls per block. A text is normalized to its ``[a-z0-9]`` runs joined by
@@ -43,13 +48,12 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import BinaryIO, Callable, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from anchor_rag.corpus import Chunk
-from anchor_rag.llm_gateway import ThreadLocalSession
+from anchor_rag.llm_gateway import GatewayError, HttpClient, with_retries
 from anchor_rag.prompt_kit import ReasoningTriple
 
 INDEX_MAGIC = b"ARIX"
@@ -238,7 +242,8 @@ class HashingEmbedder:
 
 
 class RemoteEmbedder:
-    """OpenAI-compatible ``/embeddings`` endpoint client."""
+    """OpenAI-compatible ``/embeddings`` endpoint client: one retried post
+    per batch of ``batch_size`` texts."""
 
     def __init__(
         self,
@@ -251,39 +256,29 @@ class RemoteEmbedder:
     ):
         if dim is not None and dim < 1:
             raise EmbedIndexError("embedding dim must be >= 1")
-        self.base_url = base_url.rstrip("/")
         self.model = model
-        self.api_key = api_key
         self.dim = dim or 0  # discovered from the first response when unset
         self.batch_size = batch_size
-        self.timeout_s = timeout_s
         self.provider_id = f"remote:{model}"
-        self._http = ThreadLocalSession()
-
-    def _post(self, texts: Sequence[str]) -> list[list[float]]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            resp = self._http.session.post(
-                f"{self.base_url}/embeddings",
-                json={"model": self.model, "input": list(texts)},
-                headers=headers,
-                timeout=self.timeout_s,
-            )
-            resp.raise_for_status()
-        except requests.RequestException as exc:
-            raise EmbedIndexError(f"embedding request failed: {exc}") from exc
-        data = sorted(resp.json()["data"], key=lambda row: row["index"])
-        return [row["embedding"] for row in data]
+        self._http = HttpClient(base_url, api_key, timeout_s)
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         rows: list[list[float]] = []
         for i in range(0, len(texts), self.batch_size):
-            rows.extend(self._post(texts[i : i + self.batch_size]))
-        matrix = np.asarray(rows, dtype=np.float64)
+            payload = {"model": self.model, "input": list(texts[i : i + self.batch_size])}
+            try:
+                body = with_retries(lambda: self._http.post("/embeddings", payload))
+                rows.extend(row["embedding"] for row in sorted(body["data"], key=lambda row: row["index"]))
+            except GatewayError as exc:
+                raise EmbedIndexError(f"embedding request failed: {exc}") from exc
+            except (KeyError, TypeError) as exc:
+                raise EmbedIndexError(f"malformed embeddings reply: {exc!r}") from exc
+        try:
+            matrix = np.asarray(rows, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise EmbedIndexError(f"embedding endpoint returned a malformed batch: {exc}") from exc
         if matrix.ndim != 2:
-            raise EmbedIndexError("embedding endpoint returned a ragged batch")
+            raise EmbedIndexError(f"embedding endpoint returned a malformed batch of shape {matrix.shape}")
         if self.dim == 0:
             self.dim = matrix.shape[1]
         if matrix.shape[1] != self.dim:
@@ -300,6 +295,8 @@ def embed(texts: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
     if any(not t for t in texts):
         raise EmbedIndexError("texts must be non-empty strings")
     matrix = provider.embed_batch(texts)
+    if matrix.shape[0] != len(texts):
+        raise EmbedIndexError(f"provider returned {matrix.shape[0]} rows for {len(texts)} texts")
     # Squared norms summed in float64 without a float64 copy of the batch.
     norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
     if not np.all(np.abs(norms - 1.0) <= 1e-6):
@@ -426,22 +423,7 @@ class Index:
     def load(cls, path: str | Path, provider: EmbeddingProvider) -> "Index":
         path = Path(path)
         with path.open("rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-
-            def read(n: int, what: str) -> bytes:
-                # Checked against the file size before reading, so a cut-off
-                # file is reported as such and a bad length never allocates.
-                if fh.tell() + n > size:
-                    raise EmbedIndexError(f"{path} is truncated: {what} runs past its end ({size} bytes)")
-                return fh.read(n)
-
-            if read(4, "the magic number") != INDEX_MAGIC:
-                raise EmbedIndexError(f"{path} is not an embedding index")
-            version, dim, count = struct.unpack("<IIQ", read(16, "the header"))
-            if version != INDEX_VERSION:
-                raise EmbedIndexError(f"{path}: unsupported index version {version}")
-            (provider_len,) = struct.unpack("<I", read(4, "the provider id length"))
-            provider_id = read(provider_len, "the provider id").decode("utf-8")
+            read, dim, count, provider_id = _open_index(fh, path)
             ids = []
             for _ in range(count):
                 (id_len,) = struct.unpack("<I", read(4, "a chunk id length"))
@@ -452,6 +434,34 @@ class Index:
                 f"index was built with provider {provider_id!r}, got {provider.provider_id!r}"
             )
         return cls(ids, vectors, provider)
+
+    @staticmethod
+    def read_provider_id(path: str | Path) -> str:
+        """The id of the provider an index file was built with, from its header."""
+        path = Path(path)
+        with path.open("rb") as fh:
+            return _open_index(fh, path)[3]
+
+
+def _open_index(fh: BinaryIO, path: Path) -> tuple[Callable[[int, str], bytes], int, int, str]:
+    """Check an index file's magic number and version. Returns ``read(n,
+    what)`` for the rest of the file, and the dim, row count and provider
+    id. Each read is checked against the file size first, so a cut-off file
+    is reported as such and a bad length never allocates."""
+    size = os.fstat(fh.fileno()).st_size
+
+    def read(n: int, what: str) -> bytes:
+        if fh.tell() + n > size:
+            raise EmbedIndexError(f"{path} is truncated: {what} runs past its end ({size} bytes)")
+        return fh.read(n)
+
+    if read(4, "the magic number") != INDEX_MAGIC:
+        raise EmbedIndexError(f"{path} is not an embedding index")
+    version, dim, count = struct.unpack("<IIQ", read(16, "the header"))
+    if version != INDEX_VERSION:
+        raise EmbedIndexError(f"{path}: unsupported index version {version}")
+    (provider_len,) = struct.unpack("<I", read(4, "the provider id length"))
+    return read, dim, count, read(provider_len, "the provider id").decode("utf-8")
 
 
 def build_index(chunks: Sequence[Chunk], provider: EmbeddingProvider) -> Index:

@@ -1,21 +1,31 @@
-"""Uniform chat-completion access with per-token log-probabilities.
+"""Uniform chat-completion access with per-token log-probabilities, and
+the one HTTP client of the package.
 
 Two providers: an OpenAI-compatible HTTP client and a scripted provider
 that replays fixture responses keyed by (stage_tag, question_id), which
 keeps runs deterministic regardless of prompt wording tweaks. The gateway
-wrapper retries transient transport failures with exponential backoff and
 computes the direct-answer confidence as the mean per-token probability.
+
+Every HTTP call in the package, chat and embeddings alike, goes through
+:class:`HttpClient`, and every retry through :func:`with_retries`: a
+connection error, HTTP 429 or 5xx is retried up to ``DEFAULT_RETRIES``
+calls in all, after the server's ``Retry-After`` when it sends a readable
+one of at most a day, else after ``DEFAULT_BACKOFF_S``·2^(n-1). Any other
+4xx, and a reply that is not JSON or lacks the expected fields, is a
+:class:`GatewayError` that is not retried.
 """
 
 from __future__ import annotations
 
+import email.utils
+import itertools
 import json
 import math
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence, TypeVar
 
 import requests
 
@@ -24,13 +34,20 @@ from anchor_rag.corpus import DEFAULT_TOKENIZER
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_S = 0.5
 
+T = TypeVar("T")
+
 
 class GatewayError(RuntimeError):
     """Provider misuse or a non-retryable provider response."""
 
 
 class TransportError(GatewayError):
-    """Transient network/server failure; eligible for retry."""
+    """Transient network/server failure; eligible for retry. ``retry_after``
+    is the wait in seconds the server asked for, if it gave one."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class FixtureMissingError(GatewayError):
@@ -139,45 +156,71 @@ class ScriptedProvider:
         )
 
 
-class ThreadLocalSession(threading.local):
-    """One ``requests.Session`` per thread, so an HTTP client's calls from a
-    thread reuse a kept-alive connection instead of opening one per call.
+class HttpClient:
+    """JSON over HTTP to one base URL, with a kept-alive ``requests.Session``
+    per thread (sessions are not documented as thread-safe) and the proxy and
+    CA-bundle variables read once, by requests' rules (``.netrc`` is not read).
+    :meth:`post` raises :class:`TransportError` for a connection error, 429 or
+    5xx, and :class:`GatewayError` for other 4xx or a reply not a JSON object."""
 
-    A session is not documented as safe to share between threads, hence one
-    per thread; it and its pooled connections are released with its thread.
-    """
+    def __init__(self, base_url: str, api_key: str | None, timeout_s: float):
+        self.base_url = base_url.rstrip("/")
+        self.timeout_s = timeout_s
+        self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
+        with requests.Session() as probe:
+            env = probe.merge_environment_settings(self.base_url, {}, None, None, None)
+        self._env = {"proxies": env["proxies"], "verify": env["verify"]}
+        self._local = threading.local()
 
-    def __init__(self) -> None:
-        self.session = requests.Session()
+    def post(self, path: str, payload: dict) -> dict:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+            session.trust_env = False
+        url = self.base_url + path
+        try:
+            resp = session.post(url, json=payload, headers=self._headers, timeout=self.timeout_s, **self._env)
+        except requests.RequestException as exc:
+            raise TransportError(f"POST {url} failed: {exc}") from exc
+        except OSError as exc:  # a local setting requests cannot use, such as a missing CA bundle
+            raise GatewayError(f"POST {url} failed: {exc}") from exc
+        if resp.status_code >= 400:
+            message = f"{url}: HTTP {resp.status_code}: {resp.text[:200]}"
+            if resp.status_code == 429 or resp.status_code >= 500:
+                raise TransportError(message, _retry_after(resp.headers.get("Retry-After")))
+            raise GatewayError(message)
+        try:
+            body = resp.json()
+        except ValueError:
+            body = None
+        if not isinstance(body, dict):
+            raise GatewayError(f"{url}: reply is not a JSON object: {resp.text[:200]!r}")
+        return body
+
+
+def _retry_after(value: str | None) -> float | None:
+    """Seconds to wait from a ``Retry-After`` header (RFC 9110 §10.2.3):
+    delta-seconds or an HTTP date. None when absent, unreadable or more than
+    a day away."""
+    if value is None:
+        return None
+    try:
+        if value.strip().isdecimal():
+            wait = float(value)
+        else:
+            wait = email.utils.mktime_tz(email.utils.parsedate_tz(value)) - time.time()
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return max(0.0, wait) if wait <= 86400 else None
 
 
 class OpenAIChatProvider:
     """OpenAI-compatible ``/chat/completions`` client with logprobs support."""
 
     def __init__(self, base_url: str, model: str, api_key: str | None = None, timeout_s: float = 120.0):
-        self.base_url = base_url.rstrip("/")
         self.model = model
-        self.api_key = api_key
-        self.timeout_s = timeout_s
         self.provider_id = f"openai:{model}"
-        self._http = ThreadLocalSession()
-
-    def _post(self, payload: dict) -> requests.Response:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            resp = self._http.session.post(
-                f"{self.base_url}/chat/completions",
-                json=payload,
-                headers=headers,
-                timeout=self.timeout_s,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"chat request failed: {exc}") from exc
-        if resp.status_code >= 500:
-            raise TransportError(f"server error {resp.status_code}: {resp.text[:200]}")
-        return resp
+        self._http = HttpClient(base_url, api_key, timeout_s)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         payload = {
@@ -191,31 +234,48 @@ class OpenAIChatProvider:
         }
         if request.want_logprobs:
             payload["logprobs"] = True
-        resp = self._post(payload)
-        if resp.status_code >= 400 and request.want_logprobs and "logprob" in resp.text.lower():
+        try:
+            body = self._http.post("/chat/completions", payload)
+        except GatewayError as exc:
+            if isinstance(exc, TransportError) or not request.want_logprobs or "logprob" not in str(exc).lower():
+                raise
             # Endpoint rejects logprob requests: degrade to text-only.
-            payload.pop("logprobs", None)
-            resp = self._post(payload)
-        if resp.status_code >= 400:
-            raise GatewayError(f"chat endpoint error {resp.status_code}: {resp.text[:200]}")
-        body = resp.json()
-        choice = body["choices"][0]
-        text = (choice.get("message") or {}).get("content") or ""
-        logprobs = None
-        lp_content = (choice.get("logprobs") or {}).get("content")
-        if lp_content:
-            logprobs = tuple((entry["token"], min(0.0, float(entry["logprob"]))) for entry in lp_content)
-        usage = body.get("usage") or {}
-        completion_tokens = int(usage.get("completion_tokens") or 0)
-        if logprobs is not None:
-            completion_tokens = len(logprobs)
+            del payload["logprobs"]
+            body = self._http.post("/chat/completions", payload)
+        try:
+            choice = body["choices"][0]
+            text = (choice.get("message") or {}).get("content") or ""
+            if not isinstance(text, str):
+                raise TypeError(f"message content is a {type(text).__name__}")
+            logprobs = None
+            lp_content = (choice.get("logprobs") or {}).get("content")
+            if lp_content:
+                logprobs = tuple((str(entry["token"]), min(0.0, float(entry["logprob"]))) for entry in lp_content)
+            usage = body.get("usage") or {}
+            prompt_tokens = int(usage.get("prompt_tokens") or 0)
+            completion_tokens = len(logprobs) if logprobs is not None else int(usage.get("completion_tokens") or 0)
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+            raise GatewayError(f"malformed chat reply: {exc!r}") from exc
         return ChatResponse(
             text=text,
             token_logprobs=logprobs,
-            prompt_tokens=int(usage.get("prompt_tokens") or 0),
+            prompt_tokens=prompt_tokens,
             completion_tokens=completion_tokens,
             provider_id=self.provider_id,
         )
+
+
+def with_retries(call: Callable[[], T], retries: int = DEFAULT_RETRIES, backoff_s: float = DEFAULT_BACKOFF_S,
+                 sleep: Callable[[float], None] | None = None) -> T:
+    """Return ``call()``, calling again after a :class:`TransportError`, up to ``retries`` calls in all.
+    Call n + 1 waits the error's ``retry_after`` if set, else ``backoff_s``·2^(n-1) (``time.sleep`` by default)."""
+    for attempt in itertools.count(1):
+        try:
+            return call()
+        except TransportError as exc:
+            if attempt >= retries:
+                raise
+            (sleep or time.sleep)(backoff_s * 2 ** (attempt - 1) if exc.retry_after is None else exc.retry_after)
 
 
 def complete(
@@ -223,23 +283,14 @@ def complete(
     provider: ChatProvider,
     retries: int = DEFAULT_RETRIES,
     backoff_s: float = DEFAULT_BACKOFF_S,
-    sleep: Callable[[float], None] = time.sleep,
+    sleep: Callable[[float], None] | None = None,
 ) -> ChatResponse:
     """Run one completion, retrying transient transport failures.
 
     Raises :class:`EmptyCompletionError` when the model returns no text,
     and the final :class:`TransportError` once attempts are exhausted.
     """
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            response = provider.complete(request)
-            break
-        except TransportError:
-            if attempt >= retries:
-                raise
-            sleep(backoff_s * (2 ** (attempt - 1)))
+    response = with_retries(lambda: provider.complete(request), retries, backoff_s, sleep)
     if not response.text.strip():
         raise EmptyCompletionError(f"provider {provider.provider_id} returned an empty completion")
     return response

@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence, TextIO, get_args, get_type_hints
+from typing import Sequence, TextIO, get_args, get_type_hints
 
 from anchor_rag.corpus import DEFAULT_TOKENIZER, Chunk, QAItem, Tokenizer, get_tokenizer
 from anchor_rag.embed_index import EmbedIndexError, Index, RetrievalHit, retrieve_for_queries, triple_query
@@ -224,12 +224,10 @@ class Pipeline:
         config: RunConfig,
         index: Index | None = None,
         chunks: Sequence[Chunk] = (),
-        retry_sleep: Callable[[float], None] = time.sleep,
     ):
         self.provider = provider
         self.config = config
         self.index = index
-        self._retry_sleep = retry_sleep
         self._chunks_by_id = {c.chunk_id: c for c in chunks}
         if len(self._chunks_by_id) != len(chunks):
             raise PipelineError("duplicate chunk ids in chunk set")
@@ -267,7 +265,7 @@ class Pipeline:
         )
         started = time.perf_counter()
         try:
-            response: ChatResponse | None = complete(request, self.provider, sleep=self._retry_sleep)
+            response: ChatResponse | None = complete(request, self.provider)
         except GatewayError as exc:
             response = None
             trace.errors.append(f"{prompt.stage_tag}: {exc}")

@@ -1,11 +1,17 @@
 import json
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
+from conftest import chat_reply, reply
 
 from anchor_rag import corpus
 from anchor_rag.cli import main
 from anchor_rag.corpus import build_corpus, load_dataset, read_chunk_manifest, read_question_file, write_chunk_manifest
+from anchor_rag.llm_gateway import ScriptedProvider
 from anchor_rag.pipeline import read_trace_file
 
 DATA = Path(__file__).parent / "data"
@@ -558,3 +564,184 @@ def test_run_config_bad_embed_dim_is_one_error_line(workspace, capsys, dim, expe
         expected_line = f"error: config embed_provider dim must be int or null, got {expected}"
     assert error_lines(capsys) == [expected_line]
     assert not (workspace / "bad_dim_run.jsonl").exists()
+
+
+# --- remote endpoints: retries, malformed replies, interrupts -------------------
+
+# One reply that every stage parses: an answer, two triples and a final answer.
+ALL_STAGES = ("<answer>Paris</answer>\n<triple>Justin Bannan | played_for | Colorado</triple>\n"
+              "<triple>Colorado | member_of | Pac-12</triple>\n<final_answer>Pac-12</final_answer>")
+
+
+@pytest.fixture()
+def no_sleep(monkeypatch):
+    napped = []
+    monkeypatch.setattr(time, "sleep", napped.append)
+    return napped
+
+
+def build_remote_index(workspace, loopback):
+    out = workspace / "remote.bin"
+    rc = main(["build-index", "--chunks", str(workspace / "chunks.jsonl"), "--out", str(out),
+               "--embedder", "remote", "--endpoint", loopback.url, "--model", "emb"])
+    return rc, out
+
+
+def test_build_index_survives_a_flaky_embedder(workspace, loopback, no_sleep):
+    loopback.queued["/embeddings"] += [reply(503, b"busy"), reply(429, b"slow", Retry_After="3")]
+    rc, out = build_remote_index(workspace, loopback)
+    assert rc == 0 and out.exists()
+    assert no_sleep == [0.5, 3.0]
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ({}, "malformed embeddings reply: KeyError('data')"),
+        (b"<html>", "reply is not a JSON object"),
+        ({"data": [{"index": 0, "embedding": [1.0, 0.0]}]}, "provider returned 1 rows for"),
+    ],
+    ids=["empty_object", "not_json", "too_few_rows"],
+)
+def test_build_index_malformed_embeddings_is_one_error_line(workspace, loopback, capsys, body, expected):
+    loopback.routes["/embeddings"] = lambda payload: reply(body=body)
+    rc, out = build_remote_index(workspace, loopback)
+    assert rc == 1 and not out.exists()
+    lines = error_lines(capsys)
+    assert len(lines) == 1 and lines[0].startswith("error: ") and expected in lines[0]
+
+
+@pytest.mark.parametrize(
+    "route, body, expected",
+    [
+        ("/chat/completions", {}, "system1: malformed chat reply: KeyError('choices')"),
+        ("/chat/completions", b"Internal proxy page", "reply is not a JSON object: 'Internal proxy page'"),
+        ("/embeddings", {}, "retrieval: malformed embeddings reply: KeyError('data')"),
+        ("/embeddings", {"data": [{"index": 0, "embedding": [1.0] * 16}]}, "retrieval: provider returned 1 rows for 2 texts"),
+    ],
+    ids=["chat_empty_object", "chat_not_json", "embeddings_empty_object", "embeddings_too_few_rows"],
+)
+def test_run_malformed_reply_is_a_question_error(workspace, loopback, capsys, route, body, expected):
+    rc, index = build_remote_index(workspace, loopback)
+    assert rc == 0
+    loopback.routes["/chat/completions"] = lambda payload: chat_reply(ALL_STAGES)
+    loopback.routes[route] = lambda payload: reply(body=body)
+    out = workspace / "remote_run.jsonl"
+    # No embedding model is named: it is read from the index ("remote:emb").
+    rc = main(["run", "--questions", str(workspace / "questions.jsonl"), "--index", str(index),
+               "--chunks", str(workspace / "chunks.jsonl"), "--mode", "full", "--provider", "openai",
+               "--endpoint", loopback.url, "--model", "chat", "--embedder", "remote",
+               "--max-failure-rate", "1", "--out", str(out)])
+    assert rc == 0
+    assert "ran 1 questions (1 with errors)" in capsys.readouterr().out
+    header, traces = read_trace_file(out)
+    assert "model" not in header["config"]["embed_provider"]  # the config hash is as given
+    assert any(expected in e for e in traces[0].errors), traces[0].errors
+    assert {p["model"] for path, p in loopback.seen if path.endswith("/embeddings")} == {"emb"}
+    assert {p["model"] for path, p in loopback.seen if path.endswith("/chat/completions")} == {"chat"}
+
+
+def test_readme_remote_run_uses_the_index_embedding_model(workspace, loopback):
+    rc, index = build_remote_index(workspace, loopback)
+    assert rc == 0
+    loopback.routes["/chat/completions"] = lambda payload: chat_reply(ALL_STAGES)
+    out = workspace / "readme_run.jsonl"
+    rc = main(["run", "--questions", str(workspace / "questions.jsonl"), "--index", str(index),
+               "--chunks", str(workspace / "chunks.jsonl"), "--mode", "full", "--provider", "openai",
+               "--embedder", "remote", "--endpoint", loopback.url, "--model", "chat",
+               "--concurrency", "4", "--out", str(out)])
+    assert rc == 0
+    _, traces = read_trace_file(out)
+    assert traces[0].errors == [] and traces[0].final_answer == "Pac-12"
+    assert len(traces[0].retrieval_queries) == 2
+
+
+def test_live_eval_script_with_embed_model(tmp_path, hotpot_file, loopback):
+    loopback.routes["/chat/completions"] = lambda payload: chat_reply(ALL_STAGES)
+    script = Path(__file__).resolve().parent.parent / "scripts" / "live_eval.py"
+    out = tmp_path / "live"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--data", str(hotpot_file), "--format", "hotpotqa",
+         "--endpoint", loopback.url, "--model", "chat", "--embed-model", "emb", "--out-dir", str(out),
+         "--sample-n", "1", "--concurrency", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ran 1 questions (0 with errors)" in proc.stdout
+    _, traces = read_trace_file(out / "traces.jsonl")
+    assert traces[0].final_answer == "Pac-12"
+    assert {p["model"] for path, p in loopback.seen if path.endswith("/embeddings")} == {"emb"}
+
+
+def _interrupt_workspace(tmp_path, n):
+    """A hotpot file of ``n`` questions and scripted replies for every stage."""
+    records, fixtures = [], []
+    for i in range(n):
+        qid, answer = f"q{i}", f"Answer {i}"
+        records.append({"_id": qid, "question": f"Which team did player {i} join?", "answer": answer,
+                        "context": [[f"Player {i}", [f"Player {i} joined the {answer} club in {1990 + i}."]]],
+                        "supporting_facts": [[f"Player {i}", 0]]})
+        fixtures += [
+            {"stage_tag": "system1", "question_id": qid, "text": f"<answer>{answer}</answer>",
+             "token_logprobs": None},
+            {"stage_tag": "triple_gen", "question_id": qid,
+             "text": f"<triple>Player {i} | joined | {answer}</triple>", "token_logprobs": None},
+            {"stage_tag": "system2", "question_id": qid, "text": f"<final_answer>{answer}</final_answer>",
+             "token_logprobs": None},
+        ]
+    data = tmp_path / "many.json"
+    data.write_text(json.dumps(records), encoding="utf-8")
+    fixture_path = tmp_path / "many_fixtures.jsonl"
+    fixture_path.write_text("".join(json.dumps(f) + "\n" for f in fixtures), encoding="utf-8")
+    work = tmp_path / "many"
+    assert main(["ingest", "--data", str(data), "--format", "hotpotqa", "--out-dir", str(work)]) == 0
+    assert main(["build-index", "--chunks", str(work / "chunks.jsonl"), "--out", str(work / "index.bin")]) == 0
+    return work, fixture_path
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_interrupted_run_is_one_error_line_and_resumes(tmp_path, monkeypatch, capsys, concurrency):
+    work, fixtures = _interrupt_workspace(tmp_path, 6)
+
+    def run(out, *extra):
+        return main(["run", "--questions", str(work / "questions.jsonl"), "--index", str(work / "index.bin"),
+                     "--chunks", str(work / "chunks.jsonl"), "--mode", "full", "--provider", "scripted",
+                     "--fixtures", str(fixtures), "--concurrency", str(concurrency), "--out", str(out), *extra])
+
+    assert run(work / "whole.jsonl") == 0
+    capsys.readouterr()
+
+    calls, lock, interrupt_at = [], threading.Lock(), 8
+    original = ScriptedProvider.complete
+
+    def interrupting(self, request):
+        with lock:
+            calls.append(request.question_id)
+            if len(calls) == interrupt_at:
+                raise KeyboardInterrupt
+        return original(self, request)
+
+    monkeypatch.setattr(ScriptedProvider, "complete", interrupting)
+    try:
+        rc = run(work / "cut.jsonl")
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped cli.main")
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: interrupted"]
+    _, done = read_trace_file(work / "cut.jsonl")
+    assert len(done) < 6
+    if concurrency == 1:
+        assert len(calls) == interrupt_at  # no question starts after the interrupt
+        assert [t.question_id for t in done] == ["q0", "q1"]
+
+    monkeypatch.setattr(ScriptedProvider, "complete", original)
+    assert run(work / "cut.jsonl", "--resume") == 0
+
+    def without_timing(path):
+        header, traces = read_trace_file(path)
+        rows = [t.to_json_dict() for t in traces]
+        for row in rows:
+            row.pop("stage_ms")
+        return header["config_hash"], rows
+
+    assert without_timing(work / "cut.jsonl") == without_timing(work / "whole.jsonl")

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import zlib
 from fractions import Fraction
@@ -13,6 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import reply
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -638,10 +640,63 @@ def test_remote_embedder_reuses_one_connection():
         server.server_close()
 
 
-def test_remote_embedder_transport_failure():
+def test_remote_embedder_transport_failure(monkeypatch):
+    napped = []
+    monkeypatch.setattr(time, "sleep", napped.append)
     provider = RemoteEmbedder(base_url="http://127.0.0.1:9", model="m", timeout_s=0.2)
     with pytest.raises(EmbedIndexError):
         provider.embed_batch(["text"])
+    assert napped == [0.5, 1.0]  # retried like a chat call
+
+
+def test_remote_embedder_retries_server_errors_and_rate_limits(loopback, monkeypatch):
+    napped = []
+    monkeypatch.setattr(time, "sleep", napped.append)
+    loopback.queued["/embeddings"] += [reply(503, b"busy"), reply(429, {"error": "slow"}, Retry_After="2")]
+    vectors = embed(["ab", "abcd"], RemoteEmbedder(base_url=loopback.url, model="m", api_key="k"))
+    assert vectors.shape == (2, 16)
+    assert napped == [0.5, 2.0]
+    assert len(loopback.seen) == 3 and loopback.auth == ["Bearer k"] * 3
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {},
+        b"not json",
+        {"data": [{"index": 0}]},
+        {"data": [{"embedding": [1.0, 0.0]}]},
+        {"data": [{"index": 0, "embedding": [1.0, "x"]}]},
+        {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [1.0]}]},
+        {"data": []},
+        {"data": [{"index": 0, "embedding": [1.0, 0.0]}]},
+    ],
+    ids=["empty_object", "not_json", "no_embedding", "no_index", "not_numeric", "ragged", "no_rows", "too_few_rows"],
+)
+def test_remote_embedder_malformed_reply_is_embed_index_error(loopback, body):
+    loopback.routes["/embeddings"] = lambda payload: reply(body=body)
+    with pytest.raises(EmbedIndexError):
+        embed(["one", "two"], RemoteEmbedder(base_url=loopback.url, model="m"))
+    assert len(loopback.seen) == 1  # not retried
+
+
+class ShortEmbedder:
+    """Returns one row whatever it is asked to embed."""
+
+    provider_id = "short"
+    dim = 32
+
+    def embed_batch(self, texts):
+        return HashingEmbedder(dim=32).embed_batch(texts[:1])
+
+
+def test_embed_checks_one_row_per_text():
+    with pytest.raises(EmbedIndexError, match="1 rows for 3 texts"):
+        embed(["a b c", "d e f", "g h i"], ShortEmbedder())
+    index = build_index([make_chunk(i, t) for i, t in enumerate(["alpha beta", "gamma delta"])], HashingEmbedder(dim=32))
+    index.provider = ShortEmbedder()
+    with pytest.raises(EmbedIndexError, match="1 rows for 3 texts"):
+        retrieve_for_queries(index, ["alpha", "gamma", "beta"], k_per_query=1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,9 +1,13 @@
+import email.utils
 import json
 import math
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
+import requests
+from conftest import reply
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +18,7 @@ from anchor_rag.llm_gateway import (
     EmptyCompletionError,
     FixtureMissingError,
     GatewayError,
+    HttpClient,
     OpenAIChatProvider,
     ScriptedProvider,
     TransportError,
@@ -395,3 +400,142 @@ def test_openai_provider_transport_error_on_unreachable_host():
     provider = OpenAIChatProvider(base_url="http://127.0.0.1:9", model="m", timeout_s=0.2)
     with pytest.raises(TransportError):
         complete(make_request(), provider, retries=2, sleep=lambda _: None)
+
+
+# --- status policy, malformed replies, Retry-After, proxies --------------------
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {},
+        b"<html>not json</html>",
+        [],
+        {"choices": []},
+        {"choices": ["text"]},
+        {"choices": [{"message": {"content": "x"}, "logprobs": {"content": [{"token": "x"}]}}]},
+        {"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": "many"}},
+        {"choices": [{"message": {"content": [{"type": "text", "text": "x"}]}}]},
+        {"choices": [{"message": {"content": "x"}, "logprobs": ["x"]}]},
+    ],
+    ids=["empty_object", "not_json", "array", "no_choices", "choice_not_object", "logprob_entry_without_value",
+         "usage_not_int", "content_not_text", "logprobs_not_object"],
+)
+def test_openai_provider_malformed_reply_is_gateway_error(loopback, body):
+    loopback.routes["/chat/completions"] = lambda payload: reply(body=body)
+    provider = OpenAIChatProvider(base_url=loopback.url, model="m")
+    with pytest.raises(GatewayError) as caught:
+        complete(make_request(want_logprobs=True), provider, sleep=lambda _: None)
+    assert not isinstance(caught.value, TransportError)
+    assert len(loopback.seen) == 1  # not retried
+
+
+@pytest.mark.parametrize("status", [400, 401, 404, 422])
+def test_client_error_status_is_not_retried(loopback, status):
+    loopback.queued["/chat/completions"].append(reply(status, {"error": "no"}))
+    provider = OpenAIChatProvider(base_url=loopback.url, model="m")
+    with pytest.raises(GatewayError, match=f"HTTP {status}") as caught:
+        complete(make_request(), provider, sleep=lambda _: None)
+    assert not isinstance(caught.value, TransportError)
+    assert len(loopback.seen) == 1
+
+
+def test_rate_limit_without_retry_after_backs_off(loopback):
+    loopback.queued["/chat/completions"] += [reply(429, {"error": "slow down"}), reply(429, {"error": "slow down"})]
+    napped = []
+    response = complete(make_request(), OpenAIChatProvider(base_url=loopback.url, model="m"), sleep=napped.append)
+    assert response.text == "<answer>Paris</answer>"
+    assert napped == [0.5, 1.0]
+    assert len(loopback.seen) == 3
+
+
+def test_rate_limit_waits_retry_after_seconds(loopback):
+    loopback.queued["/chat/completions"].append(reply(429, {"error": "slow down"}, Retry_After="2"))
+    napped = []
+    response = complete(make_request(), OpenAIChatProvider(base_url=loopback.url, model="m"), sleep=napped.append)
+    assert response.text == "<answer>Paris</answer>"
+    assert napped == [2.0]
+
+
+def test_server_error_waits_retry_after_http_date(loopback):
+    when = email.utils.formatdate(time.time() + 30, usegmt=True)
+    loopback.queued["/chat/completions"] += [reply(503, b"busy", Retry_After=when),
+                                             reply(503, b"busy", Retry_After="soon")]
+    napped = []
+    response = complete(make_request(), OpenAIChatProvider(base_url=loopback.url, model="m"), sleep=napped.append)
+    assert response.text == "<answer>Paris</answer>"
+    # a date 30 s ahead (whole seconds), then an unreadable value: backoff
+    assert 27.0 < napped[0] <= 30.0 and napped[1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "value, wait",
+    [(" 7 ", 7.0), ("0", 0.0), ("86400", 86400.0), ("Sun, 06 Nov 1994 08:49:37 GMT", 0.0),
+     ("86401", 0.5), ("1.5", 0.5), ("-3", 0.5), ("9" * 400, 0.5), ("Wed, 21 Oct 99999 07:28:00 GMT", 0.5), ("", 0.5)],
+    ids=["seconds_padded", "zero", "one_day", "past_date", "over_a_day", "fraction", "negative", "huge",
+         "year_out_of_range", "empty"],
+)
+def test_retry_after_values(loopback, value, wait):
+    """A past date means no wait; an unreadable value, or one more than a
+    day away, falls back to the backoff."""
+    loopback.queued["/chat/completions"].append(reply(429, {"error": "slow down"}, Retry_After=value))
+    napped = []
+    complete(make_request(), OpenAIChatProvider(base_url=loopback.url, model="m"), sleep=napped.append)
+    assert napped == [wait]
+
+
+def test_rate_limit_exhaustion_raises_transport_error(loopback):
+    loopback.routes["/chat/completions"] = lambda payload: reply(429, {"error": "slow down"}, Retry_After="1")
+    napped = []
+    with pytest.raises(TransportError, match="HTTP 429"):
+        complete(make_request(), OpenAIChatProvider(base_url=loopback.url, model="m"), sleep=napped.append)
+    assert napped == [1.0, 1.0] and len(loopback.seen) == 3
+
+
+def test_client_reads_proxy_settings_once(loopback, monkeypatch):
+    calls = []
+    real = requests.sessions.get_environ_proxies
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(requests.sessions, "get_environ_proxies", counting)
+    provider = OpenAIChatProvider(base_url=loopback.url, model="m")
+    for _ in range(8):
+        assert complete(make_request(), provider).text == "<answer>Paris</answer>"
+    assert len(calls) == 1
+    assert loopback.connections == 1  # still one kept-alive connection
+
+
+def test_client_applies_proxy_settings_from_the_environment(loopback, monkeypatch):
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.lower(), raising=False)
+    # Through a proxy: the stub stands in for it, the target port is closed.
+    monkeypatch.setenv("HTTP_PROXY", loopback.root)
+    provider = OpenAIChatProvider(base_url="http://127.0.0.1:9/v1", model="m")
+    assert complete(make_request(), provider).text == "<answer>Paris</answer>"
+    assert loopback.paths() == ["http://127.0.0.1:9/v1/chat/completions"]
+    # NO_PROXY exempts the host: straight to the stub past a dead proxy.
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    provider = OpenAIChatProvider(base_url=loopback.url, model="m")
+    assert complete(make_request(), provider).text == "<answer>Paris</answer>"
+    assert loopback.paths()[-1] == "/v1/chat/completions"
+
+
+def test_client_reads_the_ca_bundle_once_and_reports_a_bad_one(monkeypatch):
+    monkeypatch.delenv("CURL_CA_BUNDLE", raising=False)
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", "/nonexistent/ca.pem")
+    client = HttpClient("https://127.0.0.1:9/v1", None, 1.0)
+    monkeypatch.delenv("REQUESTS_CA_BUNDLE")  # read at creation, so still in force
+    with pytest.raises(GatewayError, match="/nonexistent/ca.pem") as caught:
+        client.post("/embeddings", {})
+    assert not isinstance(caught.value, TransportError)  # a local setting: not retried
+
+
+def test_bearer_header_only_with_a_key(loopback):
+    for key in ("secret", None):
+        HttpClient(loopback.url, key, 5.0).post("/chat/completions", {"model": "m"})
+    assert loopback.auth == ["Bearer secret", None]
