@@ -1,13 +1,21 @@
 #!/usr/bin/env python3
-"""Record peak RSS after each CLI step of one long-document pass.
+"""Record peak RSS after each CLI step, for the local and the remote embedder.
 
-Generates the `long_docs_standard_rag` benchmark inputs for seed 7 with
-`perfbench/gen.py` (a 500-record MuSiQue JSONL of about 20 MB). Then, in
-each of five fresh processes, runs `ingest -> build-index -> run -> report`
-in-process with the arguments the benchmark's worker uses, and reads
-`ru_maxrss` before the first step and after each step. The medians over the
-five processes are stored under `--label` in `runs` of the output file, next to the
-runs already there. `--src` picks the source tree to measure, so two
+Three cases, each on inputs that `perfbench/gen.py` generates for seed 7.
+Every repeat is a fresh process that runs the case's CLI steps in-process
+and reads `ru_maxrss` before the first step and after each step:
+
+- `long_docs_standard_rag`: `ingest -> build-index -> run -> report` on a
+  500-record MuSiQue JSONL of about 20 MB, hashing embedder, five repeats.
+- `remote_gated_c2`: the same four steps with the remote chat and embedding
+  clients against `perfbench/stub.py`, with the workload's stub latencies,
+  five repeats.
+- `remote_build_index_50k`: `build-index` alone, against the same stub, on
+  a chunk manifest of about 50k chunks (the `remote_gated_c2` generator with
+  794 records of 63 paragraphs), ingested once beforehand; three repeats.
+
+The medians are stored under `--label` in `runs` of the output file, next to
+the runs already there. `--src` picks the source tree to measure, so two
 commits can be measured back to back:
 
     python3 scripts/bench_ingest_rss.py --src /path/to/parent/src --label parent --out BENCH_ingest.json
@@ -16,8 +24,10 @@ commits can be measured back to back:
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import platform
 import resource
@@ -25,46 +35,124 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "perfbench"))
 
 from gen import generate  # noqa: E402
-from workloads import K, WORKLOADS  # noqa: E402
+from run import start_stub, stop  # noqa: E402
+from workloads import EMBED_DIM, K, WORKLOADS  # noqa: E402
 
-WORKLOAD = WORKLOADS["long_docs_standard_rag"]
-STEPS = ("ingest", "build-index", "run", "report")
 SEED = 7
 REPEATS = 5
+REPEATS_50K = 3
+RECORDS_50K = 794  # 794 records x 63 one-chunk paragraphs = 50,022 chunks
 
 
 def maxrss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def measure_pass(inputs: Path, work: Path) -> dict:
-    """Run one pass in this process; peak RSS in MB before and after each step."""
+def measure_pass(steps: dict[str, list[str]]) -> dict:
+    """Run the CLI steps in this process; peak RSS in MB before and after each step."""
     from anchor_rag import cli
 
-    argv = {
-        "ingest": ["ingest", "--data", str(inputs / "data.jsonl"), "--format", WORKLOAD.fmt, "--out-dir", str(work),
-                   "--sample-n", str(WORKLOAD.sample_n), "--seed", str(SEED)],
-        "build-index": ["build-index", "--chunks", str(work / "chunks.jsonl"), "--out", str(work / "index.bin")],
+    rss = {"start": maxrss_mb()}
+    for name, argv in steps.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(argv)
+        if rc != 0:
+            raise SystemExit(f"anchor-rag {argv[0]} exited with {rc}")
+        rss[name] = maxrss_mb()
+    return rss
+
+
+def pass_steps(w, inputs: Path, work: Path, endpoint: str | None) -> dict[str, list[str]]:
+    """The argv of each step of one pass of workload ``w``, as the benchmark's worker runs it."""
+    data = inputs / ("data.jsonl" if w.fmt == "musique" else "data.json")
+    embed_flags = ["--embedder", "remote", "--endpoint", endpoint, "--model", "stub-embed"] if w.remote else []
+    if w.remote:
+        config = {
+            "mode": w.mode,
+            "confidence_threshold": w.tau,
+            "chat_provider": {"kind": "openai", "base_url": endpoint, "model": "stub-chat"},
+            "embed_provider": {"kind": "remote", "base_url": endpoint, "model": "stub-embed"},
+        }
+        (inputs / "run_config.json").write_text(json.dumps(config), encoding="utf-8")
+        provider_flags = ["--config", str(inputs / "run_config.json")]
+    else:
+        provider_flags = ["--provider", "scripted", "--fixtures", str(inputs / "fixtures.jsonl")]
+    return {
+        "ingest": ["ingest", "--data", str(data), "--format", w.fmt, "--out-dir", str(work),
+                   "--sample-n", str(w.sample_n), "--seed", str(SEED)],
+        "build-index": ["build-index", "--chunks", str(work / "chunks.jsonl"), "--out", str(work / "index.bin"),
+                        *embed_flags],
         "run": ["run", "--questions", str(work / "questions.jsonl"), "--index", str(work / "index.bin"),
-                "--chunks", str(work / "chunks.jsonl"), "--out", str(work / "traces.jsonl"), "--mode", WORKLOAD.mode,
-                "--k", str(K), "--concurrency", str(WORKLOAD.concurrency), "--provider", "scripted",
-                "--fixtures", str(inputs / "fixtures.jsonl")],
+                "--chunks", str(work / "chunks.jsonl"), "--out", str(work / "traces.jsonl"), "--mode", w.mode,
+                "--k", str(K), "--concurrency", str(w.concurrency), *provider_flags],
         "report": ["report", "--traces", str(work / "traces.jsonl"), "--out-dir", str(work / "report")],
     }
-    rss = {"start": maxrss_mb()}
-    for step in STEPS:
-        with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(argv[step])
-        if rc != 0:
-            raise SystemExit(f"anchor-rag {step} exited with {rc}")
-        rss[step] = maxrss_mb()
-    return rss
+
+
+def repeat(steps_for, root: Path, repeats: int, env: dict) -> dict:
+    """``repeats`` fresh processes, each running the steps ``steps_for(pass_dir)`` gives."""
+    samples = []
+    for i in range(repeats):
+        work = root / f"pass{i}"
+        work.mkdir(parents=True)
+        (work / "steps.json").write_text(json.dumps(steps_for(work)), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, __file__, "--pass-dir", str(work)],
+            env=env, capture_output=True, text=True, check=True, timeout=900,
+        )
+        samples.append(json.loads(proc.stdout))
+    return {"ru_maxrss_mb_median": {k: statistics.median(s[k] for s in samples) for k in samples[0]},
+            "ru_maxrss_mb_samples": samples}
+
+
+def generate_apart(w, inputs: Path) -> dict:
+    """``generate`` in a fresh process. Linux carries a process's peak RSS
+    over into the ``ru_maxrss`` of every child it starts, so this process
+    must stay small for the children's readings to be their own."""
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return pool.submit(generate, w, SEED, inputs).result()
+
+
+def measure_workload(w, tmp: Path, env: dict) -> dict:
+    inputs = tmp / w.name / "inputs"
+    data_mb = Path(generate_apart(w, inputs)["data"]).stat().st_size / 2**20
+    stub, endpoint = start_stub(inputs) if w.remote else (None, None)
+    try:
+        result = repeat(lambda work: pass_steps(w, inputs, work, endpoint), tmp / w.name, REPEATS, env)
+    finally:
+        if stub is not None:
+            stop(stub)
+    return {"settings": {"seed": SEED, "repeats": REPEATS, "data_file_mb": round(data_mb, 2)}, **result}
+
+
+def measure_remote_build_index_50k(tmp: Path, env: dict) -> dict:
+    w = dataclasses.replace(WORKLOADS["remote_gated_c2"], name="remote_build_index_50k", records=RECORDS_50K)
+    inputs, ingested = tmp / w.name / "inputs", tmp / w.name / "ingested"
+    plan = generate_apart(w, inputs)
+    stub, endpoint = start_stub(inputs)
+    try:
+        ingest = repeat(lambda work: {"ingest": pass_steps(w, inputs, ingested, endpoint)["ingest"]},
+                        tmp / w.name / "ingest", 1, env)
+        result = repeat(
+            lambda work: {"build-index": ["build-index", "--chunks", str(ingested / "chunks.jsonl"),
+                                          "--out", str(work / "index.bin"), "--embedder", "remote",
+                                          "--endpoint", endpoint, "--model", "stub-embed"]},
+            tmp / w.name, REPEATS_50K, env,
+        )
+    finally:
+        stop(stub)
+    index_mb = plan["total_chunks"] * EMBED_DIM * 4 / 2**20
+    settings = {"seed": SEED, "repeats": REPEATS_50K, "chunks": plan["total_chunks"], "dim": EMBED_DIM,
+                "batch_size": 128, "index_vectors_mb": round(index_mb, 2),
+                "ingest_ru_maxrss_mb": ingest["ru_maxrss_mb_median"]["ingest"]}
+    return {"settings": settings, **result}
 
 
 def main() -> int:
@@ -76,35 +164,25 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.pass_dir is not None:
-        work = Path(args.pass_dir)
-        print(json.dumps(measure_pass(work.parent / "inputs", work)))
+        steps = json.loads((Path(args.pass_dir) / "steps.json").read_text(encoding="utf-8"))
+        print(json.dumps(measure_pass(steps)))
         return 0
 
+    sys.path.insert(0, str(Path(args.src).resolve()))  # gen.py reads the prompts of the measured tree
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()), PYTHONHASHSEED="0", OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    samples = []
     with tempfile.TemporaryDirectory() as tmp:
-        generate(WORKLOAD, SEED, Path(tmp) / "inputs")
-        data_mb = (Path(tmp) / "inputs" / "data.jsonl").stat().st_size / 2**20
-        for i in range(REPEATS):
-            proc = subprocess.run(
-                [sys.executable, __file__, "--pass-dir", str(Path(tmp) / f"pass{i}")],
-                env=env, capture_output=True, text=True, check=True, timeout=600,
-            )
-            samples.append(json.loads(proc.stdout))
+        cases = {name: measure_workload(WORKLOADS[name], Path(tmp), env)
+                 for name in ("long_docs_standard_rag", "remote_gated_c2")}
+        cases["remote_build_index_50k"] = measure_remote_build_index_50k(Path(tmp), env)
 
-    run = {
-        "machine": {"cores": os.cpu_count(), "arch": platform.machine(), "python": platform.python_version()},
-        "settings": {"workload": WORKLOAD.name, "seed": SEED, "repeats": REPEATS,
-                     "data_file_mb": round(data_mb, 2)},
-        "ru_maxrss_mb_median": {k: statistics.median(s[k] for s in samples) for k in ("start", *STEPS)},
-        "ru_maxrss_mb_samples": samples,
-    }
+    run = {"machine": {"cores": os.cpu_count(), "arch": platform.machine(), "python": platform.python_version()},
+           **cases}
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     doc.setdefault("runs", {})[args.label] = run
-    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    print(json.dumps({args.label: run["ru_maxrss_mb_median"]}, indent=2))
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(json.dumps({args.label: {name: case["ru_maxrss_mb_median"] for name, case in cases.items()}}, indent=2))
     return 0
 
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import IO, Callable, Iterable, Iterator, Protocol, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -363,6 +365,24 @@ def build_corpus(
 # written under a different tokenizer or schema version.
 
 
+@contextmanager
+def write_atomically(path: Path, mode: str = "w") -> Iterator[IO]:
+    """Open a temp file beside ``path`` (text as UTF-8) and move it over
+    ``path`` with ``os.replace`` once the block ends, so ``path`` never holds
+    a half-written file. If the block raises, the temp file is removed and
+    ``path`` keeps its previous contents. The rename survives the writer's
+    death, not a power cut: nothing is fsynced."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open(mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_chunk_manifest(
     chunks: Sequence[Chunk],
     path: str | Path,
@@ -370,8 +390,6 @@ def write_chunk_manifest(
     stride: int,
     tokenizer_id: str,
 ) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "kind": "chunk_manifest",
         "schema_version": CHUNK_MANIFEST_VERSION,
@@ -380,7 +398,7 @@ def write_chunk_manifest(
         "stride": stride,
         "num_chunks": len(chunks),
     }
-    with path.open("w", encoding="utf-8") as fh:
+    with write_atomically(Path(path)) as fh:
         fh.write(json.dumps(header) + "\n")
         for c in chunks:
             row = {
@@ -453,11 +471,9 @@ def read_chunk_manifest(path: str | Path) -> tuple[list[Chunk], dict]:
 
 
 def write_question_file(items: Sequence[QAItem], path: str | Path, meta: dict | None = None) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {"kind": "question_file", "schema_version": QUESTION_FILE_VERSION, "num_questions": len(items)}
     header.update(meta or {})
-    with path.open("w", encoding="utf-8") as fh:
+    with write_atomically(Path(path)) as fh:
         fh.write(json.dumps(header) + "\n")
         for q in items:
             row = {

@@ -24,7 +24,10 @@ deterministic hashing embedder (character n-grams feature-hashed into a
 fixed dimension) used for tests and offline runs. The HTTP embedder posts
 through ``llm_gateway``'s client and retry helper, as the chat provider
 does; a failure left after the retries, or a malformed reply, is an
-:class:`EmbedIndexError`.
+:class:`EmbedIndexError`. It decodes each reply into its rows of one
+preallocated float32 result before the next post, so embedding a corpus
+holds the result plus one reply, and checks each reply on its own: one row
+per input, indexed ``0..n-1``, all of the index's dim.
 :func:`embed` checks that a provider returns one unit row per text.
 
 The hashing embedder works on blocks of texts, with a fixed number of numpy
@@ -52,7 +55,7 @@ from typing import BinaryIO, Callable, Protocol, Sequence
 
 import numpy as np
 
-from anchor_rag.corpus import Chunk
+from anchor_rag.corpus import Chunk, write_atomically
 from anchor_rag.llm_gateway import GatewayError, HttpClient, with_retries
 from anchor_rag.prompt_kit import ReasoningTriple
 
@@ -243,7 +246,16 @@ class HashingEmbedder:
 
 class RemoteEmbedder:
     """OpenAI-compatible ``/embeddings`` endpoint client: one retried post
-    per batch of ``batch_size`` texts."""
+    per batch of ``batch_size`` texts, sent one after another.
+
+    Each reply is decoded to a float64 block, checked (exactly one row per
+    input, ``index`` values ``0..n-1``, numeric rows of one length equal to
+    ``dim``), L2-normalized (a zero row is kept as zeros) and cast into its
+    rows of the float32 result, which is allocated once the first reply
+    sets ``dim`` when it was not given. The reply is dropped before the
+    next post. A row is normalized in float64 on its own, so the result is
+    bit-identical to normalizing every row at once.
+    """
 
     def __init__(
         self,
@@ -263,29 +275,49 @@ class RemoteEmbedder:
         self._http = HttpClient(base_url, api_key, timeout_s)
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        rows: list[list[float]] = []
+        out = None
         for i in range(0, len(texts), self.batch_size):
-            payload = {"model": self.model, "input": list(texts[i : i + self.batch_size])}
+            batch = list(texts[i : i + self.batch_size])
+            payload = {"model": self.model, "input": batch}
             try:
                 body = with_retries(lambda: self._http.post("/embeddings", payload))
-                rows.extend(row["embedding"] for row in sorted(body["data"], key=lambda row: row["index"]))
             except GatewayError as exc:
                 raise EmbedIndexError(f"embedding request failed: {exc}") from exc
-            except (KeyError, TypeError) as exc:
-                raise EmbedIndexError(f"malformed embeddings reply: {exc!r}") from exc
-        try:
-            matrix = np.asarray(rows, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise EmbedIndexError(f"embedding endpoint returned a malformed batch: {exc}") from exc
-        if matrix.ndim != 2:
-            raise EmbedIndexError(f"embedding endpoint returned a malformed batch of shape {matrix.shape}")
-        if self.dim == 0:
-            self.dim = matrix.shape[1]
-        if matrix.shape[1] != self.dim:
-            raise EmbedIndexError(f"endpoint returned dim {matrix.shape[1]}, expected {self.dim}")
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        return (matrix / norms).astype(np.float32)
+            block = _decode_embeddings(body, len(batch))
+            del body  # not kept alive through the next post
+            if self.dim == 0:
+                self.dim = block.shape[1]
+            if block.shape[1] != self.dim:
+                raise EmbedIndexError(f"endpoint returned dim {block.shape[1]}, expected {self.dim}")
+            if out is None:
+                out = np.empty((len(texts), self.dim), dtype=np.float32)
+            norms = np.linalg.norm(block, axis=1, keepdims=True)
+            norms[norms == 0.0] = 1.0
+            out[i : i + len(batch)] = block / norms
+        return out if out is not None else np.empty((0, self.dim), dtype=np.float32)
+
+
+def _decode_embeddings(body: dict, n: int) -> np.ndarray:
+    """The float64 rows of one ``/embeddings`` reply to ``n`` inputs, in
+    input order. The reply must hold exactly one row per input, with
+    ``index`` values ``0..n-1``, each a list of numbers of one length."""
+    try:
+        data = sorted(body["data"], key=lambda row: row["index"])
+        indices = [row["index"] for row in data]
+        embeddings = [row["embedding"] for row in data]
+    except (KeyError, TypeError) as exc:
+        raise EmbedIndexError(f"malformed embeddings reply: {exc!r}") from exc
+    if len(data) != n:
+        raise EmbedIndexError(f"provider returned {len(data)} rows for {n} texts in one /embeddings reply")
+    if indices != list(range(n)):
+        raise EmbedIndexError(f"/embeddings reply rows are not indexed 0..{n - 1}")
+    try:
+        block = np.asarray(embeddings, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise EmbedIndexError(f"embedding endpoint returned a malformed batch: {exc}") from exc
+    if block.ndim != 2 or block.shape[1] == 0:
+        raise EmbedIndexError(f"embedding endpoint returned a malformed batch of shape {block.shape}")
+    return block
 
 
 def embed(texts: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
@@ -394,9 +426,8 @@ class Index:
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         provider_bytes = self.provider_id.encode("utf-8")
-        with path.open("wb") as fh:
+        with write_atomically(path, "wb") as fh:
             fh.write(INDEX_MAGIC)
             fh.write(struct.pack("<IIQ", INDEX_VERSION, self.dim, len(self.ids)))
             fh.write(struct.pack("<I", len(provider_bytes)))
@@ -406,8 +437,7 @@ class Index:
                 fh.write(struct.pack("<I", len(raw)))
                 fh.write(raw)
             fh.write(self._matrix.data)
-        sidecar = path.with_name(path.name + ".manifest.jsonl")
-        with sidecar.open("w", encoding="utf-8") as fh:
+        with write_atomically(path.with_name(path.name + ".manifest.jsonl")) as fh:
             header = {
                 "kind": "embed_index_manifest",
                 "schema_version": INDEX_VERSION,

@@ -600,8 +600,9 @@ def test_build_index_survives_a_flaky_embedder(workspace, loopback, no_sleep):
         ({}, "malformed embeddings reply: KeyError('data')"),
         (b"<html>", "reply is not a JSON object"),
         ({"data": [{"index": 0, "embedding": [1.0, 0.0]}]}, "provider returned 1 rows for"),
+        ({"data": [{"index": 0, "embedding": [1.0, 0.0]}] * 10}, "rows are not indexed 0..9"),
     ],
-    ids=["empty_object", "not_json", "too_few_rows"],
+    ids=["empty_object", "not_json", "too_few_rows", "every_index_zero"],
 )
 def test_build_index_malformed_embeddings_is_one_error_line(workspace, loopback, capsys, body, expected):
     loopback.routes["/embeddings"] = lambda payload: reply(body=body)

@@ -21,6 +21,7 @@ from anchor_rag.corpus import (
     write_chunk_manifest,
     write_question_file,
 )
+from anchor_rag.embed_index import HashingEmbedder, build_index
 
 TOK = WordPunctTokenizer()
 
@@ -494,6 +495,55 @@ def test_question_file_round_trip(tmp_path):
     write_question_file(items, path, meta={"seed": 1})
     loaded, header = read_question_file(path)
     assert loaded == items and header["seed"] == 1
+
+
+class InterruptedAfter(list):
+    """A list whose iteration raises KeyboardInterrupt once ``left`` items
+    have been yielded, counted over every iteration: Ctrl-C midway through
+    a write."""
+
+    def __init__(self, items, left):
+        super().__init__(items)
+        self.left = left
+
+    def __iter__(self):
+        for item in super().__iter__():
+            if self.left == 0:
+                raise KeyboardInterrupt
+            self.left -= 1
+            yield item
+
+
+def write_output(target, out_dir, n, wrap=list):
+    """Write the file named ``target`` with ``n`` rows, their sequence passed through ``wrap``."""
+    if target == "questions.jsonl":
+        write_question_file(wrap(make_items(n)), out_dir / target)
+        return
+    chunks = build_corpus([make_doc(120, "a"), make_doc(90, "b"), make_doc(60, "c")])[:n]
+    if target == "chunks.jsonl":
+        write_chunk_manifest(wrap(chunks), out_dir / target, 400, 50, TOK.tokenizer_id)
+    else:
+        index = build_index(chunks, HashingEmbedder(dim=16))
+        index.ids = wrap(index.ids)
+        index.save(out_dir / "index.bin")
+
+
+@pytest.mark.parametrize(
+    "target, left",
+    [("chunks.jsonl", 1), ("questions.jsonl", 1), ("index.bin", 1), ("index.bin.manifest.jsonl", 4)],
+)
+def test_interrupted_write_keeps_the_previous_file(tmp_path, target, left):
+    # ``left`` rows pass before the interrupt; the sidecar is written after
+    # index.bin has iterated all 3 ids.
+    write_output(target, tmp_path, 2)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(KeyboardInterrupt):
+        write_output(target, tmp_path, 3, lambda items: InterruptedAfter(items, left))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)  # no temp file left
+    assert (tmp_path / target).read_bytes() == before[target]
+    write_output(target, tmp_path, 3)
+    assert (tmp_path / target).read_bytes() != before[target]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
 
 
 def test_manifest_kind_checked(tmp_path):

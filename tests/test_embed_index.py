@@ -592,6 +592,7 @@ def fake_embeddings_endpoint():
     FakeEmbeddingsHandler.seen_payloads = []
     yield f"http://127.0.0.1:{server.server_address[1]}/v1"
     server.shutdown()
+    server.server_close()
 
 
 def test_remote_embedder_round_trip(fake_embeddings_endpoint):
@@ -670,14 +671,54 @@ def test_remote_embedder_retries_server_errors_and_rate_limits(loopback, monkeyp
         {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [1.0]}]},
         {"data": []},
         {"data": [{"index": 0, "embedding": [1.0, 0.0]}]},
+        {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 0, "embedding": [0.0, 1.0]}]},
     ],
-    ids=["empty_object", "not_json", "no_embedding", "no_index", "not_numeric", "ragged", "no_rows", "too_few_rows"],
+    ids=["empty_object", "not_json", "no_embedding", "no_index", "not_numeric", "ragged", "no_rows", "too_few_rows",
+         "repeated_index"],
 )
 def test_remote_embedder_malformed_reply_is_embed_index_error(loopback, body):
     loopback.routes["/embeddings"] = lambda payload: reply(body=body)
     with pytest.raises(EmbedIndexError):
         embed(["one", "two"], RemoteEmbedder(base_url=loopback.url, model="m"))
     assert len(loopback.seen) == 1  # not retried
+
+
+def embeddings_body(rows) -> dict:
+    return {"data": [{"index": i, "embedding": row} for i, row in enumerate(rows)]}
+
+
+def test_remote_embedder_refuses_replies_that_shift_rows_between_batches(loopback):
+    # 4 texts in batches of 2: one row short, then one row long. The total is
+    # right, so only a per-reply check sees that rows belong to other texts.
+    rows = HashingEmbedder(dim=16).embed_batch(["a b", "c d", "e f", "g h"]).tolist()
+    loopback.queued["/embeddings"] += [reply(body=embeddings_body(rows[:1])), reply(body=embeddings_body(rows[1:]))]
+    with pytest.raises(EmbedIndexError, match="1 rows for 2 texts"):
+        embed(["a b", "c d", "e f", "g h"], RemoteEmbedder(base_url=loopback.url, model="m", batch_size=2))
+    assert len(loopback.seen) == 1  # refused before the next post
+
+
+def test_remote_embedder_holds_one_reply_at_a_time(loopback):
+    # 2000 texts at dim 256 in 16 batches of 128. Every reply is built before
+    # tracing starts, so the peak shows what the client holds: the float32
+    # output plus the decode of one reply (under 7 replies' JSON size here),
+    # not every row of every reply as Python floats (about 70 at the parent).
+    texts = [f"passage {i} about topic {i % 97} and entity {i * 7 % 131}" for i in range(2000)]
+    rows = HashingEmbedder(dim=256).embed_batch(texts)
+    replies = {
+        texts[i]: reply(body=embeddings_body(rows[i : i + 128].tolist())) for i in range(0, len(texts), 128)
+    }
+    reply_bytes = max(len(raw) for _, _, raw in replies.values())
+    loopback.routes["/embeddings"] = lambda payload: replies[payload["input"][0]]
+    provider = RemoteEmbedder(base_url=loopback.url, model="m", batch_size=128)
+    embed(texts[:128], provider)  # opens the connection and sets the dim outside the traced call
+    tracemalloc.start()
+    try:
+        vectors = embed(texts, provider)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(vectors, rows, atol=1e-6)
+    assert peak < vectors.nbytes + 8 * reply_bytes, f"peak {peak} bytes for a {vectors.nbytes}-byte output"
 
 
 class ShortEmbedder:

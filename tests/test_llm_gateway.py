@@ -330,6 +330,7 @@ def fake_endpoint():
     FakeChatHandler.fail_once = {"count": 0}
     yield f"http://127.0.0.1:{server.server_address[1]}/v1"
     server.shutdown()
+    server.server_close()
 
 
 def test_openai_provider_round_trip(fake_endpoint):
