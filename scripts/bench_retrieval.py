@@ -16,7 +16,9 @@ Timings, each a median over repeated calls after a warm-up:
 - the tokenizer: ``count`` over a standard-RAG prompt (the question and k
   retrieved 400-token chunks, system and user text, as the scripted
   provider counts it) and ``chunk_document`` of a 3,000-token document into
-  400/50 windows.
+  400/50 windows; once over ASCII text and once (``tokenizer_unicode``, from
+  its own seeded generator) over accented names, curly quotes, em dashes
+  and one CJK title.
 
 Queries are short strings of random words embedded by the hashing embedder,
 so search times include embedding the query. Each run is stored under
@@ -61,6 +63,15 @@ WORDS = (
     "anchor breeze canyon dune ivory jasper kestrel lagoon mosaic nectar orchid prairie quartz russet "
     "saffron tundra university football conference stadium plays_for born_in capital_of married_to"
 ).split()
+ASCII_PUNCTUATION = ",.;()'-"
+# Accented names, curly quotes and em dashes, as in the titles and text of the
+# Wikipedia passages the QA datasets draw on.
+UNICODE_WORDS = (
+    "Zoë Ångström Dvořák Łódź São_Paulo Müller Čapek Ibáñez Øresund Šibenik naïve café façade Brontë Pérez "
+    "Gödel Ærø Kraków Ñuñoa Yıldız river stone castle university football conference stadium born_in"
+).split()
+UNICODE_PUNCTUATION = ("\u201c", "\u201d", "\u2019", "\u2014", "\u2013", ",", ".", "(", ")")
+UNICODE_TITLES = ["Zoë Dvořák", "Łódź Kaliska", "東京大学", "Ibáñez — Pérez", "“Øresund” Bridge"]
 
 
 def machine() -> dict:
@@ -140,25 +151,25 @@ def bench_embed_build_batch(repeats: int, rng: random.Random) -> dict:
     }
 
 
-def prose(tokens: int, rng: random.Random) -> str:
+def prose(tokens: int, rng: random.Random, words=WORDS, punctuation=ASCII_PUNCTUATION) -> str:
     """Words with punctuation between some of them, ``tokens`` tokens long."""
     out: list[str] = []
     while len(out) < tokens:
-        out.append(rng.choice(WORDS))
+        out.append(rng.choice(words))
         if len(out) < tokens and rng.random() < 0.2:
-            out.append(rng.choice(",.;()'-"))
+            out.append(rng.choice(punctuation))
     return " ".join(out)
 
 
-def bench_tokenizer(rng: random.Random) -> dict:
+def bench_tokenizer(rng: random.Random, titles: list[str], **text) -> dict:
     def count_prompt(prompt) -> int:
         return DEFAULT_TOKENIZER.count(prompt.system_text) + DEFAULT_TOKENIZER.count(prompt.user_text)
 
-    docs = [Document(doc_id=f"d{i}", title=f"Title {i}", text=prose(400, rng)) for i in range(K)]
+    docs = [Document(doc_id=f"d{i}", title=t, text=prose(400, rng, **text)) for i, t in enumerate(titles)]
     chunks = [c for d in docs for c in chunk_document(d)]
-    question = QAItem(question_id="q", question=prose(16, rng), gold_answer="x")
+    question = QAItem(question_id="q", question=prose(16, rng, **text), gold_answer="x")
     prompt = render_standard_rag(question, chunks)
-    document = Document(doc_id="long", title="Long", text=prose(DOCUMENT_TOKENS, rng))
+    document = Document(doc_id="long", title="Long", text=prose(DOCUMENT_TOKENS, rng, **text))
     count_prompt(prompt)
     chunk_document(document)
     return {
@@ -195,7 +206,10 @@ def main() -> int:
         },
         "hashing_embed_one_query": bench_embed_one_query(random.Random(SEED)),
         "hashing_embed_build_batch": bench_embed_build_batch(args.embed_repeats, random.Random(SEED)),
-        "tokenizer": bench_tokenizer(rng),
+        "tokenizer": bench_tokenizer(rng, [f"Title {i}" for i in range(K)]),
+        "tokenizer_unicode": bench_tokenizer(
+            random.Random(SEED), UNICODE_TITLES, words=UNICODE_WORDS, punctuation=UNICODE_PUNCTUATION
+        ),
     }
 
     out = Path(args.out)

@@ -5,6 +5,11 @@ Every context passage of a loaded QA dataset becomes one :class:`Document`
 windows that overlap by a configurable stride. Chunk offsets are token
 indices under a pluggable tokenizer; the tokenizer id is recorded on every
 chunk so indexes built with different tokenizers can never be mixed.
+
+The default tokenizer, ``wordpunct-v1``, is defined by one regex and runs
+as numpy over a per-character class array whose classes are taken from
+that regex: from a 256-entry table for U+0000–U+00FF, and for wider code
+points from a module-level memo filled the first time each is met.
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ import random
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Protocol, Sequence
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -43,30 +49,85 @@ class Tokenizer(Protocol):
     def count(self, text: str) -> int: ...
 
 
+_SPACE, _WORD, _PUNCT = 0, 1, 2
+
+
 class WordPunctTokenizer:
     """Whitespace-plus-punctuation word splitter.
 
-    Words (``\\w+``) and individual punctuation characters are separate
-    tokens; whitespace is never a token. Spans index into the original text.
+    The tokens are those of ``_pattern``: words (``\\w+``) and individual
+    punctuation characters are separate tokens; whitespace is never a token.
+    Spans index into the original text.
 
-    Neither method builds a per-token object: ``count`` takes the length of
-    ``findall``, and ``spans`` splits the text on a capturing pattern into
-    alternating gaps and tokens, whose running lengths are the offsets.
+    Neither method runs the pattern per token. Each character of the text is
+    given one class (space, word or punctuation, see :func:`_char_class`,
+    which asks ``_pattern`` itself), and both methods read token boundaries
+    off that class array with numpy: a token starts at every punctuation
+    character and at every word character not preceded by one, and ends
+    likewise. The classes of U+0000–U+00FF come from a 256-entry table built
+    at import; wider code points are classified once each, as they first
+    appear, and memoized for the life of the process.
     """
 
     tokenizer_id = "wordpunct-v1"
     _pattern = re.compile(r"\w+|[^\w\s]", re.UNICODE)
-    _splitter = re.compile(f"({_pattern.pattern})", re.UNICODE)
 
     def spans(self, text: str) -> tuple[list[int], list[int]]:
         """Start and end character offsets of every token, in order."""
-        # split() yields gap, token, gap, ..., token, gap; offsets[2i + 1]
-        # and offsets[2i + 2] are where token i starts and ends.
-        offsets = list(accumulate(map(len, self._splitter.split(text)), initial=0))
-        return offsets[1:-1:2], offsets[2::2]
+        cls, word = _classes(text)
+        return np.flatnonzero(cls > word[:-2]).tolist(), (np.flatnonzero(cls > word[2:]) + 1).tolist()
 
     def count(self, text: str) -> int:
-        return len(self._pattern.findall(text))
+        cls, word = _classes(text)
+        return int(np.count_nonzero(cls > word[:-2]))
+
+
+def _char_class(ch: str) -> int:
+    """The class of one character under ``WordPunctTokenizer._pattern``.
+
+    Only its word alternative can match two characters, and only a space
+    matches neither alternative.
+    """
+    pattern = WordPunctTokenizer._pattern
+    if pattern.fullmatch(ch * 2):
+        return _WORD
+    return _PUNCT if pattern.fullmatch(ch) else _SPACE
+
+
+_LATIN1_CLASSES = np.array([_char_class(chr(c)) for c in range(256)], dtype=np.uint8)
+# Code point -> class for code points above U+00FF, filled as they are met.
+# Threads may fill it at once without a lock: each key only ever gets the
+# one value _char_class gives it.
+_WIDE_CLASSES: dict[int, int] = {}
+
+
+def _wide_classes(codes: np.ndarray) -> np.ndarray:
+    memo = _WIDE_CLASSES
+    out = []
+    for c in codes.tolist():
+        cls = memo.get(c)
+        if cls is None:
+            cls = memo[c] = _char_class(chr(c))
+        out.append(cls)
+    return np.array(out, dtype=np.uint8)
+
+
+def _classes(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The class of every character of ``text``, and a 0/1 word flag per
+    character padded with one 0 at each end, so that ``word[:-2]`` and
+    ``word[2:]`` are the flags of each character's left and right neighbour.
+    """
+    # UTF-32 gives one unit per str character; surrogatepass keeps a lone
+    # surrogate (a valid str character, which _pattern sees as punctuation).
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    cls = _LATIN1_CLASSES.take(codes, mode="clip")
+    if codes.max(initial=0) > 0xFF:
+        wide = codes > 0xFF
+        distinct, inverse = np.unique(codes[wide], return_inverse=True)
+        cls[wide] = _wide_classes(distinct)[inverse]
+    word = np.zeros(len(cls) + 2, dtype=np.uint8)
+    word[1:-1] = cls == _WORD
+    return cls, word
 
 
 _TOKENIZERS: dict[str, Tokenizer] = {

@@ -203,11 +203,16 @@ class PipelineTrace:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PipelineTrace":
-        """Rebuild a trace; a missing field raises KeyError, extra keys are ignored."""
-        fields = {name: data[name] for name in cls.__dataclass_fields__}
-        fields["triples"] = [ReasoningTriple(subject=s, predicate=p, object=o) for s, p, o in data["triples"]]
-        fields["hits"] = [RetrievalHit(**h) for h in data["hits"]]
-        fields["usage"] = {stage: StageUsage(**u) for stage, u in data["usage"].items()}
+        """Rebuild a trace; extra keys are ignored.
+
+        A missing field takes its dataclass default, so a line written
+        before a field with a default was added still loads; a missing field
+        without a default raises TypeError.
+        """
+        fields = {name: data[name] for name in cls.__dataclass_fields__ if name in data}
+        fields["triples"] = [ReasoningTriple(subject=s, predicate=p, object=o) for s, p, o in data.get("triples", ())]
+        fields["hits"] = [RetrievalHit(**h) for h in data.get("hits", ())]
+        fields["usage"] = {stage: StageUsage(**u) for stage, u in data.get("usage", {}).items()}
         return cls(**fields)
 
 

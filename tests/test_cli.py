@@ -117,6 +117,28 @@ def test_run_refuses_overwrite_without_resume(workspace, capsys):
     assert rc == 0
 
 
+def test_run_resume_appends_to_traces_written_without_a_defaulted_field(workspace):
+    # A trace line written before a field with a default existed, e.g. one
+    # without `flags`, `saved_input_tokens` or `usage`, is kept as it is.
+    def run_system1(*extra):
+        return main(["run", "--questions", str(DATA / "questions.jsonl"), "--mode", "system1_only",
+                     "--provider", "scripted", "--fixtures", str(DATA / "scripted_fixtures.jsonl"),
+                     "--out", str(workspace / "s1.jsonl"), *extra])
+
+    assert run_system1() == 0
+    header, first, _ = (workspace / "s1.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    old = {k: v for k, v in json.loads(first).items() if k not in ("flags", "saved_input_tokens", "usage")}
+    kept = header + json.dumps(old, ensure_ascii=False) + "\n"
+    (workspace / "s1.jsonl").write_text(kept, encoding="utf-8")
+
+    assert run_system1("--resume") == 0
+    assert (workspace / "s1.jsonl").read_text(encoding="utf-8").startswith(kept)
+    _, traces = read_trace_file(workspace / "s1.jsonl")
+    assert sorted(t.question_id for t in traces) == ["ac-london", "bannan-conference"]
+    loaded = next(t for t in traces if t.question_id == old["question_id"])
+    assert (loaded.flags, loaded.saved_input_tokens, loaded.usage) == ({}, 0, {})
+
+
 @pytest.mark.parametrize("keep", [0, 3, 10, 30, 60, 3000, -1])
 def test_run_truncated_index_is_one_error_line(workspace, capsys, keep):
     raw = (workspace / "index.bin").read_bytes()

@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -85,6 +87,51 @@ def test_chunk_offsets_match_token_enumeration(text, chunk_size, stride):
         assert (c.start_char, c.end_char) == (expected[c.start_token][0], expected[c.end_token - 1][1])
         assert c.text == doc.text[c.start_char : c.end_char]
     assert c.end_token == len(expected)
+
+
+def test_every_code_point_matches_token_enumeration(monkeypatch):
+    # st.characters() never draws a lone surrogate, so only this test checks
+    # them. Each code point c is put after a word character, before and after
+    # a space and a punctuation mark, and before a word character.
+    monkeypatch.setattr(corpus, "_WIDE_CLASSES", {})
+    step = 0x8000
+    for first in range(0, 0x110000, step):
+        text = "".join(f"a{c} {c}.{c}a" for c in map(chr, range(first, first + step)))
+        expected = reference_spans(text)
+        where = f"U+{first:04X}..U+{first + step - 1:04X}"
+        assert TOK.count(text) == len(expected), f"count differs in {where}"
+        if list(zip(*TOK.spans(text))) != expected:  # no pytest diff of ~100k spans
+            pytest.fail(f"spans differ in {where}")
+        corpus._WIDE_CLASSES.clear()  # keep the memo to one slice
+
+
+def test_threads_filling_the_wide_class_memo_count_correctly(monkeypatch):
+    # Every thread classifies the same fresh code points, each from its own
+    # starting slice, so threads write the shared memo at the same time.
+    monkeypatch.setattr(corpus, "_WIDE_CLASSES", {})
+    slices = [range(start, start + 2000) for start in range(0x100, 0x20100, 2000)]
+    texts = ["".join(map(chr, s)) for s in slices]
+    expected = [len(re.findall(r"\w+|[^\w\s]", t)) for t in texts]
+    results: dict[int, list[int]] = {}
+
+    def count_all(i: int) -> None:
+        first = i * len(texts) // 4
+        counts = {k: TOK.count(texts[k]) for k in [*range(first, len(texts)), *range(first)]}
+        results[i] = [counts[k] for k in range(len(texts))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=count_all, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    assert all(counts == expected for counts in results.values())
 
 
 # --- chunk_document ------------------------------------------------------------

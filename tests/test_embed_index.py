@@ -774,3 +774,6 @@ def test_bench_retrieval_script_smoke(tmp_path):
     assert run["index"]["50"]["matrix_bytes"] == 50 * 256 * 4
     assert run["tokenizer"]["chunk_document"]["chunks"] == 9
     assert run["tokenizer"]["count_standard_rag_prompt"]["tokens"] > 5 * 400
+    assert run["tokenizer_unicode"]["chunk_document"]["chunks"] == 9
+    assert run["tokenizer_unicode"]["count_standard_rag_prompt"]["tokens"] > 5 * 400
+    assert run["tokenizer_unicode"]["count_standard_rag_prompt"]["median_ms"] > 0

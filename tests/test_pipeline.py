@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,8 @@ from anchor_rag.pipeline import (
     read_trace_file,
 )
 from anchor_rag.prompt_kit import ReasoningTriple
+
+DATA = Path(__file__).parent / "data"
 
 BANNAN_TRIPLES = [
     ReasoningTriple("Justin_Bannan", "played_college_football_for", "Penn_State_Nittany_Lions"),
@@ -510,6 +514,37 @@ def test_read_trace_file_rejects_corrupt_inner_line(tmp_path, scripted_provider,
         read_trace_file(path)
     with pytest.raises(PipelineError, match="line 2"):
         pipe.run_dataset(list(golden_questions.values()), trace_path=path, resume=True)
+
+
+def snapshot_trace_file(tmp_path, drop: str):
+    """The committed full-mode snapshot header and one trace line, without ``drop``."""
+    rows = [json.loads(line) for line in (DATA / "trace_snapshot.jsonl").read_text(encoding="utf-8").splitlines()]
+    header, line = [r for r in rows if r["case"] == "fixtures/full" and r.get("question_id") in (None, "bannan-conference")]
+    full = PipelineTrace.from_json_dict(line)
+    line = {k: v for k, v in line.items() if k != drop}
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
+    return path, full
+
+
+TRACE_FIELDS = dataclasses.fields(PipelineTrace)
+DEFAULTED = [f for f in TRACE_FIELDS if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING]
+
+
+@pytest.mark.parametrize("field", DEFAULTED, ids=[f.name for f in DEFAULTED])
+def test_trace_line_without_a_defaulted_field_loads_with_the_default(tmp_path, field):
+    path, full = snapshot_trace_file(tmp_path, field.name)
+    _, (trace,) = read_trace_file(path)
+    default = field.default if field.default is not dataclasses.MISSING else field.default_factory()
+    assert getattr(trace, field.name) == default
+    assert dataclasses.replace(trace, **{field.name: getattr(full, field.name)}) == full
+
+
+@pytest.mark.parametrize("name", [f.name for f in TRACE_FIELDS if f not in DEFAULTED])
+def test_trace_line_without_a_required_field_is_refused(tmp_path, name):
+    path, _ = snapshot_trace_file(tmp_path, name)
+    with pytest.raises(PipelineError, match=f"line 2 is not a valid trace: .*'{name}'"):
+        read_trace_file(path)
 
 
 def test_run_dataset_resume_rejects_other_config(tmp_path, scripted_provider, bannan_index, bannan_chunks, golden_questions):
