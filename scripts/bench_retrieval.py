@@ -4,7 +4,8 @@
 Timings, each a median over repeated calls after a warm-up:
 
 - ``Index.search`` (embed one query, score, select the top k) over N random
-  unit vectors of dimension 256, for each N in ``--sizes``, next to the
+  unit vectors of dimension 256, for each N in ``--sizes`` (3,000 is the
+  index size of the ``short_docs_full`` benchmark workload), next to the
   bytes of the arrays the index holds;
 - ``retrieve_for_queries`` with 4 queries (one question's triples) over the
   same index;
@@ -81,6 +82,7 @@ def machine() -> dict:
         "system": platform.system(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas_threads": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
 
 
@@ -187,7 +189,7 @@ def bench_tokenizer(rng: random.Random, titles: list[str], **text) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--sizes", type=int, nargs="+", default=[10_000, 50_000, 200_000], help="index rows")
+    parser.add_argument("--sizes", type=int, nargs="+", default=[3_000, 10_000, 50_000, 200_000], help="index rows")
     parser.add_argument("--queries", type=int, default=40, help="timed searches per size")
     parser.add_argument("--embed-texts", type=int, default=200, help="chunks per timed embedding batch")
     parser.add_argument("--embed-repeats", type=int, default=9, help="timed embedding batches per chunk length")

@@ -8,8 +8,9 @@ chunk so indexes built with different tokenizers can never be mixed.
 
 The default tokenizer, ``wordpunct-v1``, is defined by one regex and runs
 as numpy over a per-character class array whose classes are taken from
-that regex: from a 256-entry table for U+0000–U+00FF, and for wider code
-points from a module-level memo filled the first time each is met.
+that regex: from one table of every code point up to U+FFFF, filled the
+first time each is met (U+0000–U+00FF at import), and for wider code points
+from a module-level memo filled the same way.
 """
 
 from __future__ import annotations
@@ -64,9 +65,10 @@ class WordPunctTokenizer:
     which asks ``_pattern`` itself), and both methods read token boundaries
     off that class array with numpy: a token starts at every punctuation
     character and at every word character not preceded by one, and ends
-    likewise. The classes of U+0000–U+00FF come from a 256-entry table built
-    at import; wider code points are classified once each, as they first
-    appear, and memoized for the life of the process.
+    likewise. The classes come from one lookup in a 65,537-entry table, whose
+    U+0000–U+00FF entries are filled at import; any other code point is
+    classified once, as it first appears, and kept in the table (or, above
+    U+FFFF, in a dict) for the life of the process.
     """
 
     tokenizer_id = "wordpunct-v1"
@@ -94,20 +96,31 @@ def _char_class(ch: str) -> int:
     return _PUNCT if pattern.fullmatch(ch) else _SPACE
 
 
-_LATIN1_CLASSES = np.array([_char_class(chr(c)) for c in range(256)], dtype=np.uint8)
-# Code point -> class for code points above U+00FF, filled as they are met.
-# Threads may fill it at once without a lock: each key only ever gets the
-# one value _char_class gives it.
+# Code point -> class for every code point up to U+FFFF, filled as each is
+# first met; U+0000-U+00FF are filled at import. The last entry stays
+# _UNSEEN for good: ``take(..., mode="clip")`` sends every code point above
+# U+FFFF to it, and those are classified through _WIDE_CLASSES. Threads may
+# fill either without a lock: an entry only ever gets the one value
+# _char_class gives it.
+_UNSEEN = 255
+_CLASSES = np.full(0x10001, _UNSEEN, dtype=np.uint8)
+_CLASSES[:256] = [_char_class(chr(c)) for c in range(256)]
+# Code point -> class for code points above U+FFFF, filled as they are met.
 _WIDE_CLASSES: dict[int, int] = {}
 
 
-def _wide_classes(codes: np.ndarray) -> np.ndarray:
+def _unseen_classes(codes: np.ndarray) -> np.ndarray:
+    """The classes of distinct code points not yet in ``_CLASSES``, filling
+    its entries (or ``_WIDE_CLASSES`` above U+FFFF) as it goes."""
     memo = _WIDE_CLASSES
     out = []
     for c in codes.tolist():
-        cls = memo.get(c)
-        if cls is None:
-            cls = memo[c] = _char_class(chr(c))
+        if c < 0x10000:
+            cls = _CLASSES[c] = _char_class(chr(c))
+        else:
+            cls = memo.get(c)
+            if cls is None:
+                cls = memo[c] = _char_class(chr(c))
         out.append(cls)
     return np.array(out, dtype=np.uint8)
 
@@ -120,11 +133,11 @@ def _classes(text: str) -> tuple[np.ndarray, np.ndarray]:
     # UTF-32 gives one unit per str character; surrogatepass keeps a lone
     # surrogate (a valid str character, which _pattern sees as punctuation).
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    cls = _LATIN1_CLASSES.take(codes, mode="clip")
-    if codes.max(initial=0) > 0xFF:
-        wide = codes > 0xFF
-        distinct, inverse = np.unique(codes[wide], return_inverse=True)
-        cls[wide] = _wide_classes(distinct)[inverse]
+    cls = _CLASSES.take(codes, mode="clip")
+    if cls.max(initial=0) == _UNSEEN:
+        unseen = cls == _UNSEEN
+        distinct, inverse = np.unique(codes[unseen], return_inverse=True)
+        cls[unseen] = _unseen_classes(distinct)[inverse]
     word = np.zeros(len(cls) + 2, dtype=np.uint8)
     word[1:-1] = cls == _WORD
     return cls, word

@@ -6,13 +6,17 @@ Vectors are unit-normalized and held in float32, the precision stored on
 disk; there is no float64 copy. A search is two steps, as in FAISS
 ``IndexFlatIP`` with a refinement pass:
 
-1. Candidates: one float32 matrix-vector product scores every row, and
-   ``np.partition`` finds the k-th largest score. Every row within a
-   proven margin of it is kept. A float32 score differs from the exact
-   dot product by at most (γ_dim,f32 + u_f32)·‖row‖·‖q‖ (the float32 dot
+1. Candidates: every row is scored against all of a question's queries
+   at once, by float32 products over blocks of rows into one query-major
+   score block, and ``np.partition`` finds each query's k-th largest
+   score. Every row within a proven margin of it is kept. A float32 score
+   differs from the exact dot product by at most
+   (γ_dim,f32 + u_f32)·‖row‖·‖q‖ (the float32 dot, summed in any order,
    plus rounding the query to float32) and the float64 rescore by at most
    γ_dim,f64·‖row‖·‖q‖, so a row whose float32 score lies more than twice
-   their sum below the k-th cannot enter the float64 top k.
+   their sum below the k-th cannot enter the float64 top k. The bound
+   holds for any summation order, so how the product is blocked never
+   changes which rows can be in the result.
 2. Rescoring: the candidates are scored again in float64 by an
    elementwise product and numpy's pairwise sum, which depends only on the
    row and the query (a BLAS product over a subset of rows can round a
@@ -67,6 +71,17 @@ QUERY_STYLES = ("space", "pipe")
 # Unit roundoff of float32 and float64.
 _U32 = float(np.finfo(np.float32).eps) / 2
 _U64 = float(np.finfo(np.float64).eps) / 2
+
+# Scores written per float32 product in Index._top_k: a block holds
+# _BLOCK_SCORES // m rows for m queries. With OpenBLAS 0.3.31 on a 2-core
+# x86-64 Xeon (one BLAS thread), a product of m >= 2 queries by r rows runs
+# about three times slower per score once m·r passes about 1,200, at dim 64,
+# 256 and 768 alike. At 3,000 rows of dim 256 and 4 queries, four
+# matrix-vector products take 0.65 ms, one product over all rows 0.33-0.80
+# ms (by operand order), 512-row blocks 0.80 ms and 256-row blocks 0.25 ms.
+# One query's product is a matrix-vector product and has no such knee, so it
+# is not split: 1,024-row blocks would add 10% at 10k-50k rows.
+_BLOCK_SCORES = 1024
 
 
 def _gamma(n: int, u: float) -> float:
@@ -385,39 +400,63 @@ class Index:
     def search(self, query: str, k: int = 5, vector: np.ndarray | None = None) -> list[RetrievalHit]:
         """Top-k by exact cosine; ties broken by ascending chunk id.
 
-        Every row is scored in float32 and ``np.partition`` finds the k-th
-        largest score. The rows within the candidate margin of it (see the
-        module docstring) are rescored in float64 and sorted by (-score,
-        chunk id), so the result and its scores are those of a float64
-        search over every row. ``vector`` is the query's embedding when
-        the caller already has it (``retrieve_for_queries`` embeds all its
-        queries in one call); otherwise the query is embedded here.
+        The one-query case of :meth:`_top_k`, so the result and its scores
+        are those of a float64 search over every row. ``vector`` is the
+        query's embedding when the caller already has it; otherwise the
+        query is embedded here.
         """
         _check_query(query, k)
         if vector is None:
             vector = embed([query], self.provider)[0]
-        q = np.asarray(vector, dtype=np.float64)
-        if q.shape[0] != self.dim:
-            raise EmbedIndexError(f"query dim {q.shape[0]} does not match index dim {self.dim}")
-        n = len(self.ids)
+        (ranked,) = self._top_k(np.reshape(vector, (1, -1)), k)
+        return [RetrievalHit(chunk_id=cid, score=score, query_index=0) for cid, score in ranked]
+
+    def _top_k(self, vectors: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
+        """Each query's top k as ranked ``(chunk_id, score)`` pairs, for an
+        (m, dim) block of query embeddings.
+
+        Every row is scored against all m queries in float32, a block of
+        rows per product (see ``_BLOCK_SCORES``), into one (m, n) score
+        block, and ``np.partition`` finds each query's k-th largest score.
+        Each query keeps the rows within its own candidate margin (see the
+        module docstring), rescores them in float64 and sorts them by
+        (-score, chunk id), so a row's score and rank depend only on that
+        row and its query. This is the only selection path: ``search`` and
+        ``retrieve_for_queries`` both go through it, and a tracer can time
+        all retrieval by patching this one method.
+        """
+        queries = np.asarray(vectors, dtype=np.float64)
+        if queries.ndim != 2 or queries.shape[1] != self.dim:
+            raise EmbedIndexError(f"query dim {queries.shape[-1]} does not match index dim {self.dim}")
+        n, m = len(self.ids), len(queries)
         if k < n:
-            scores = self._matrix @ q.astype(np.float32)
-            kth = float(np.partition(scores, n - k)[n - k])
-            floor = kth - self._margin_per_query_norm * float(np.linalg.norm(q))
-            # Round the floor down to float32, never up, so no row inside
-            # the margin is dropped by the comparison. (float() matters: a
-            # float32 compared with a Python float rounds the float first.)
-            floor32 = np.float32(floor)
-            if float(floor32) > floor:
-                floor32 = np.nextafter(floor32, np.float32(-np.inf))
-            rows = np.flatnonzero(scores >= floor32)
+            # Query-major, so each query's partition and comparison read
+            # one contiguous row.
+            scores = np.empty((m, n), dtype=np.float32)
+            queries32 = queries.astype(np.float32)
+            block = n if m == 1 else max(1, _BLOCK_SCORES // m)
+            for start in range(0, n, block):
+                np.matmul(queries32, self._matrix[start : start + block].T, out=scores[:, start : start + block])
+            kths = np.partition(scores, n - k, axis=1)[:, n - k].tolist()
+            candidates = []
+            for row_scores, kth, q in zip(scores, kths, queries):
+                floor = kth - self._margin_per_query_norm * float(np.linalg.norm(q))
+                # Round the floor down to float32, never up, so no row inside
+                # the margin is dropped by the comparison. (float() matters: a
+                # float32 compared with a Python float rounds the float first.)
+                floor32 = np.float32(floor)
+                if float(floor32) > floor:
+                    floor32 = np.nextafter(floor32, np.float32(-np.inf))
+                candidates.append(np.flatnonzero(row_scores >= floor32))
         else:
-            rows = np.arange(n)
-        exact = (self._matrix[rows] * q).sum(axis=1)
-        order = sorted(range(len(rows)), key=lambda j: (-exact[j], self.ids[rows[j]]))
-        return [
-            RetrievalHit(chunk_id=self.ids[rows[j]], score=float(exact[j]), query_index=0) for j in order[:k]
-        ]
+            candidates = [np.arange(n)] * m
+        ranked = []
+        for q, rows in zip(queries, candidates):
+            exact = (self._matrix[rows] * q).sum(axis=1).tolist()
+            ids = [self.ids[r] for r in rows.tolist()]
+            order = sorted(range(len(ids)), key=lambda i: (-exact[i], ids[i]))
+            ranked.append([(ids[i], exact[i]) for i in order[:k]])
+        return ranked
 
     # --- persistence -------------------------------------------------------
     # Binary layout: magic, version, dim, count, provider id, id table,
@@ -522,24 +561,19 @@ def retrieve_for_queries(index: Index, queries: Sequence[str], k_per_query: int 
     """Per-query top-k plus the de-duplicated union of chunk ids.
 
     All queries are embedded in one ``embed`` call (one ``/embeddings``
-    round trip for a remote provider), then each is searched on its own.
-    Union order is first occurrence: query order, then rank order within a
-    query. The full hit lists are returned for tracing.
+    round trip for a remote provider) and scored together by one
+    ``Index._top_k`` call; each query's hits are those ``Index.search``
+    gives it alone. Union order is first occurrence: query order, then rank
+    order within a query. The full hit lists are returned for tracing.
     """
     if not queries:
         raise EmbedIndexError("no queries to retrieve for")
     for query in queries:
         _check_query(query, k_per_query)
     vectors = embed(queries, index.provider)
-    ordered: list[str] = []
-    seen: set[str] = set()
-    hits: list[RetrievalHit] = []
-    for qi, (query, vector) in enumerate(zip(queries, vectors)):
-        for hit in index.search(query, k=k_per_query, vector=vector):
-            hit = RetrievalHit(chunk_id=hit.chunk_id, score=hit.score, query_index=qi)
-            hits.append(hit)
-            if hit.chunk_id not in seen:
-                seen.add(hit.chunk_id)
-                ordered.append(hit.chunk_id)
-    return ordered, hits
-
+    hits = [
+        RetrievalHit(chunk_id=cid, score=score, query_index=qi)
+        for qi, ranked in enumerate(index._top_k(vectors, k_per_query))
+        for cid, score in ranked
+    ]
+    return list(dict.fromkeys(hit.chunk_id for hit in hits)), hits

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence, TextIO, get_args, get_type_hints
 
 from anchor_rag.corpus import DEFAULT_TOKENIZER, Chunk, QAItem, Tokenizer, get_tokenizer
-from anchor_rag.embed_index import EmbedIndexError, Index, RetrievalHit, retrieve_for_queries, triple_query
+from anchor_rag.embed_index import QUERY_STYLES, EmbedIndexError, Index, RetrievalHit, retrieve_for_queries, triple_query
 from anchor_rag.llm_gateway import (
     ChatProvider,
     ChatRequest,
@@ -113,6 +113,8 @@ class RunConfig:
             raise PipelineError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.k_per_triple < 1:
             raise PipelineError("k_per_triple must be >= 1")
+        if self.query_style not in QUERY_STYLES:
+            raise PipelineError(f"unknown query style {self.query_style!r}; expected one of {QUERY_STYLES}")
         if self.confidence_threshold is not None and self.confidence_threshold < 0:
             raise PipelineError("confidence threshold must be >= 0 (or None to disable)")
         if self.concurrency < 1:

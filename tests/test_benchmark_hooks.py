@@ -5,6 +5,10 @@ and ``perfbench/gen.py`` reads the stage system prompts through
 ``prompt_kit.DEFAULT_LIBRARY``. Renaming or deleting one of those names
 breaks ``perfbench/run.py --trace 1`` or the remote workload; these tests
 make it fail in the unit suite too.
+
+``embed_index.Index._top_k`` is the hook benchmark v2's tracer will patch:
+every search and every question's retrieval selects its hits there, so
+timing that one method times all of retrieval.
 """
 
 import importlib.util
@@ -12,7 +16,7 @@ import sys
 from pathlib import Path
 
 import anchor_rag
-from anchor_rag import prompt_kit
+from anchor_rag import embed_index, prompt_kit
 from anchor_rag.corpus import QAItem
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -62,3 +66,7 @@ def test_workload_generator_template_lookup():
     assert system1 == prompt_kit.render_system1(q).system_text
     for stage in ("system1", "triple_gen", "system2"):
         assert prompt_kit.DEFAULT_LIBRARY.pair(stage) == prompt_kit.template_pair(stage)
+
+
+def test_retrieval_hook_for_benchmark_v2_exists():
+    assert callable(embed_index.Index.__dict__["_top_k"])

@@ -537,6 +537,24 @@ def test_run_config_with_bad_values_is_one_error_line(workspace, capsys, config,
     assert not (workspace / "bad_config_run.jsonl").exists()
 
 
+def test_run_unknown_query_style_fails_before_any_question(workspace, capsys, monkeypatch):
+    calls = []
+    original = ScriptedProvider.complete
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScriptedProvider, "complete", counted)
+    path = workspace / "config.json"
+    path.write_text(json.dumps({"query_style": "bogus"}), encoding="utf-8")
+    rc, out = run_full(workspace, "bad_style_run.jsonl", extra=("--config", str(path)))
+    assert rc == 1
+    assert error_lines(capsys) == ["error: unknown query style 'bogus'; expected one of ('space', 'pipe')"]
+    assert not out.exists()
+    assert calls == []
+
+
 def test_run_config_limits_are_used(workspace):
     path = workspace / "config.json"
     path.write_text(json.dumps({"limits": {"system1": 32, "triple_gen": 128, "system2": 512}}), encoding="utf-8")

@@ -357,6 +357,47 @@ def test_rescored_score_does_not_depend_on_the_other_candidates():
     assert len(seen) == n
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    m=st.integers(1, 8),
+    dim=st.sampled_from([2, 7, 64, 256]),
+    query_dtype=st.sampled_from([np.float32, np.float64]),
+    block_scores=st.sampled_from([1, 7, 64, embed_index._BLOCK_SCORES]),
+)
+def test_top_k_of_a_query_block_matches_each_query_searched_alone(seed, n, m, dim, query_dtype, block_scores):
+    rng = np.random.default_rng(seed)
+    queries = (rng.standard_normal((m, dim)) * rng.uniform(0.1, 10.0, size=(m, 1))).astype(query_dtype)
+    # Row i comes from query i % m's planted rows, so every query meets near
+    # ties; then each query's best row is copied over another row, so its
+    # k = 1 boundary can be an exact tie.
+    planted = [planted_rows(rng, n, dim, q.astype(np.float64)) for q in queries]
+    rows = np.stack([planted[i % m][i] for i in range(n)])
+    for q in queries:
+        rows[rng.integers(n)] = rows[int(np.argmax(rows.astype(np.float64) @ q.astype(np.float64)))]
+    ids = [f"c{i:03d}" for i in rng.permutation(n)]
+    index = Index(ids, rows, UnusedProvider(dim))
+    exact = [exact_scores(rows, q) for q in queries]
+    for k in (1, n - 1, n, n + 3):
+        # Small blocks split the rows over several products.
+        with mock.patch.object(embed_index, "_BLOCK_SCORES", block_scores):
+            block = index._top_k(queries, k)
+        assert len(block) == m
+        for q, scores, ranked in zip(queries, exact, block):
+            assert ranked == [(h.chunk_id, h.score) for h in index.search("q", k=k, vector=q)]
+            expected = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:k]
+            assert [cid for cid, _ in ranked] == [ids[i] for i in expected]
+            for (_, score), i in zip(ranked, expected):
+                assert abs(score - float(scores[i])) <= 1e-12 * max(1.0, abs(float(scores[i])))
+
+
+def test_top_k_rejects_a_query_block_of_the_wrong_dim():
+    index = Index(["a", "b", "c"], np.eye(3, dtype=np.float32), UnusedProvider(3))
+    with pytest.raises(EmbedIndexError, match="query dim 4 does not match index dim 3"):
+        index._top_k(np.ones((2, 4)), k=1)
+
+
 def test_index_holds_only_the_float32_rows(tmp_path):
     chunks = soup_corpus(30, random.Random(5))
     provider = HashingEmbedder()
