@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Record peak RSS after each CLI step, for the local and the remote embedder.
+"""Record peak RSS and wall time of each CLI step, for the local and the remote embedder.
 
 Three cases, each on inputs that `perfbench/gen.py` generates for seed 7.
-Every repeat is a fresh process that runs the case's CLI steps in-process
-and reads `ru_maxrss` before the first step and after each step:
+Every repeat is a fresh process that runs the case's CLI steps in-process,
+reads `ru_maxrss` before the first step and after each step, and times each
+step with `time.perf_counter`:
 
 - `long_docs_standard_rag`: `ingest -> build-index -> run -> report` on a
   500-record MuSiQue JSONL of about 20 MB, hashing embedder, five repeats.
@@ -14,9 +15,10 @@ and reads `ru_maxrss` before the first step and after each step:
   a chunk manifest of about 50k chunks (the `remote_gated_c2` generator with
   794 records of 63 paragraphs), ingested once beforehand; three repeats.
 
-The medians are stored under `--label` in `runs` of the output file, next to
-the runs already there. `--src` picks the source tree to measure, so two
-commits can be measured back to back:
+The medians (`ru_maxrss_mb_median`, `wall_s_median`) and every sample are
+stored under `--label` in `runs` of the output file, next to the runs already
+there. `--src` picks the source tree to measure, so two commits can be
+measured back to back:
 
     python3 scripts/bench_ingest_rss.py --src /path/to/parent/src --label parent --out BENCH_ingest.json
     python3 scripts/bench_ingest_rss.py --label change --out BENCH_ingest.json
@@ -35,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -56,17 +59,20 @@ def maxrss_mb() -> float:
 
 
 def measure_pass(steps: dict[str, list[str]]) -> dict:
-    """Run the CLI steps in this process; peak RSS in MB before and after each step."""
+    """Run the CLI steps in this process: peak RSS in MB before and after
+    each step, and each step's wall time in seconds."""
     from anchor_rag import cli
 
-    rss = {"start": maxrss_mb()}
+    rss, wall = {"start": maxrss_mb()}, {}
     for name, argv in steps.items():
+        started = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
             rc = cli.main(argv)
+        wall[name] = time.perf_counter() - started
         if rc != 0:
             raise SystemExit(f"anchor-rag {argv[0]} exited with {rc}")
         rss[name] = maxrss_mb()
-    return rss
+    return {"rss": rss, "wall": wall}
 
 
 def pass_steps(w, inputs: Path, work: Path, endpoint: str | None) -> dict[str, list[str]]:
@@ -108,8 +114,10 @@ def repeat(steps_for, root: Path, repeats: int, env: dict) -> dict:
             env=env, capture_output=True, text=True, check=True, timeout=900,
         )
         samples.append(json.loads(proc.stdout))
-    return {"ru_maxrss_mb_median": {k: statistics.median(s[k] for s in samples) for k in samples[0]},
-            "ru_maxrss_mb_samples": samples}
+    rss, wall = [s["rss"] for s in samples], [s["wall"] for s in samples]
+    return {"ru_maxrss_mb_median": {k: statistics.median(s[k] for s in rss) for k in rss[0]},
+            "wall_s_median": {k: round(statistics.median(s[k] for s in wall), 4) for k in wall[0]},
+            "ru_maxrss_mb_samples": rss, "wall_s_samples": wall}
 
 
 def generate_apart(w, inputs: Path) -> dict:
@@ -182,7 +190,8 @@ def main() -> int:
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     doc.setdefault("runs", {})[args.label] = run
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print(json.dumps({args.label: {name: case["ru_maxrss_mb_median"] for name, case in cases.items()}}, indent=2))
+    print(json.dumps({args.label: {name: {key: case[key] for key in ("ru_maxrss_mb_median", "wall_s_median")}
+                                   for name, case in cases.items()}}, indent=2))
     return 0
 
 

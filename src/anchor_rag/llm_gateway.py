@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Callable, Protocol, Sequence, TypeVar
 
 import requests
+from urllib3.exceptions import HTTPError as Urllib3Error
 
 from anchor_rag.corpus import DEFAULT_TOKENIZER
 
@@ -160,8 +161,12 @@ class HttpClient:
     """JSON over HTTP to one base URL, with a kept-alive ``requests.Session``
     per thread (sessions are not documented as thread-safe) and the proxy and
     CA-bundle variables read once, by requests' rules (``.netrc`` is not read).
-    :meth:`post` raises :class:`TransportError` for a connection error, 429 or
-    5xx, and :class:`GatewayError` for other 4xx or a reply not a JSON object."""
+
+    :meth:`post_bytes` returns a reply's body and raises
+    :class:`TransportError` for a connection error, 429 or 5xx, and
+    :class:`GatewayError` for any other 4xx. :meth:`json_object` decodes a
+    body and raises :class:`GatewayError` unless it is a JSON object.
+    :meth:`post` is the two in turn."""
 
     def __init__(self, base_url: str, api_key: str | None, timeout_s: float):
         self.base_url = base_url.rstrip("/")
@@ -173,29 +178,50 @@ class HttpClient:
         self._local = threading.local()
 
     def post(self, path: str, payload: dict) -> dict:
+        return self.json_object(path, self.post_bytes(path, payload))
+
+    def post_bytes(self, path: str, payload: dict) -> bytes:
         session = getattr(self._local, "session", None)
         if session is None:
             session = self._local.session = requests.Session()
             session.trust_env = False
         url = self.base_url + path
         try:
-            resp = session.post(url, json=payload, headers=self._headers, timeout=self.timeout_s, **self._env)
-        except requests.RequestException as exc:
+            # The body is read in one urllib3 read, where requests would join
+            # it from 10 KiB chunks; so urllib3's errors (a body cut off or
+            # stalled mid-read) arrive unwrapped.
+            with session.post(url, json=payload, headers=self._headers, timeout=self.timeout_s, stream=True,
+                              **self._env) as resp:
+                if resp.status_code < 400:
+                    return resp.raw.read(decode_content=True)
+                message = f"{url}: HTTP {resp.status_code}: {resp.text[:200]}"
+        except (requests.RequestException, Urllib3Error) as exc:
             raise TransportError(f"POST {url} failed: {exc}") from exc
         except OSError as exc:  # a local setting requests cannot use, such as a missing CA bundle
             raise GatewayError(f"POST {url} failed: {exc}") from exc
-        if resp.status_code >= 400:
-            message = f"{url}: HTTP {resp.status_code}: {resp.text[:200]}"
-            if resp.status_code == 429 or resp.status_code >= 500:
-                raise TransportError(message, _retry_after(resp.headers.get("Retry-After")))
-            raise GatewayError(message)
+        if resp.status_code == 429 or resp.status_code >= 500:
+            raise TransportError(message, _retry_after(resp.headers.get("Retry-After")))
+        raise GatewayError(message)
+
+    def json_object(self, path: str, raw: bytes) -> dict:
+        """The JSON object in the body ``raw`` of a reply from ``path``."""
         try:
-            body = resp.json()
+            body = json.loads(raw)
         except ValueError:
             body = None
         if not isinstance(body, dict):
-            raise GatewayError(f"{url}: reply is not a JSON object: {resp.text[:200]!r}")
+            text = raw[:200].decode("utf-8", "replace")
+            raise GatewayError(f"{self.base_url + path}: reply is not a JSON object: {text!r}")
         return body
+
+    def close_session(self) -> None:
+        """Close and drop the calling thread's session, if it has one. (urllib3
+        2.x closes pooled connections when their pool is collected, not on
+        ``Session.close``; dropping the last reference collects it.)"""
+        session = getattr(self._local, "session", None)
+        if session is not None:
+            del self._local.session
+            session.close()
 
 
 def _retry_after(value: str | None) -> float | None:

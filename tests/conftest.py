@@ -57,6 +57,13 @@ def reply(status: int = 200, body=None, **headers) -> tuple[int, dict, bytes]:
     return status, {k.replace("_", "-"): v for k, v in headers.items()}, raw
 
 
+def cut_off(stub_reply: tuple[int, dict, bytes], missing: int = 100) -> tuple[int, dict, bytes]:
+    """``stub_reply`` with its connection closed ``missing`` bytes short of
+    its ``Content-Length``."""
+    status, headers, raw = stub_reply
+    return status, {**headers, "Content-Length": str(len(raw) + missing)}, raw
+
+
 def chat_reply(text: str = "<answer>Paris</answer>") -> tuple[int, dict, bytes]:
     usage = {"prompt_tokens": 5, "completion_tokens": 2}
     return reply(body={"choices": [{"message": {"content": text}}], "usage": usage})
@@ -72,9 +79,11 @@ class LoopbackEndpoint:
 
     A request whose path ends in a key of ``queued`` takes the first reply
     queued there; otherwise ``routes`` answers it: ``<answer>Paris</answer>``
-    for chat, hashing-embedder rows for embeddings. ``seen`` lists every
-    (path, payload), ``auth`` every Authorization header (None when absent)
-    and ``connections`` counts TCP connections.
+    for chat, hashing-embedder rows for embeddings. A reply may set its own
+    ``Content-Length``; one larger than its body closes the connection after
+    the body. ``seen`` lists every (path, payload), ``auth`` every
+    Authorization header (None when absent) and ``connections`` counts TCP
+    connections.
     """
 
     def __init__(self):
@@ -101,11 +110,12 @@ class LoopbackEndpoint:
                 queue = stub.queued[suffix]
                 status, headers, raw = queue.pop(0) if queue else stub.routes[suffix](payload)
                 self.send_response(status)
+                headers = {"Content-Length": str(len(raw)), **headers}
                 for key, value in headers.items():
                     self.send_header(key, value)
-                self.send_header("Content-Length", str(len(raw)))
                 self.end_headers()
                 self.wfile.write(raw)
+                self.close_connection = self.close_connection or int(headers["Content-Length"]) > len(raw)
 
             def log_message(self, *args):
                 pass

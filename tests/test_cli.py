@@ -6,11 +6,18 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import chat_reply, reply
+from conftest import chat_reply, cut_off, embeddings_reply, reply
 
-from anchor_rag import corpus
+from anchor_rag import corpus, embed_index
 from anchor_rag.cli import main
-from anchor_rag.corpus import build_corpus, load_dataset, read_chunk_manifest, read_question_file, write_chunk_manifest
+from anchor_rag.corpus import (
+    Chunk,
+    build_corpus,
+    load_dataset,
+    read_chunk_manifest,
+    read_question_file,
+    write_chunk_manifest,
+)
 from anchor_rag.llm_gateway import ScriptedProvider
 from anchor_rag.pipeline import read_trace_file
 
@@ -632,6 +639,55 @@ def test_build_index_survives_a_flaky_embedder(workspace, loopback, no_sleep):
     rc, out = build_remote_index(workspace, loopback)
     assert rc == 0 and out.exists()
     assert no_sleep == [0.5, 3.0]
+
+
+def test_build_index_cut_off_embeddings_reply_is_one_error_line(workspace, loopback, no_sleep, capsys):
+    loopback.routes["/embeddings"] = lambda payload: cut_off(reply(body={"data": []}))
+    rc, out = build_remote_index(workspace, loopback)
+    assert rc == 1 and not out.exists()
+    lines = error_lines(capsys)
+    assert len(lines) == 1 and lines[0].startswith("error: embedding request failed: ")
+    assert no_sleep == [0.5, 1.0] and len(loopback.seen) == 3
+
+
+def test_build_index_interrupted_during_overlapped_requests(tmp_path, loopback, monkeypatch, capsys):
+    # 768 chunks: six /embeddings batches of 128. The interrupt comes from
+    # the decode of batch 3 while the server holds batch 4 for 3 s.
+    chunks = [Chunk(chunk_id=f"c{i:04d}", doc_id=f"d{i:04d}", start_token=0, end_token=3, text=f"chunk number {i}",
+                    token_count=3, tokenizer_id="wordpunct-v1", title=f"Doc {i}") for i in range(768)]
+    manifest = tmp_path / "chunks.jsonl"
+    write_chunk_manifest(chunks, manifest, chunk_size=100, stride=0, tokenizer_id="wordpunct-v1")
+    stalled = chunks[3 * 128].text
+
+    def route(payload):
+        if payload["input"][0] == stalled:
+            time.sleep(3.0)
+        return embeddings_reply(payload)
+
+    loopback.routes["/embeddings"] = route
+    decoded, original = [], embed_index._decode_embeddings
+
+    def decode(body, n):
+        decoded.append(n)
+        if len(decoded) == 3:
+            raise KeyboardInterrupt
+        return original(body, n)
+
+    monkeypatch.setattr(embed_index, "_decode_embeddings", decode)
+    threads = threading.active_count()
+    out = tmp_path / "index.bin"
+    started = time.monotonic()
+    rc = main(["build-index", "--chunks", str(manifest), "--out", str(out),
+               "--embedder", "remote", "--endpoint", loopback.url, "--model", "emb"])
+    assert time.monotonic() - started < 1.0
+    assert rc == 1 and error_lines(capsys) == ["error: interrupted"]
+    assert not out.exists() and list(tmp_path.iterdir()) == [manifest]
+    deadline = time.monotonic() + 10.0
+    while threading.active_count() != threads and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert threading.active_count() == threads
+    assert stalled in {payload["input"][0] for _, payload in loopback.seen}
+    assert len(loopback.seen) == 4  # nothing after the batch in flight
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import reply
+from conftest import cut_off, embeddings_reply, reply
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -760,6 +760,144 @@ def test_remote_embedder_holds_one_reply_at_a_time(loopback):
         tracemalloc.stop()
     np.testing.assert_allclose(vectors, rows, atol=1e-6)
     assert peak < vectors.nbytes + 8 * reply_bytes, f"peak {peak} bytes for a {vectors.nbytes}-byte output"
+
+
+# --- overlapped /embeddings requests ---------------------------------------------
+
+
+def wait_for_thread_count(count: int, timeout_s: float = 10.0) -> int:
+    deadline = time.monotonic() + timeout_s
+    while threading.active_count() != count and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return threading.active_count()
+
+
+def test_remote_embedder_overlapped_rows_equal_the_sequential_path(loopback):
+    # 11 texts in batches of 2: six batches, the last one short. Every reply
+    # lists its rows in shuffled order, and two rows are all zeros.
+    rng = np.random.default_rng(3)
+    texts = [f"text {i}" for i in range(11)]
+    rows = rng.standard_normal((11, 7)) * rng.uniform(0.1, 50.0, size=(11, 1))
+    rows[[2, 9]] = 0.0
+    replies = {}
+    for start in range(0, 11, 2):
+        data = [{"index": i, "embedding": row.tolist()} for i, row in enumerate(rows[start : start + 2])]
+        random.Random(start).shuffle(data)
+        replies[texts[start]] = reply(body={"data": data})
+    loopback.routes["/embeddings"] = lambda payload: replies[payload["input"][0]]
+
+    provider = RemoteEmbedder(base_url=loopback.url, model="m", batch_size=2)
+    overlapped = provider.embed_batch(texts)
+    assert provider.dim == 7  # found from the first reply
+    sequential = np.concatenate([
+        RemoteEmbedder(base_url=loopback.url, model="m", batch_size=2).embed_batch(texts[i : i + 2])
+        for i in range(0, 11, 2)
+    ])
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    reference = (rows / np.where(norms == 0.0, 1.0, norms)).astype(np.float32)
+    assert overlapped.dtype == np.float32 and overlapped.shape == (11, 7)
+    assert overlapped.tobytes() == sequential.tobytes() == reference.tobytes()
+    assert not overlapped[[2, 9]].any()
+    # Two connections: after the first batch, requests arrive in either order.
+    firsts = [payload["input"][0] for _, payload in loopback.seen[:6]]
+    assert firsts[0] == texts[0] and sorted(firsts) == sorted(texts[::2])
+    assert provider.embed_batch([]).shape == (0, 7)
+
+
+def test_remote_embedder_posts_nothing_more_after_a_bad_first_reply(loopback):
+    loopback.routes["/embeddings"] = lambda payload: reply(body={"data": []})
+    with pytest.raises(EmbedIndexError, match="0 rows for 2 texts"):
+        RemoteEmbedder(base_url=loopback.url, model="m", batch_size=2).embed_batch([f"t{i}" for i in range(12)])
+    assert len(loopback.seen) == 1
+
+
+def test_remote_embedder_stops_after_a_failed_batch_without_waiting(loopback):
+    # Six batches of 2. Batch 4 is refused; batch 5, already in flight when
+    # batch 4's reply is read, stalls for 3 s; batch 6 is never sent.
+    texts = [f"t{i}" for i in range(12)]
+    firsts = texts[::2]
+
+    def route(payload):
+        first = payload["input"][0]
+        if first == firsts[3]:
+            return reply(400, {"error": "bad input"})
+        if first == firsts[4]:
+            time.sleep(3.0)
+        return embeddings_reply(payload)
+
+    loopback.routes["/embeddings"] = route
+    provider = RemoteEmbedder(base_url=loopback.url, model="m", batch_size=2)
+    provider.embed_batch(texts[:1])  # the calling thread's connection, kept open
+    threads = threading.active_count()
+    started = time.monotonic()
+    with pytest.raises(EmbedIndexError, match="HTTP 400"):
+        provider.embed_batch(texts)
+    assert time.monotonic() - started < 1.0
+    assert wait_for_thread_count(threads) == threads
+    assert sorted(payload["input"][0] for _, payload in loopback.seen[1:]) == firsts[:5]
+
+
+def test_remote_embedder_starts_no_retry_after_a_failed_batch(loopback):
+    # Batch 2 is refused while batch 3, in flight beside it, is asked to come
+    # back in 30 s: the fetch thread drops that retry instead of waiting.
+    texts = [f"t{i}" for i in range(12)]
+
+    def route(payload):
+        first = payload["input"][0]
+        if first == texts[2]:
+            return reply(400, {"error": "bad input"})
+        if first == texts[4]:
+            return reply(503, b"busy", Retry_After="30")
+        return embeddings_reply(payload)
+
+    loopback.routes["/embeddings"] = route
+    provider = RemoteEmbedder(base_url=loopback.url, model="m", batch_size=2)
+    provider.embed_batch(texts[:1])
+    threads = threading.active_count()
+    with pytest.raises(EmbedIndexError, match="HTTP 400"):
+        provider.embed_batch(texts)
+    assert wait_for_thread_count(threads, timeout_s=5.0) == threads
+    assert sorted(payload["input"][0] for _, payload in loopback.seen[1:]) == texts[0:6:2]
+
+
+def test_remote_embedder_overlapped_rows_under_frequent_thread_switches(loopback):
+    texts = [f"text {i}" for i in range(99)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        vectors = RemoteEmbedder(base_url=loopback.url, model="m", batch_size=2).embed_batch(texts)
+    finally:
+        sys.setswitchinterval(interval)
+    assert vectors.tobytes() == HashingEmbedder(dim=16).embed_batch(texts).tobytes()
+    assert sorted(payload["input"][0] for _, payload in loopback.seen) == sorted(texts[::2])
+
+
+def test_remote_embedder_retries_a_cut_off_reply_on_a_fetch_thread(loopback):
+    texts = [f"t{i}" for i in range(12)]
+    cut_once = [texts[6]]
+
+    def route(payload):
+        if payload["input"][0] in cut_once:
+            cut_once.clear()
+            return cut_off(reply(body={"data": []}))
+        return embeddings_reply(payload)
+
+    loopback.routes["/embeddings"] = route
+    vectors = embed(texts, RemoteEmbedder(base_url=loopback.url, model="m", batch_size=2))
+    assert vectors.tobytes() == HashingEmbedder(dim=16).embed_batch(texts).tobytes()
+    assert [payload["input"][0] for _, payload in loopback.seen].count(texts[6]) == 2
+
+
+def test_remote_embedder_cut_off_reply_is_retried_then_an_error(loopback, monkeypatch):
+    napped = []
+    monkeypatch.setattr(time, "sleep", napped.append)
+    loopback.queued["/embeddings"].append(cut_off(reply(body={"data": []})))
+    vectors = embed(["ab", "abcd"], RemoteEmbedder(base_url=loopback.url, model="m"))
+    assert vectors.shape == (2, 16) and napped == [0.5]
+    loopback.routes["/embeddings"] = lambda payload: cut_off(reply(body={"data": []}))
+    with pytest.raises(EmbedIndexError, match="embedding request failed: .*IncompleteRead"):
+        embed(["ab", "abcd"], RemoteEmbedder(base_url=loopback.url, model="m"))
+    assert napped == [0.5, 0.5, 1.0] and len(loopback.seen) == 5
 
 
 class ShortEmbedder:

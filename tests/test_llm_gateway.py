@@ -1,13 +1,14 @@
 import email.utils
 import json
 import math
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 import requests
-from conftest import reply
+from conftest import chat_reply, cut_off, reply
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -491,6 +492,66 @@ def test_rate_limit_exhaustion_raises_transport_error(loopback):
     with pytest.raises(TransportError, match="HTTP 429"):
         complete(make_request(), OpenAIChatProvider(base_url=loopback.url, model="m"), sleep=napped.append)
     assert napped == [1.0, 1.0] and len(loopback.seen) == 3
+
+
+def test_chat_reply_cut_off_mid_body_is_retried(loopback):
+    loopback.queued["/chat/completions"].append(cut_off(chat_reply()))
+    napped = []
+    response = complete(make_request(), OpenAIChatProvider(base_url=loopback.url, model="m"), sleep=napped.append)
+    assert response.text == "<answer>Paris</answer>"
+    assert napped == [0.5] and len(loopback.seen) == 2
+    assert loopback.connections == 2  # the cut connection is not reused
+
+
+def test_chat_reply_cut_off_every_time_raises_transport_error(loopback):
+    loopback.routes["/chat/completions"] = lambda payload: cut_off(chat_reply())
+    napped = []
+    with pytest.raises(TransportError, match="failed"):
+        complete(make_request(), OpenAIChatProvider(base_url=loopback.url, model="m"), sleep=napped.append)
+    assert napped == [0.5, 1.0] and len(loopback.seen) == 3
+
+
+def test_reply_stalled_mid_body_is_a_transport_error():
+    """A body that stops arriving for longer than the timeout is a read
+    timeout inside the body read, which requests does not wrap."""
+    server = socket.create_server(("127.0.0.1", 0))
+    done = threading.Event()
+
+    def serve():
+        conn, _ = server.accept()
+        with conn:
+            conn.recv(65536)
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + b'{"a": ' + b"1" * 20)
+            done.wait(5)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        client = HttpClient(f"http://127.0.0.1:{server.getsockname()[1]}", None, 0.2)
+        with pytest.raises(TransportError, match="timed out") as caught:
+            client.post_bytes("/embeddings", {"input": ["x"]})
+        assert not isinstance(caught.value.__cause__, requests.RequestException)
+        client.close_session()
+    finally:
+        done.set()
+        thread.join(5)
+        server.close()
+    assert not thread.is_alive()
+
+
+def test_client_returns_the_body_and_checks_it_apart(loopback):
+    loopback.queued["/chat/completions"] += [reply(body=b"[1, 2]"), reply(body=b"[1, 2]")]
+    client = HttpClient(loopback.url, None, 5.0)
+    raw = client.post_bytes("/chat/completions", {"x": 1})
+    assert raw == b"[1, 2]"
+    with pytest.raises(GatewayError, match=r"/chat/completions: reply is not a JSON object: '\[1, 2\]'"):
+        client.json_object("/chat/completions", raw)
+    with pytest.raises(GatewayError, match="reply is not a JSON object"):
+        client.post("/chat/completions", {"x": 1})
+    assert client.json_object("/chat/completions", b'{"a": 1}') == {"a": 1}
+    client.close_session()
+    client.close_session()  # a thread without a session has nothing to close
+    assert client.post("/chat/completions", {"x": 1})["choices"]  # a new session after the close
 
 
 def test_client_reads_proxy_settings_once(loopback, monkeypatch):
