@@ -7,11 +7,10 @@ disk; there is no float64 copy. A search is two steps, as in FAISS
 ``IndexFlatIP`` with a refinement pass:
 
 1. Candidates: every row is scored against all of a question's queries
-   at once, by float32 products over blocks of rows (one matrix-vector
-   product for a single query) into one query-major score block, and
-   ``np.partition`` finds each query's k-th largest score. Every row
-   within a proven margin of it is kept. A float32 score differs from the
-   exact dot product by at most
+   at once, by float32 products over blocks of rows into one query-major
+   score block, and ``np.partition`` finds each query's k-th largest
+   score. Every row within a proven margin of it is kept. A float32 score
+   differs from the exact dot product by at most
    (γ_dim,f32 + u_f32)·‖row‖·‖q‖ (the float32 dot, summed in any order,
    plus rounding the query to float32) and the float64 rescore by at most
    γ_dim,f64·‖row‖·‖q‖, so a row whose float32 score lies more than twice
@@ -536,10 +535,9 @@ class Index:
         """Each query's top k as ranked ``(chunk_id, score)`` pairs, for an
         (m, dim) block of query embeddings.
 
-        Every row is scored against all m queries in float32 into one (m, n)
-        score block, by one matrix-vector product when m is 1 and by a
-        block of rows per product otherwise (see ``_BLOCK_SCORES``), and
-        ``np.partition`` finds each query's k-th largest score.
+        Every row is scored against all m queries in float32, a block of
+        rows per product (see ``_BLOCK_SCORES``), into one (m, n) score
+        block, and ``np.partition`` finds each query's k-th largest score.
         Each query keeps the rows within its own candidate margin (see the
         module docstring), rescores them in float64 and sorts them by
         (-score, chunk id), so a row's score and rank depend only on that
@@ -556,16 +554,10 @@ class Index:
             # one contiguous row.
             scores = np.empty((m, n), dtype=np.float32)
             queries32 = queries.astype(np.float32)
-            if m == 1:
-                # A matrix-vector product and a 1-D partition: cheaper per
-                # call than the (1, dim) x (dim, n) product and a 2-D one.
-                np.matmul(self._matrix, queries32[0], out=scores[0])
-                kths = [float(np.partition(scores[0], n - k)[n - k])]
-            else:
-                block = max(1, _BLOCK_SCORES // m)
-                for start in range(0, n, block):
-                    np.matmul(queries32, self._matrix[start : start + block].T, out=scores[:, start : start + block])
-                kths = np.partition(scores, n - k, axis=1)[:, n - k].tolist()
+            block = n if m == 1 else max(1, _BLOCK_SCORES // m)
+            for start in range(0, n, block):
+                np.matmul(queries32, self._matrix[start : start + block].T, out=scores[:, start : start + block])
+            kths = np.partition(scores, n - k, axis=1)[:, n - k].tolist()
             candidates = []
             for row_scores, kth, q in zip(scores, kths, queries):
                 floor = kth - self._margin_per_query_norm * float(np.linalg.norm(q))

@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Callable, Protocol, Sequence, TypeVar
 
 import requests
-from urllib3.exceptions import HTTPError as Urllib3Error
 
 from anchor_rag.corpus import DEFAULT_TOKENIZER
 
@@ -187,15 +186,14 @@ class HttpClient:
             session.trust_env = False
         url = self.base_url + path
         try:
-            # The body is read in one urllib3 read, where requests would join
-            # it from 10 KiB chunks; so urllib3's errors (a body cut off or
-            # stalled mid-read) arrive unwrapped.
-            with session.post(url, json=payload, headers=self._headers, timeout=self.timeout_s, stream=True,
-                              **self._env) as resp:
-                if resp.status_code < 400:
-                    return resp.raw.read(decode_content=True)
-                message = f"{url}: HTTP {resp.status_code}: {resp.text[:200]}"
-        except (requests.RequestException, Urllib3Error) as exc:
+            resp = session.post(url, json=payload, headers=self._headers, timeout=self.timeout_s, stream=True,
+                                **self._env)
+            if resp.status_code < 400:
+                # One read of the whole body; ``resp.content`` would join it
+                # from 10 KiB chunks and hold it twice while joining.
+                return b"".join(resp.iter_content(None))
+            message = f"{url}: HTTP {resp.status_code}: {resp.text[:200]}"
+        except requests.RequestException as exc:
             raise TransportError(f"POST {url} failed: {exc}") from exc
         except OSError as exc:  # a local setting requests cannot use, such as a missing CA bundle
             raise GatewayError(f"POST {url} failed: {exc}") from exc
