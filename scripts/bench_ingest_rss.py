@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Record peak RSS and wall time of each CLI step, for the local and the remote embedder.
 
-Three cases, each on inputs that `perfbench/gen.py` generates for seed 7.
+Four cases, each on inputs that `perfbench/gen.py` generates for seed 7.
 Every repeat is a fresh process that runs the case's CLI steps in-process,
 reads `ru_maxrss` before the first step and after each step, and times each
 step with `time.perf_counter`:
 
+- `short_docs_full`: `ingest -> build-index -> run -> report` on 300
+  HotpotQA records of ten one-chunk paragraphs (3,000 chunks), hashing
+  embedder, scripted provider, five repeats.
 - `long_docs_standard_rag`: `ingest -> build-index -> run -> report` on a
   500-record MuSiQue JSONL of about 20 MB, hashing embedder, five repeats.
 - `remote_gated_c2`: the same four steps with the remote chat and embedding
@@ -181,7 +184,7 @@ def main() -> int:
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         cases = {name: measure_workload(WORKLOADS[name], Path(tmp), env)
-                 for name in ("long_docs_standard_rag", "remote_gated_c2")}
+                 for name in ("short_docs_full", "long_docs_standard_rag", "remote_gated_c2")}
         cases["remote_build_index_50k"] = measure_remote_build_index_50k(Path(tmp), env)
 
     run = {"machine": {"cores": os.cpu_count(), "arch": platform.machine(), "python": platform.python_version()},

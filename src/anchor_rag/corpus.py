@@ -10,7 +10,10 @@ The default tokenizer, ``wordpunct-v1``, is defined by one regex and runs
 as numpy over a per-character class array whose classes are taken from
 that regex: from one table of every code point up to U+FFFF, filled the
 first time each is met (U+0000–U+00FF at import), and for wider code points
-from a module-level memo filled the same way.
+from a module-level memo filled the same way. :func:`build_corpus` joins
+passages, one space apart, into blocks of about ``_BLOCK_CHARS`` characters
+and tokenizes each block in one class-array pass; the space keeps every
+passage's tokens exactly its own (see :meth:`WordPunctTokenizer.block_spans`).
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ logger = logging.getLogger(__name__)
 DATASET_TAGS = ("2wiki", "hotpotqa", "musique")
 DEFAULT_CHUNK_SIZE = 400
 DEFAULT_STRIDE = 50
+# Characters tokenized per class-array pass in build_corpus: passages are
+# joined into blocks of about this size; a longer passage is a block of its
+# own. Large enough that a block's fixed numpy cost is spread over dozens of
+# short passages, small enough that its temporaries stay well under 1 MB.
+_BLOCK_CHARS = 1 << 14
 
 CHUNK_MANIFEST_VERSION = 1
 QUESTION_FILE_VERSION = 1
@@ -46,6 +54,8 @@ class Tokenizer(Protocol):
     tokenizer_id: str
 
     def spans(self, text: str) -> tuple[list[int], list[int]]: ...
+
+    def block_spans(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
     def count(self, text: str) -> int: ...
 
@@ -76,8 +86,29 @@ class WordPunctTokenizer:
 
     def spans(self, text: str) -> tuple[list[int], list[int]]:
         """Start and end character offsets of every token, in order."""
-        cls, word = _classes(text)
-        return np.flatnonzero(cls > word[:-2]).tolist(), (np.flatnonzero(cls > word[2:]) + 1).tolist()
+        starts, ends, _ = self.block_spans([text])
+        return starts.tolist(), ends.tolist()
+
+    def block_spans(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The token spans of several texts from one class-array pass.
+
+        Returns every token's start and end offset, each relative to its own
+        text, in text order, and ``bounds``, one entry per text plus one:
+        text i's tokens are ``starts[bounds[i]:bounds[i + 1]]``.
+
+        The texts are tokenized as one string, joined by single spaces. That
+        is exact: a space is never part of a token, and both a text's first
+        and last character see a non-word neighbour, as they do at the ends
+        of the text alone. So no token is merged or split at a join.
+        """
+        offsets = np.zeros(len(texts) + 1, dtype=np.intp)
+        np.cumsum([len(t) + 1 for t in texts], out=offsets[1:])
+        cls, word = _classes(" ".join(texts))
+        starts = np.flatnonzero(cls > word[:-2])
+        ends = np.flatnonzero(cls > word[2:]) + 1
+        bounds = np.searchsorted(starts, offsets)
+        shift = np.repeat(offsets[:-1], np.diff(bounds))
+        return starts - shift, ends - shift, bounds
 
     def count(self, text: str) -> int:
         cls, word = _classes(text)
@@ -157,7 +188,7 @@ def get_tokenizer(tokenizer_id: str) -> Tokenizer:
         raise CorpusError(f"unknown tokenizer id: {tokenizer_id!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """One knowledge passage: a title plus its full plain text."""
 
@@ -170,7 +201,7 @@ class Document:
             raise CorpusError(f"document {self.doc_id!r} has empty text")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chunk:
     """A token window of one document; the unit of retrieval.
 
@@ -380,45 +411,8 @@ def chunk_document(
     stride: int = DEFAULT_STRIDE,
     tokenizer: Tokenizer = DEFAULT_TOKENIZER,
 ) -> list[Chunk]:
-    """Cut a document into token windows that overlap by ``stride`` tokens.
-
-    Window starts advance by ``chunk_size - stride``; the final window is
-    clamped to the document end, so a document no longer than ``chunk_size``
-    yields exactly one chunk.
-    """
-    if stride < 0 or chunk_size <= stride:
-        raise CorpusError(f"need chunk_size > stride >= 0, got {chunk_size=}, {stride=}")
-    if not doc.text:
-        raise CorpusError(f"document {doc.doc_id!r} has empty text")
-    starts, ends = tokenizer.spans(doc.text)
-    total = len(starts)
-    if total == 0:
-        raise CorpusError(f"document {doc.doc_id!r} has no tokens")
-
-    step = chunk_size - stride
-    chunks: list[Chunk] = []
-    start = 0
-    while True:
-        end = min(start + chunk_size, total)
-        start_char = starts[start]
-        end_char = ends[end - 1]
-        chunks.append(
-            Chunk(
-                chunk_id=f"{doc.doc_id}:{start}",
-                doc_id=doc.doc_id,
-                start_token=start,
-                end_token=end,
-                text=doc.text[start_char:end_char],
-                token_count=end - start,
-                tokenizer_id=tokenizer.tokenizer_id,
-                title=doc.title,
-                start_char=start_char,
-                end_char=end_char,
-            )
-        )
-        if end == total:
-            return chunks
-        start += step
+    """The chunks of one document: ``build_corpus([doc], ...)``."""
+    return build_corpus([doc], chunk_size=chunk_size, stride=stride, tokenizer=tokenizer)
 
 
 def build_corpus(
@@ -427,11 +421,74 @@ def build_corpus(
     stride: int = DEFAULT_STRIDE,
     tokenizer: Tokenizer = DEFAULT_TOKENIZER,
 ) -> list[Chunk]:
-    """Chunk every document; chunk ids are globally unique (doc id + start)."""
-    out: list[Chunk] = []
+    """Cut every document into token windows that overlap by ``stride`` tokens.
+
+    Window starts advance by ``chunk_size - stride``; the final window is
+    clamped to the document end, so a document no longer than ``chunk_size``
+    yields exactly one chunk. Chunk ids are globally unique (doc id +
+    start token).
+
+    The chunking parameters are checked once, before any document. Documents
+    are tokenized a block at a time (about ``_BLOCK_CHARS`` characters, see
+    :meth:`WordPunctTokenizer.block_spans`) and chunked in order, so a
+    document with no tokens raises :class:`CorpusError` naming it before any
+    later document is chunked.
+    """
+    if stride < 0 or chunk_size <= stride:
+        raise CorpusError(f"need chunk_size > stride >= 0, got {chunk_size=}, {stride=}")
+    step = chunk_size - stride
+    tokenizer_id = tokenizer.tokenizer_id
+    chunks: list[Chunk] = []
+    for block in _blocks(docs):
+        starts, ends, bounds = tokenizer.block_spans([doc.text for doc in block])
+        totals = np.diff(bounds)
+        if not totals.all():
+            doc = block[int(np.argmin(totals))]  # the first with no tokens
+            raise CorpusError(f"document {doc.doc_id!r} has no tokens")
+        # Every window of the block at once: a document of n tokens has one
+        # window if n <= chunk_size, else 1 + ceil((n - chunk_size) / step).
+        # Only the boundary tokens of each window are read off the spans.
+        windows = np.maximum(-((chunk_size - totals) // step), 0) + 1
+        owner = np.repeat(np.arange(len(block)), windows)
+        start_tokens = (np.arange(len(owner)) - np.repeat(np.cumsum(windows) - windows, windows)) * step
+        end_tokens = np.minimum(start_tokens + chunk_size, totals[owner])
+        first = bounds[owner]
+        start_chars = starts[first + start_tokens]
+        end_chars = ends[first + end_tokens - 1]
+        for i, start, end, start_char, end_char in zip(
+            owner.tolist(), start_tokens.tolist(), end_tokens.tolist(), start_chars.tolist(), end_chars.tolist()
+        ):
+            doc = block[i]
+            chunks.append(
+                Chunk(
+                    chunk_id=f"{doc.doc_id}:{start}",
+                    doc_id=doc.doc_id,
+                    start_token=start,
+                    end_token=end,
+                    text=doc.text[start_char:end_char],
+                    token_count=end - start,
+                    tokenizer_id=tokenizer_id,
+                    title=doc.title,
+                    start_char=start_char,
+                    end_char=end_char,
+                )
+            )
+    return chunks
+
+
+def _blocks(docs: Iterable[Document]) -> Iterator[list[Document]]:
+    """Consecutive runs of documents of about ``_BLOCK_CHARS`` characters
+    in all; a longer document is a run of its own."""
+    block: list[Document] = []
+    size = 0
     for doc in docs:
-        out.extend(chunk_document(doc, chunk_size=chunk_size, stride=stride, tokenizer=tokenizer))
-    return out
+        if block and size + len(doc.text) > _BLOCK_CHARS:
+            yield block
+            block, size = [], 0
+        block.append(doc)
+        size += len(doc.text) + 1
+    if block:
+        yield block
 
 
 # --- manifest / question file I/O -----------------------------------------
@@ -472,6 +529,8 @@ def write_chunk_manifest(
         "stride": stride,
         "num_chunks": len(chunks),
     }
+    # json.dumps with ensure_ascii=False makes a new encoder per call.
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     with write_atomically(Path(path)) as fh:
         fh.write(json.dumps(header) + "\n")
         for c in chunks:
@@ -487,7 +546,7 @@ def write_chunk_manifest(
                 "tokenizer_id": c.tokenizer_id,
                 "text": c.text,
             }
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            fh.write(encode(row) + "\n")
 
 
 def _json_object(path: Path, lineno: int, line: str) -> dict:
@@ -536,8 +595,19 @@ def _read_jsonl(path: str | Path, kind: str, version: int, count_key: str, make:
 
 def _chunk_from_row(row: dict) -> Chunk:
     # Manifest rows carry the Chunk fields under their own names; a missing
-    # required one is a TypeError.
-    return Chunk(**{k: v for k, v in row.items() if k in Chunk.__dataclass_fields__})
+    # required one is a KeyError, and other keys are ignored.
+    return Chunk(
+        chunk_id=row["chunk_id"],
+        doc_id=row["doc_id"],
+        start_token=row["start_token"],
+        end_token=row["end_token"],
+        text=row["text"],
+        token_count=row["token_count"],
+        tokenizer_id=row["tokenizer_id"],
+        title=row.get("title", ""),
+        start_char=row.get("start_char", 0),
+        end_char=row.get("end_char", 0),
+    )
 
 
 def read_chunk_manifest(path: str | Path) -> tuple[list[Chunk], dict]:

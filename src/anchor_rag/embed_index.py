@@ -586,16 +586,22 @@ class Index:
     def save(self, path: str | Path) -> None:
         path = Path(path)
         provider_bytes = self.provider_id.encode("utf-8")
+        table = bytearray()
+        for cid in self.ids:
+            raw = cid.encode("utf-8")
+            table += struct.pack("<I", len(raw))
+            table += raw
         with write_atomically(path, "wb") as fh:
             fh.write(INDEX_MAGIC)
             fh.write(struct.pack("<IIQ", INDEX_VERSION, self.dim, len(self.ids)))
             fh.write(struct.pack("<I", len(provider_bytes)))
             fh.write(provider_bytes)
-            for cid in self.ids:
-                raw = cid.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
+            fh.write(table)
             fh.write(self._matrix.data)
+        # Each row is what json.dumps({"row": i, "chunk_id": cid},
+        # ensure_ascii=False) writes; encoding a str with one encoder skips
+        # building an encoder and a dict per row.
+        encode = json.JSONEncoder(ensure_ascii=False).encode
         with write_atomically(path.with_name(path.name + ".manifest.jsonl")) as fh:
             header = {
                 "kind": "embed_index_manifest",
@@ -605,19 +611,43 @@ class Index:
                 "provider_id": self.provider_id,
             }
             fh.write(json.dumps(header) + "\n")
-            for i, cid in enumerate(self.ids):
-                fh.write(json.dumps({"row": i, "chunk_id": cid}, ensure_ascii=False) + "\n")
+            fh.writelines(f'{{"row": {i}, "chunk_id": {encode(cid)}}}\n' for i, cid in enumerate(self.ids))
 
     @classmethod
     def load(cls, path: str | Path, provider: EmbeddingProvider) -> "Index":
+        """Read an index file written by :meth:`save`.
+
+        Everything after the provider id, the id table and the vector block,
+        is taken in one read into a buffer as large as that part of the
+        file, so no length read from the file sizes an allocation. The
+        buffer starts at an offset that puts the vector block, which ends
+        the file, on a 4-byte boundary, so the rows are used where they lie.
+        A part cut off by the file's end is named in the error.
+        """
         path = Path(path)
         with path.open("rb") as fh:
-            read, dim, count, provider_id = _open_index(fh, path)
-            ids = []
-            for _ in range(count):
-                (id_len,) = struct.unpack("<I", read(4, "a chunk id length"))
-                ids.append(read(id_len, "a chunk id").decode("utf-8"))
-            vectors = np.frombuffer(read(count * dim * 4, "the vector block"), dtype=np.float32).reshape(count, dim)
+            dim, count, provider_id, size = _open_index(fh, path)
+            rest, vector_bytes = size - fh.tell(), count * dim * 4
+            pad = (vector_bytes - rest) % 4
+            buf = np.empty(pad + rest, dtype=np.uint8)
+            got = fh.readinto(memoryview(buf)[pad:])
+        view = memoryview(buf)[: pad + got]
+        ids, pos = [], pad
+        for _ in range(count):
+            if pos + 4 > len(view):
+                raise _truncated(path, "a chunk id length", size)
+            (id_len,) = struct.unpack_from("<I", view, pos)
+            pos += 4
+            if pos + id_len > len(view):
+                raise _truncated(path, "a chunk id", size)
+            ids.append(str(view[pos : pos + id_len], "utf-8"))
+            pos += id_len
+        if pos + vector_bytes > len(view):
+            raise _truncated(path, "the vector block", size)
+        if pos + vector_bytes < len(view):
+            raise EmbedIndexError(f"{path}: {len(view) - pos - vector_bytes} bytes follow the vector block")
+        vectors = buf[pos : pos + vector_bytes].view(np.float32).reshape(count, dim)
+        vectors.flags.writeable = False
         if provider.provider_id != provider_id:
             raise EmbedIndexError(
                 f"index was built with provider {provider_id!r}, got {provider.provider_id!r}"
@@ -629,19 +659,23 @@ class Index:
         """The id of the provider an index file was built with, from its header."""
         path = Path(path)
         with path.open("rb") as fh:
-            return _open_index(fh, path)[3]
+            return _open_index(fh, path)[2]
 
 
-def _open_index(fh: BinaryIO, path: Path) -> tuple[Callable[[int, str], bytes], int, int, str]:
-    """Check an index file's magic number and version. Returns ``read(n,
-    what)`` for the rest of the file, and the dim, row count and provider
-    id. Each read is checked against the file size first, so a cut-off file
-    is reported as such and a bad length never allocates."""
+def _truncated(path: Path, what: str, size: int) -> EmbedIndexError:
+    return EmbedIndexError(f"{path} is truncated: {what} runs past its end ({size} bytes)")
+
+
+def _open_index(fh: BinaryIO, path: Path) -> tuple[int, int, str, int]:
+    """Check an index file's magic number and version, and read its header.
+    Returns the dim, row count, provider id and file size, with ``fh`` at
+    the id table. Each read is checked against the file size first, so a
+    cut-off file is reported as such and a bad length never allocates."""
     size = os.fstat(fh.fileno()).st_size
 
     def read(n: int, what: str) -> bytes:
         if fh.tell() + n > size:
-            raise EmbedIndexError(f"{path} is truncated: {what} runs past its end ({size} bytes)")
+            raise _truncated(path, what, size)
         return fh.read(n)
 
     if read(4, "the magic number") != INDEX_MAGIC:
@@ -650,7 +684,7 @@ def _open_index(fh: BinaryIO, path: Path) -> tuple[Callable[[int, str], bytes], 
     if version != INDEX_VERSION:
         raise EmbedIndexError(f"{path}: unsupported index version {version}")
     (provider_len,) = struct.unpack("<I", read(4, "the provider id length"))
-    return read, dim, count, read(provider_len, "the provider id").decode("utf-8")
+    return dim, count, read(provider_len, "the provider id").decode("utf-8"), size
 
 
 def build_index(chunks: Sequence[Chunk], provider: EmbeddingProvider) -> Index:

@@ -200,7 +200,10 @@ class PipelineTrace:
         out = {name: getattr(self, name) for name in self.__dataclass_fields__}
         out["triples"] = [[t.subject, t.predicate, t.object] for t in self.triples]
         out["hits"] = [{"chunk_id": h.chunk_id, "score": h.score, "query_index": h.query_index} for h in self.hits]
-        out["usage"] = {stage: asdict(u) for stage, u in self.usage.items()}
+        out["usage"] = {
+            stage: {"prompt_tokens": u.prompt_tokens, "completion_tokens": u.completion_tokens}
+            for stage, u in self.usage.items()
+        }
         return out
 
     @classmethod

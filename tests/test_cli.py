@@ -169,6 +169,41 @@ def test_run_truncated_index_is_one_error_line(workspace, capsys, keep):
     assert "truncated" in err[0].replace(str(cut), "")
 
 
+@pytest.mark.parametrize(
+    "part, where",
+    [
+        ("a chunk id length", lambda table, vectors: table + 2),
+        ("a chunk id", lambda table, vectors: table + 5),
+        ("the vector block", lambda table, vectors: vectors + 5),
+        ("the vector block", lambda table, vectors: -1),
+    ],
+    ids=["inside_id_length", "inside_id", "inside_vector_block", "last_byte"],
+)
+def test_run_index_cut_names_the_part(workspace, capsys, part, where):
+    raw = (workspace / "index.bin").read_bytes()
+    header = json.loads((workspace / "index.bin.manifest.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    table = 4 + 16 + 4 + len(header["provider_id"].encode("utf-8"))
+    vectors = len(raw) - header["count"] * header["dim"] * 4
+    cut = workspace / "cut.bin"
+    cut.write_bytes(raw[: where(table, vectors)])
+    rc = main(
+        [
+            "run",
+            "--questions", str(workspace / "questions.jsonl"),
+            "--index", str(cut),
+            "--chunks", str(workspace / "chunks.jsonl"),
+            "--mode", "full",
+            "--provider", "scripted",
+            "--fixtures", str(DATA / "scripted_fixtures.jsonl"),
+            "--out", str(workspace / "never.jsonl"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"is truncated: {part} runs past its end" in err[0]
+
+
 def test_run_requires_index_for_full_mode(workspace, capsys):
     rc = main(
         [

@@ -1,8 +1,10 @@
 import json
+import random
 import re
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -173,6 +175,10 @@ def test_bad_chunk_params_rejected():
         chunk_document(make_doc(10), chunk_size=50, stride=50)
     with pytest.raises(CorpusError):
         chunk_document(make_doc(10), chunk_size=50, stride=-1)
+    # Checked before any document, so also with none.
+    for chunk_size, stride in [(50, 50), (50, -1), (0, 0)]:
+        with pytest.raises(CorpusError, match="need chunk_size > stride >= 0"):
+            build_corpus([], chunk_size=chunk_size, stride=stride)
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,6 +249,83 @@ def test_build_corpus_unique_ids():
     docs = [make_doc(900, "a"), make_doc(900, "b")]
     chunks = build_corpus(docs)
     assert len({c.chunk_id for c in chunks}) == len(chunks)
+
+
+def reference_chunks(docs, chunk_size, stride):
+    """Each passage's tokens enumerated alone by the regex, cut by the window rule."""
+    out = []
+    for doc in docs:
+        spans = reference_spans(doc.text)
+        start = 0
+        while True:
+            end = min(start + chunk_size, len(spans))
+            start_char, end_char = spans[start][0], spans[end - 1][1]
+            text = doc.text[start_char:end_char]
+            out.append((f"{doc.doc_id}:{start}", doc.title, start, end, end - start, start_char, end_char, text))
+            if end == len(spans):
+                break
+            start += chunk_size - stride
+    return out
+
+
+def chunk_rows(chunks):
+    return [
+        (c.chunk_id, c.title, c.start_token, c.end_token, c.token_count, c.start_char, c.end_char, c.text)
+        for c in chunks
+    ]
+
+
+# Pieces that sit at passage, and so block, edges: whitespace the regex knows
+# (U+0085, U+00A0), a zero-width space that is punctuation to it, code points
+# above U+FFFF and lone surrogates of both halves.
+EDGE_PIECES = ["word", "_a1", "é", " ", "  ", "\t\n", "\u0085", "\u00a0", "\u200b", ".", "(", ")", "\U0001f600",
+               "\U00010400x", "\U0002070e", "\ud800", "\udc00", "\udbff\udfff"]
+EDGE_PASSAGE = st.lists(st.sampled_from(EDGE_PIECES), min_size=1, max_size=30).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    passages=st.lists(EDGE_PASSAGE.filter(reference_spans), min_size=1, max_size=10),
+    long_passage=st.lists(st.sampled_from(EDGE_PIECES), min_size=40, max_size=120).map("".join).filter(reference_spans),
+    where=st.integers(0, 10),
+    block_chars=st.sampled_from([1, 8, 30, 64, 150]),
+    params=st.sampled_from([(2, 0), (3, 1), (7, 2), (400, 50)]),
+)
+def test_build_corpus_matches_per_passage_enumeration_across_block_edges(
+    passages, long_passage, where, block_chars, params
+):
+    passages.insert(min(where, len(passages)), long_passage)  # longer than most blocks
+    docs = [Document(doc_id=f"p{i}", title=f"T{i}", text=text) for i, text in enumerate(passages)]
+    chunk_size, stride = params
+    with mock.patch.object(corpus, "_BLOCK_CHARS", block_chars):
+        chunks = build_corpus(docs, chunk_size=chunk_size, stride=stride)
+    assert chunk_rows(chunks) == reference_chunks(docs, chunk_size, stride)
+
+
+def test_build_corpus_at_the_block_size_matches_per_passage_enumeration():
+    # Passage lengths on both sides of the block size, one passage several
+    # blocks long, the 400/50 windows, and edge pieces at every passage end.
+    rng = random.Random(11)
+    block = corpus._BLOCK_CHARS
+    ends = EDGE_PIECES[9:]  # each holds a token
+    texts = []
+    for length in [5, block // 2, block - 1, block, block + 1, 3 * block + 7, 40, block // 2 + 3, 2, block - 2]:
+        body = "".join(rng.choice(EDGE_PIECES) for _ in range(length))[: max(length - 2, 0)]
+        texts.append(rng.choice(ends) + body + rng.choice(ends))
+    docs = [Document(doc_id=f"p{i}", title="T", text=text) for i, text in enumerate(texts)]
+    blocks = list(corpus._blocks(docs))
+    assert max(map(len, blocks)) >= 2 and [docs[5]] in blocks
+    assert chunk_rows(build_corpus(docs)) == reference_chunks(docs, 400, 50)
+
+
+@pytest.mark.parametrize("block_chars", [1, 40, corpus._BLOCK_CHARS])
+def test_whitespace_only_passage_mid_corpus_is_named(block_chars):
+    texts = ["alpha beta.", "gamma", " \u0085\u00a0\t ", "delta", "epsilon"]
+    docs = [Document(doc_id=f"p{i}", title="T", text=text) for i, text in enumerate(texts)]
+    with mock.patch.object(corpus, "_BLOCK_CHARS", block_chars):
+        with pytest.raises(CorpusError) as err:
+            build_corpus(docs)
+    assert str(err.value) == "document 'p2' has no tokens"
 
 
 # --- dataset loading --------------------------------------------------------------

@@ -455,6 +455,36 @@ def test_sidecar_manifest_written(tmp_path):
     assert len(lines) == 1 + len(index)
 
 
+def test_sidecar_rows_are_json_dumps_of_each_id(tmp_path):
+    ids = ["plain:0", 'quote"back\\slash', "tab\tnew\nline\x00", "é東😀", "\u2028\u2029\x7f"]
+    index = Index(ids, np.eye(len(ids), dtype=np.float32), UnusedProvider(len(ids)))
+    index.save(tmp_path / "index.bin")
+    rows = (tmp_path / "index.bin.manifest.jsonl").read_bytes().split(b"\n")[1:]
+    expected = [json.dumps({"row": i, "chunk_id": cid}, ensure_ascii=False) for i, cid in enumerate(ids)]
+    assert rows == [row.encode("utf-8") for row in expected] + [b""]
+
+
+@pytest.mark.parametrize("id_chars", [4, 5, 6, 7])
+def test_load_reads_rows_aligned_whatever_the_id_table_length(tmp_path, id_chars):
+    # The id table's length mod 4 decides where the vector block starts.
+    ids = ["x" * id_chars, "é" * id_chars, "a"]
+    rows = np.random.default_rng(id_chars).standard_normal((3, 8)).astype(np.float32)
+    Index(ids, rows, UnusedProvider(8)).save(tmp_path / "index.bin")
+    loaded = Index.load(tmp_path / "index.bin", UnusedProvider(8))
+    assert loaded.ids == ids
+    assert loaded._matrix.flags.aligned and loaded._matrix.flags.c_contiguous
+    assert not loaded._matrix.flags.writeable
+    assert np.array_equal(loaded._matrix, rows)
+
+
+def test_load_rejects_bytes_after_the_vector_block(tmp_path):
+    path = tmp_path / "index.bin"
+    Index(["a", "b"], np.eye(2, dtype=np.float32), UnusedProvider(2)).save(path)
+    path.write_bytes(path.read_bytes() + b"\0\0\0")
+    with pytest.raises(EmbedIndexError, match="3 bytes follow the vector block"):
+        Index.load(path, UnusedProvider(2))
+
+
 # --- multi-query retrieval ----------------------------------------------------------
 
 
