@@ -24,9 +24,12 @@ Timings, each a median over repeated calls after a warm-up:
 Queries are short strings of random words embedded by the hashing embedder,
 so search times include embedding the query. Each run is stored under
 ``--label`` in ``runs`` of the output file, next to the runs already there,
-so numbers from two commits can sit side by side:
+so numbers from two commits can sit side by side. ``--src`` picks the
+source tree to time, so a parent tree and a change tree can be timed in
+alternating back-to-back processes:
 
-    python3 scripts/bench_retrieval.py --label after --out BENCH_retrieval.json
+    python3 scripts/bench_retrieval.py --src /path/to/parent/src --label parent --out BENCH_retrieval.json
+    python3 scripts/bench_retrieval.py --label change --out BENCH_retrieval.json
 """
 
 import argparse
@@ -42,11 +45,20 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
 
-from anchor_rag.corpus import DEFAULT_TOKENIZER, Document, QAItem, chunk_document
-from anchor_rag.embed_index import HashingEmbedder, Index, retrieve_for_queries
-from anchor_rag.prompt_kit import render_standard_rag
+
+def src_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--src", default=str(REPO / "src"), help="source tree holding the anchor_rag package")
+
+
+# --src is read before anchor_rag is imported; main parses it again with the rest.
+_pre = argparse.ArgumentParser(add_help=False)
+src_option(_pre)
+sys.path.insert(0, str(Path(_pre.parse_known_args()[0].src).resolve()))
+
+from anchor_rag.corpus import DEFAULT_TOKENIZER, Document, QAItem, chunk_document  # noqa: E402
+from anchor_rag.embed_index import HashingEmbedder, Index, retrieve_for_queries  # noqa: E402
+from anchor_rag.prompt_kit import render_standard_rag  # noqa: E402
 
 DIM = 256
 K = 5
@@ -189,6 +201,7 @@ def bench_tokenizer(rng: random.Random, titles: list[str], **text) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    src_option(parser)
     parser.add_argument("--sizes", type=int, nargs="+", default=[3_000, 10_000, 50_000, 200_000], help="index rows")
     parser.add_argument("--queries", type=int, default=40, help="timed searches per size")
     parser.add_argument("--embed-texts", type=int, default=200, help="chunks per timed embedding batch")

@@ -18,7 +18,6 @@ from anchor_rag import evaluation
 from anchor_rag.corpus import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_STRIDE,
-    DEFAULT_TOKENIZER,
     CorpusError,
     Document,
     build_corpus,
@@ -104,13 +103,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         out / "questions.jsonl",
         meta={"dataset_tag": args.format, "sample_n": args.sample_n, "seed": args.seed},
     )
-    write_chunk_manifest(
-        chunks,
-        out / "chunks.jsonl",
-        chunk_size=args.chunk_size,
-        stride=args.stride,
-        tokenizer_id=DEFAULT_TOKENIZER.tokenizer_id,
-    )
+    write_chunk_manifest(chunks, out / "chunks.jsonl", chunk_size=args.chunk_size, stride=args.stride)
     print(f"ingested {len(items)} questions, {len(docs)} documents, {len(chunks)} chunks -> {out}")
     return 0
 

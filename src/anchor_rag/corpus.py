@@ -3,14 +3,16 @@
 Every context passage of a loaded QA dataset becomes one :class:`Document`
 (de-duplicated by title+text), and documents are cut into fixed-size token
 windows that overlap by a configurable stride. Chunk offsets are token
-indices under a pluggable tokenizer; the tokenizer id is recorded on every
-chunk so indexes built with different tokenizers can never be mixed.
+indices under the one tokenizer, ``wordpunct-v1``, which also counts every
+prompt's tokens; its id is recorded on every chunk, and a chunk recorded
+under any other id is refused, so a manifest cut by another tokenizer is
+never indexed or run.
 
-The default tokenizer, ``wordpunct-v1``, is defined by one regex and runs
-as numpy over a per-character class array whose classes are taken from
-that regex: from one table of every code point up to U+FFFF, filled the
-first time each is met (U+0000–U+00FF at import), and for wider code points
-from a module-level memo filled the same way. :func:`build_corpus` joins
+The tokenizer is defined by one regex and runs as numpy over a
+per-character class array whose classes are taken from that regex: from
+one table of every code point up to U+FFFF, filled the first time each is
+met (U+0000–U+00FF at import), and for wider code points from a
+module-level memo filled the same way. :func:`build_corpus` joins
 passages, one space apart, into blocks of about ``_BLOCK_CHARS`` characters
 and tokenizes each block in one class-array pass; the space keeps every
 passage's tokens exactly its own (see :meth:`WordPunctTokenizer.block_spans`).
@@ -27,7 +29,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Protocol, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,16 +50,6 @@ QUESTION_FILE_VERSION = 1
 
 class CorpusError(ValueError):
     """Bad dataset file, unknown format, or invalid chunking parameters."""
-
-
-class Tokenizer(Protocol):
-    tokenizer_id: str
-
-    def spans(self, text: str) -> tuple[list[int], list[int]]: ...
-
-    def block_spans(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
-
-    def count(self, text: str) -> int: ...
 
 
 _SPACE, _WORD, _PUNCT = 0, 1, 2
@@ -174,18 +166,7 @@ def _classes(text: str) -> tuple[np.ndarray, np.ndarray]:
     return cls, word
 
 
-_TOKENIZERS: dict[str, Tokenizer] = {
-    WordPunctTokenizer.tokenizer_id: WordPunctTokenizer(),
-}
-
-DEFAULT_TOKENIZER = _TOKENIZERS[WordPunctTokenizer.tokenizer_id]
-
-
-def get_tokenizer(tokenizer_id: str) -> Tokenizer:
-    try:
-        return _TOKENIZERS[tokenizer_id]
-    except KeyError:
-        raise CorpusError(f"unknown tokenizer id: {tokenizer_id!r}") from None
+DEFAULT_TOKENIZER = WordPunctTokenizer()
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,7 +189,8 @@ class Chunk:
     ``start_token``/``end_token`` index into the parent document's token
     sequence; ``start_char``/``end_char`` locate the same window in the raw
     text. ``title`` is denormalized from the parent document so prompts can
-    be rendered from chunks alone.
+    be rendered from chunks alone. ``tokenizer_id`` must be that of
+    :data:`DEFAULT_TOKENIZER`, the tokenizer every offset and count is in.
     """
 
     chunk_id: str
@@ -227,6 +209,11 @@ class Chunk:
             raise CorpusError(f"chunk {self.chunk_id!r} has invalid token range")
         if self.token_count != self.end_token - self.start_token:
             raise CorpusError(f"chunk {self.chunk_id!r} token_count does not match its range")
+        if self.tokenizer_id != DEFAULT_TOKENIZER.tokenizer_id:
+            raise CorpusError(
+                f"chunk {self.chunk_id!r} was cut by tokenizer {self.tokenizer_id!r}, "
+                f"not {DEFAULT_TOKENIZER.tokenizer_id!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -405,21 +392,13 @@ def sample_questions(items: Sequence[QAItem], n: int, seed: int) -> list[QAItem]
     return random.Random(seed).sample(list(items), n)
 
 
-def chunk_document(
-    doc: Document,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    stride: int = DEFAULT_STRIDE,
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
-) -> list[Chunk]:
+def chunk_document(doc: Document, chunk_size: int = DEFAULT_CHUNK_SIZE, stride: int = DEFAULT_STRIDE) -> list[Chunk]:
     """The chunks of one document: ``build_corpus([doc], ...)``."""
-    return build_corpus([doc], chunk_size=chunk_size, stride=stride, tokenizer=tokenizer)
+    return build_corpus([doc], chunk_size=chunk_size, stride=stride)
 
 
 def build_corpus(
-    docs: Sequence[Document],
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    stride: int = DEFAULT_STRIDE,
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
+    docs: Sequence[Document], chunk_size: int = DEFAULT_CHUNK_SIZE, stride: int = DEFAULT_STRIDE
 ) -> list[Chunk]:
     """Cut every document into token windows that overlap by ``stride`` tokens.
 
@@ -437,10 +416,10 @@ def build_corpus(
     if stride < 0 or chunk_size <= stride:
         raise CorpusError(f"need chunk_size > stride >= 0, got {chunk_size=}, {stride=}")
     step = chunk_size - stride
-    tokenizer_id = tokenizer.tokenizer_id
+    tokenizer_id = DEFAULT_TOKENIZER.tokenizer_id
     chunks: list[Chunk] = []
     for block in _blocks(docs):
-        starts, ends, bounds = tokenizer.block_spans([doc.text for doc in block])
+        starts, ends, bounds = DEFAULT_TOKENIZER.block_spans([doc.text for doc in block])
         totals = np.diff(bounds)
         if not totals.all():
             doc = block[int(np.argmin(totals))]  # the first with no tokens
@@ -493,7 +472,8 @@ def _blocks(docs: Iterable[Document]) -> Iterator[list[Document]]:
 
 # --- manifest / question file I/O -----------------------------------------
 # Both files are JSONL with a typed header line, so readers can refuse files
-# written under a different tokenizer or schema version.
+# of another kind or schema version; a chunk row recorded under another
+# tokenizer is refused by Chunk itself.
 
 
 @contextmanager
@@ -514,17 +494,11 @@ def write_atomically(path: Path, mode: str = "w") -> Iterator[IO]:
         raise
 
 
-def write_chunk_manifest(
-    chunks: Sequence[Chunk],
-    path: str | Path,
-    chunk_size: int,
-    stride: int,
-    tokenizer_id: str,
-) -> None:
+def write_chunk_manifest(chunks: Sequence[Chunk], path: str | Path, chunk_size: int, stride: int) -> None:
     header = {
         "kind": "chunk_manifest",
         "schema_version": CHUNK_MANIFEST_VERSION,
-        "tokenizer_id": tokenizer_id,
+        "tokenizer_id": DEFAULT_TOKENIZER.tokenizer_id,
         "chunk_size": chunk_size,
         "stride": stride,
         "num_chunks": len(chunks),
@@ -632,6 +606,10 @@ def write_question_file(items: Sequence[QAItem], path: str | Path, meta: dict | 
 
 def _question_from_row(row: dict) -> QAItem:
     titles = row.get("gold_support_titles")
+    if titles is not None and not (isinstance(titles, list) and all(isinstance(t, str) for t in titles)):
+        raise CorpusError(
+            f"gold_support_titles must be null or a list of strings, got {type(titles).__name__} {titles!r}"
+        )
     return QAItem(
         question_id=row["question_id"],
         question=row["question"],

@@ -145,6 +145,11 @@ def _gram_tables(n: int) -> list[np.ndarray]:
     return tables
 
 
+# The n-gram sizes of hashing-v1, ascending; the whole-text hash of a text
+# shorter than every size is taken at the first.
+_NGRAM_SIZES = (3, 4, 5)
+_GRAM_TABLES = _gram_tables(_NGRAM_SIZES[-1])
+
 # Maps every byte outside [a-z0-9] to a space.
 _WORD_BYTES = bytes(b if 48 <= b <= 57 or 97 <= b <= 122 else 32 for b in range(256))
 
@@ -189,19 +194,12 @@ class HashingEmbedder:
       ``np.linalg.norm`` of the float64 count vector bit for bit.
     """
 
-    def __init__(self, dim: int = 256, ngram_sizes: Sequence[int] = (3, 4, 5)):
+    def __init__(self, dim: int = 256):
         if dim < 2:
             raise EmbedIndexError("embedding dim must be >= 2")
         self.dim = dim
-        self.ngram_sizes = tuple(ngram_sizes)
-        if not self.ngram_sizes or len(set(self.ngram_sizes)) != len(self.ngram_sizes):
-            raise EmbedIndexError(f"ngram sizes must be distinct and non-empty, got {self.ngram_sizes}")
-        if min(self.ngram_sizes) < 1:
-            raise EmbedIndexError(f"ngram sizes must be >= 1, got {self.ngram_sizes}")
-        sizes = "-".join(str(n) for n in self.ngram_sizes)
+        sizes = "-".join(str(n) for n in _NGRAM_SIZES)
         self.provider_id = f"hashing-v1:d{dim}:n{sizes}"
-        self._sizes = sorted(self.ngram_sizes)
-        self._tables = _gram_tables(self._sizes[-1])
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         # Rows go straight into the float32 result, so no float64 copy of
@@ -222,7 +220,7 @@ class HashingEmbedder:
 
     def _embed_block(self, texts: list[bytes], out: np.ndarray) -> None:
         """Write the rows of normalized ``texts`` into ``out``."""
-        dim, sizes, n = self.dim, self._sizes, len(self._tables)
+        dim, n = self.dim, len(_GRAM_TABLES)
         lengths = [len(t) for t in texts]
         total = sum(lengths)
         # Byte e of the joined texts is data[n - 1 + e]; the zero bytes in
@@ -230,18 +228,18 @@ class HashingEmbedder:
         data = np.frombuffer(bytes(n - 1) + b"".join(texts), dtype=np.uint8).astype(np.intp)
         # steps[j][e]: CRC-32 of the j + 1 bytes ending at byte e.
         steps: list[np.ndarray] = []
-        for j, table in enumerate(self._tables):
+        for j, table in enumerate(_GRAM_TABLES):
             h = table.take(data[n - 1 - j : n - 1 - j + total])
             if j:
                 h ^= steps[-1]
             steps.append(h)
-        hashes = np.concatenate([steps[size - 1] for size in sizes])
+        hashes = np.concatenate([steps[size - 1] for size in _NGRAM_SIZES])
         # Each hash's key offset, laid out by one np.repeat: its text's row,
         # or the trash row for a gram that would start before its text.
         trash = 2 * dim * len(texts)
         offsets: list[int] = []
         counts: list[int] = []
-        for i, size in enumerate(sizes):
+        for i, size in enumerate(_NGRAM_SIZES):
             end = -1
             for row, length in enumerate(lengths):
                 end += length
@@ -491,7 +489,8 @@ class Index:
     def __init__(self, ids: Sequence[str], vectors: np.ndarray, provider: EmbeddingProvider):
         if len(ids) == 0:
             raise EmbedIndexError("cannot build an empty index")
-        if len(set(ids)) != len(ids):
+        self._row_of = {cid: i for i, cid in enumerate(ids)}
+        if len(self._row_of) != len(ids):
             raise EmbedIndexError("duplicate chunk ids in index")
         if vectors.shape[0] != len(ids):
             raise EmbedIndexError("ids/vectors row count mismatch")
@@ -509,7 +508,6 @@ class Index:
         self._margin_per_query_norm = 2.0 * bound * max_row_norm * 1.01
         self.provider = provider
         self.provider_id = provider.provider_id
-        self._row_of = {cid: i for i, cid in enumerate(self.ids)}
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -517,18 +515,15 @@ class Index:
     def vector(self, chunk_id: str) -> np.ndarray:
         return self._matrix[self._row_of[chunk_id]]
 
-    def search(self, query: str, k: int = 5, vector: np.ndarray | None = None) -> list[RetrievalHit]:
+    def search(self, query: str, k: int = 5) -> list[RetrievalHit]:
         """Top-k by exact cosine; ties broken by ascending chunk id.
 
-        The one-query case of :meth:`_top_k`, so the result and its scores
-        are those of a float64 search over every row. ``vector`` is the
-        query's embedding when the caller already has it; otherwise the
-        query is embedded here.
+        The query is embedded, and its hits are the one-query case of
+        :meth:`_top_k`, so the result and its scores are those of a float64
+        search over every row.
         """
         _check_query(query, k)
-        if vector is None:
-            vector = embed([query], self.provider)[0]
-        (ranked,) = self._top_k(np.reshape(vector, (1, -1)), k)
+        (ranked,) = self._top_k(embed([query], self.provider), k)
         return [RetrievalHit(chunk_id=cid, score=score, query_index=0) for cid, score in ranked]
 
     def _top_k(self, vectors: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
@@ -622,7 +617,8 @@ class Index:
         file, so no length read from the file sizes an allocation. The
         buffer starts at an offset that puts the vector block, which ends
         the file, on a 4-byte boundary, so the rows are used where they lie.
-        A part cut off by the file's end is named in the error.
+        A part cut off by the file's end, or a provider id or chunk id that
+        is not UTF-8, is named in the error.
         """
         path = Path(path)
         with path.open("rb") as fh:
@@ -633,15 +629,18 @@ class Index:
             got = fh.readinto(memoryview(buf)[pad:])
         view = memoryview(buf)[: pad + got]
         ids, pos = [], pad
-        for _ in range(count):
-            if pos + 4 > len(view):
-                raise _truncated(path, "a chunk id length", size)
-            (id_len,) = struct.unpack_from("<I", view, pos)
-            pos += 4
-            if pos + id_len > len(view):
-                raise _truncated(path, "a chunk id", size)
-            ids.append(str(view[pos : pos + id_len], "utf-8"))
-            pos += id_len
+        try:
+            for _ in range(count):
+                if pos + 4 > len(view):
+                    raise _truncated(path, "a chunk id length", size)
+                (id_len,) = struct.unpack_from("<I", view, pos)
+                pos += 4
+                if pos + id_len > len(view):
+                    raise _truncated(path, "a chunk id", size)
+                ids.append(str(view[pos : pos + id_len], "utf-8"))
+                pos += id_len
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, "a chunk id", exc) from None
         if pos + vector_bytes > len(view):
             raise _truncated(path, "the vector block", size)
         if pos + vector_bytes < len(view):
@@ -666,6 +665,10 @@ def _truncated(path: Path, what: str, size: int) -> EmbedIndexError:
     return EmbedIndexError(f"{path} is truncated: {what} runs past its end ({size} bytes)")
 
 
+def _not_utf8(path: Path, what: str, exc: UnicodeDecodeError) -> EmbedIndexError:
+    return EmbedIndexError(f"{path}: {what} is not UTF-8 ({exc.reason})")
+
+
 def _open_index(fh: BinaryIO, path: Path) -> tuple[int, int, str, int]:
     """Check an index file's magic number and version, and read its header.
     Returns the dim, row count, provider id and file size, with ``fh`` at
@@ -684,7 +687,11 @@ def _open_index(fh: BinaryIO, path: Path) -> tuple[int, int, str, int]:
     if version != INDEX_VERSION:
         raise EmbedIndexError(f"{path}: unsupported index version {version}")
     (provider_len,) = struct.unpack("<I", read(4, "the provider id length"))
-    return dim, count, read(provider_len, "the provider id").decode("utf-8"), size
+    try:
+        provider_id = read(provider_len, "the provider id").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, "the provider id", exc) from None
+    return dim, count, provider_id, size
 
 
 def build_index(chunks: Sequence[Chunk], provider: EmbeddingProvider) -> Index:

@@ -145,7 +145,6 @@ class PayloadReport:
 
     overall_mean: float
     per_dataset: dict[str, float]
-    total_questions: int
 
 
 def payload_tokens(traces: Sequence["PipelineTrace"]) -> PayloadReport:
@@ -156,7 +155,7 @@ def payload_tokens(traces: Sequence["PipelineTrace"]) -> PayloadReport:
         per_dataset_sums.setdefault(trace.dataset_tag, []).append(trace.payload_tokens)
     per_dataset = {tag: sum(vals) / len(vals) for tag, vals in sorted(per_dataset_sums.items())}
     overall = sum(t.payload_tokens for t in traces) / len(traces)
-    return PayloadReport(overall_mean=overall, per_dataset=per_dataset, total_questions=len(traces))
+    return PayloadReport(overall_mean=overall, per_dataset=per_dataset)
 
 
 @dataclass(frozen=True)

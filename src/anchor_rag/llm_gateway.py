@@ -7,11 +7,12 @@ keeps runs deterministic regardless of prompt wording tweaks. The gateway
 computes the direct-answer confidence as the mean per-token probability.
 
 Every HTTP call in the package, chat and embeddings alike, goes through
-:class:`HttpClient`, and every retry through :func:`with_retries`: a
-connection error, HTTP 429 or 5xx is retried up to ``DEFAULT_RETRIES``
+:class:`HttpClient`, and every retry through :func:`with_retries`. The
+retry policy is the two constants ``RETRIES`` and ``BACKOFF_S`` and nothing
+else: a connection error, HTTP 429 or 5xx is retried up to ``RETRIES``
 calls in all, after the server's ``Retry-After`` when it sends a readable
-one of at most a day, else after ``DEFAULT_BACKOFF_S``·2^(n-1). Any other
-4xx, and a reply that is not JSON or lacks the expected fields, is a
+one of at most a day, else after ``BACKOFF_S``·2^(n-1). Any other 4xx, and
+a reply that is not JSON or lacks the expected fields, is a
 :class:`GatewayError` that is not retried.
 """
 
@@ -31,8 +32,11 @@ import requests
 
 from anchor_rag.corpus import DEFAULT_TOKENIZER
 
-DEFAULT_RETRIES = 3
-DEFAULT_BACKOFF_S = 0.5
+RETRIES = 3
+BACKOFF_S = 0.5
+
+# The tags around the answer in a System-1 reply (see answer_token_span).
+_ANSWER_OPEN, _ANSWER_CLOSE = "<answer>", "</answer>"
 
 T = TypeVar("T")
 
@@ -110,10 +114,8 @@ class ScriptedProvider:
 
     provider_id = "scripted"
 
-    def __init__(self, fixtures: dict[tuple[str, str], tuple[str, list | None]] | None = None):
+    def __init__(self) -> None:
         self._fixtures: dict[tuple[str, str], tuple[str, tuple[tuple[str, float], ...] | None]] = {}
-        for key, (text, logprobs) in (fixtures or {}).items():
-            self.add(key[0], key[1], text, logprobs)
 
     def add(self, stage_tag: str, question_id: str, text: str, token_logprobs: Sequence | None = None) -> None:
         key = (stage_tag, question_id)
@@ -289,43 +291,34 @@ class OpenAIChatProvider:
         )
 
 
-def with_retries(call: Callable[[], T], retries: int = DEFAULT_RETRIES, backoff_s: float = DEFAULT_BACKOFF_S,
-                 sleep: Callable[[float], None] | None = None) -> T:
-    """Return ``call()``, calling again after a :class:`TransportError`, up to ``retries`` calls in all.
-    Call n + 1 waits the error's ``retry_after`` if set, else ``backoff_s``·2^(n-1) (``time.sleep`` by default)."""
+def with_retries(call: Callable[[], T], sleep: Callable[[float], None] | None = None) -> T:
+    """Return ``call()``, calling again after a :class:`TransportError`, up to ``RETRIES`` calls in all.
+    Call n + 1 waits the error's ``retry_after`` if set, else ``BACKOFF_S``·2^(n-1) (``time.sleep`` by default)."""
     for attempt in itertools.count(1):
         try:
             return call()
         except TransportError as exc:
-            if attempt >= retries:
+            if attempt >= RETRIES:
                 raise
-            (sleep or time.sleep)(backoff_s * 2 ** (attempt - 1) if exc.retry_after is None else exc.retry_after)
+            (sleep or time.sleep)(BACKOFF_S * 2 ** (attempt - 1) if exc.retry_after is None else exc.retry_after)
 
 
 def complete(
-    request: ChatRequest,
-    provider: ChatProvider,
-    retries: int = DEFAULT_RETRIES,
-    backoff_s: float = DEFAULT_BACKOFF_S,
-    sleep: Callable[[float], None] | None = None,
+    request: ChatRequest, provider: ChatProvider, sleep: Callable[[float], None] | None = None
 ) -> ChatResponse:
     """Run one completion, retrying transient transport failures.
 
     Raises :class:`EmptyCompletionError` when the model returns no text,
     and the final :class:`TransportError` once attempts are exhausted.
     """
-    response = with_retries(lambda: provider.complete(request), retries, backoff_s, sleep)
+    response = with_retries(lambda: provider.complete(request), sleep)
     if not response.text.strip():
         raise EmptyCompletionError(f"provider {provider.provider_id} returned an empty completion")
     return response
 
 
-def answer_token_span(
-    response: ChatResponse,
-    open_tag: str = "<answer>",
-    close_tag: str = "</answer>",
-) -> tuple[int, int] | None:
-    """Locate the tokens inside the tagged answer, when recoverable.
+def answer_token_span(response: ChatResponse) -> tuple[int, int] | None:
+    """Locate the tokens inside the ``<answer>`` element, when recoverable.
 
     Works on the concatenation of the completion's token texts; returns a
     half-open token-index range, or None when the tags cannot be aligned.
@@ -334,11 +327,11 @@ def answer_token_span(
         return None
     tokens = [tok for tok, _ in response.token_logprobs]
     joined = "".join(tokens)
-    open_at = joined.find(open_tag)
+    open_at = joined.find(_ANSWER_OPEN)
     if open_at < 0:
         return None
-    content_start = open_at + len(open_tag)
-    content_end = joined.find(close_tag, content_start)
+    content_start = open_at + len(_ANSWER_OPEN)
+    content_end = joined.find(_ANSWER_CLOSE, content_start)
     if content_end < 0 or content_end == content_start:
         return None
     first = last = None

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence, TextIO, get_args, get_type_hints
 
-from anchor_rag.corpus import DEFAULT_TOKENIZER, Chunk, QAItem, Tokenizer, get_tokenizer
+from anchor_rag.corpus import DEFAULT_TOKENIZER, Chunk, QAItem
 from anchor_rag.embed_index import QUERY_STYLES, EmbedIndexError, Index, RetrievalHit, retrieve_for_queries, triple_query
 from anchor_rag.llm_gateway import (
     ChatProvider,
@@ -129,8 +129,6 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         data = dict(data)
         limits = data.pop("limits", None)
-        if limits is None:
-            limits = data.pop("max_new_tokens", None)
         if limits is not None:
             if not isinstance(limits, dict):
                 raise PipelineError(f"config limits must be an object, got {type(limits).__name__} {limits!r}")
@@ -250,10 +248,6 @@ class Pipeline:
                     f"index references {len(missing)} chunk id(s) absent from the chunk manifest "
                     f"(first: {missing[0]!r}); index and manifest are out of sync"
                 )
-        tokenizer_ids = {c.tokenizer_id for c in chunks} or {DEFAULT_TOKENIZER.tokenizer_id}
-        if len(tokenizer_ids) > 1:
-            raise PipelineError(f"chunk set mixes tokenizers: {sorted(tokenizer_ids)}")
-        self.tokenizer: Tokenizer = get_tokenizer(tokenizer_ids.pop())
 
     # --- stage calls --------------------------------------------------------
 
@@ -418,7 +412,7 @@ class Pipeline:
             trace.final_answer = trace.system1_answer
             if trace.retrieved_chunks:
                 prompt = self._system2_prompt(q, trace)
-                trace.saved_input_tokens = sum(map(self.tokenizer.count, (prompt.system_text, prompt.user_text)))
+                trace.saved_input_tokens = sum(map(DEFAULT_TOKENIZER.count, (prompt.system_text, prompt.user_text)))
             return trace
 
         self.answer_system2(q, trace, include_anchor=cfg.mode != "no_initial_reasoning")

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 import threading
@@ -204,6 +205,45 @@ def test_run_index_cut_names_the_part(workspace, capsys, part, where):
     assert f"is truncated: {part} runs past its end" in err[0]
 
 
+def flip_first_byte(index: Path, part: str) -> None:
+    """Flip the first byte of the provider id or of the first chunk id in an
+    index file, leaving a byte that no UTF-8 string starts with."""
+    raw = bytearray(index.read_bytes())
+    (provider_len,) = struct.unpack_from("<I", raw, 20)
+    raw[24 if part == "the provider id" else 24 + provider_len + 4] ^= 0xFF
+    index.write_bytes(raw)
+
+
+@pytest.mark.parametrize("part", ["the provider id", "a chunk id"])
+def test_run_index_part_not_utf8_is_one_error_line(workspace, capsys, part):
+    index = workspace / "flipped.bin"
+    index.write_bytes((workspace / "index.bin").read_bytes())
+    flip_first_byte(index, part)
+    rc, out = run_full(workspace, "never.jsonl", extra=("--index", str(index)))  # the last --index wins
+    assert rc == 1
+    assert error_lines(capsys) == [f"error: {index}: {part} is not UTF-8 (invalid start byte)"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build-index", "run"])
+def test_manifest_row_cut_by_another_tokenizer_is_one_error_line(workspace, capsys, command):
+    lines = (workspace / "chunks.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[3])
+    lines[3] = json.dumps({**row, "tokenizer_id": "wordpunct-v2"}, ensure_ascii=False) + "\n"
+    chunks = workspace / "other_tokenizer.jsonl"
+    chunks.write_text("".join(lines), encoding="utf-8")
+    if command == "build-index":
+        out = workspace / "other_tokenizer.bin"
+        rc = main(["build-index", "--chunks", str(chunks), "--out", str(out)])
+    else:
+        rc, out = run_full(workspace, "other_tokenizer_run.jsonl", extra=("--chunks", str(chunks)))
+    assert rc == 1
+    assert error_lines(capsys) == [
+        f"error: {chunks}: line 4: chunk {row['chunk_id']!r} was cut by tokenizer 'wordpunct-v2', not 'wordpunct-v1'"
+    ]
+    assert not out.exists()
+
+
 def test_run_requires_index_for_full_mode(workspace, capsys):
     rc = main(
         [
@@ -366,7 +406,7 @@ def test_ingest_sampled_contexts_parses_once(tmp_path, monkeypatch, seed):
     items, _ = read_question_file(out / "questions.jsonl")
     _, docs = load_dataset(data, "hotpotqa", restrict_to={q.question_id for q in items})
     reference = tmp_path / "reference.jsonl"
-    write_chunk_manifest(build_corpus(docs), reference, chunk_size=400, stride=50, tokenizer_id="wordpunct-v1")
+    write_chunk_manifest(build_corpus(docs), reference, chunk_size=400, stride=50)
     assert (out / "chunks.jsonl").read_bytes() == reference.read_bytes()
 
 
@@ -561,11 +601,12 @@ def test_run_bad_json_input_is_one_error_line(workspace, capsys, name, body, fla
         ({"limits": []}, "config limits must be an object, got list []"),
         ({"limits": {"system1": "64"}}, "limits system1 must be int, got str '64'"),
         ({"limits": {"system_1": 64}}, "unknown limits keys: ['system_1']"),
+        ({"max_new_tokens": {"system1": 32}}, "unknown config keys: ['max_new_tokens']"),
         ({"chat_provider": "scripted"}, "{path}: config chat_provider must be an object"),
         ({"embed_provider": ["hashing"]}, "{path}: config embed_provider must be an object"),
     ],
     ids=["k_str", "k_bool", "tau_str", "limits_int", "limits_list", "limit_str", "limit_unknown_key",
-         "chat_provider_str", "embed_provider_list"],
+         "max_new_tokens", "chat_provider_str", "embed_provider_list"],
 )
 def test_run_config_with_bad_values_is_one_error_line(workspace, capsys, config, expected):
     path = workspace / "config.json"
@@ -691,7 +732,7 @@ def test_build_index_interrupted_during_overlapped_requests(tmp_path, loopback, 
     chunks = [Chunk(chunk_id=f"c{i:04d}", doc_id=f"d{i:04d}", start_token=0, end_token=3, text=f"chunk number {i}",
                     token_count=3, tokenizer_id="wordpunct-v1", title=f"Doc {i}") for i in range(768)]
     manifest = tmp_path / "chunks.jsonl"
-    write_chunk_manifest(chunks, manifest, chunk_size=100, stride=0, tokenizer_id="wordpunct-v1")
+    write_chunk_manifest(chunks, manifest, chunk_size=100, stride=0)
     stalled = chunks[3 * 128].text
 
     def route(payload):
@@ -771,6 +812,21 @@ def test_run_malformed_reply_is_a_question_error(workspace, loopback, capsys, ro
     assert any(expected in e for e in traces[0].errors), traces[0].errors
     assert {p["model"] for path, p in loopback.seen if path.endswith("/embeddings")} == {"emb"}
     assert {p["model"] for path, p in loopback.seen if path.endswith("/chat/completions")} == {"chat"}
+
+
+def test_remote_run_index_provider_id_not_utf8_is_one_error_line(workspace, loopback, capsys):
+    # No embedding model is named, so run reads it from the index header.
+    rc, index = build_remote_index(workspace, loopback)
+    assert rc == 0
+    flip_first_byte(index, "the provider id")
+    requests_before = len(loopback.seen)
+    out = workspace / "remote_run.jsonl"
+    rc = main(["run", "--questions", str(workspace / "questions.jsonl"), "--index", str(index),
+               "--chunks", str(workspace / "chunks.jsonl"), "--mode", "full", "--provider", "openai",
+               "--endpoint", loopback.url, "--model", "chat", "--embedder", "remote", "--out", str(out)])
+    assert rc == 1
+    assert error_lines(capsys) == [f"error: {index}: the provider id is not UTF-8 (invalid start byte)"]
+    assert not out.exists() and len(loopback.seen) == requests_before
 
 
 def test_readme_remote_run_uses_the_index_embedding_model(workspace, loopback):

@@ -170,6 +170,15 @@ def test_empty_document_rejected():
         chunk_document(doc)
 
 
+def test_chunk_cut_by_another_tokenizer_rejected():
+    chunk = build_corpus([make_doc(10)])[0]
+    assert chunk.tokenizer_id == corpus.DEFAULT_TOKENIZER.tokenizer_id == "wordpunct-v1"
+    fields = {name: getattr(chunk, name) for name in chunk.__dataclass_fields__}
+    for other in ("wordpunct-v2", "", "WORDPUNCT-V1"):
+        with pytest.raises(CorpusError, match=f"was cut by tokenizer {other!r}, not 'wordpunct-v1'"):
+            corpus.Chunk(**{**fields, "tokenizer_id": other})
+
+
 def test_bad_chunk_params_rejected():
     with pytest.raises(CorpusError):
         chunk_document(make_doc(10), chunk_size=50, stride=50)
@@ -609,13 +618,13 @@ def test_sample_too_large_rejected():
 def test_chunk_manifest_round_trip(tmp_path):
     chunks = build_corpus([make_doc(900, "a"), make_doc(120, "b")])
     path = tmp_path / "chunks.jsonl"
-    write_chunk_manifest(chunks, path, chunk_size=400, stride=50, tokenizer_id=TOK.tokenizer_id)
+    write_chunk_manifest(chunks, path, chunk_size=400, stride=50)
     loaded, header = read_chunk_manifest(path)
     assert loaded == chunks
     assert header["tokenizer_id"] == TOK.tokenizer_id
 
     again = tmp_path / "chunks2.jsonl"
-    write_chunk_manifest(loaded, again, chunk_size=400, stride=50, tokenizer_id=TOK.tokenizer_id)
+    write_chunk_manifest(loaded, again, chunk_size=400, stride=50)
     assert path.read_bytes() == again.read_bytes()
 
 
@@ -625,6 +634,36 @@ def test_question_file_round_trip(tmp_path):
     write_question_file(items, path, meta={"seed": 1})
     loaded, header = read_question_file(path)
     assert loaded == items and header["seed"] == 1
+
+
+def with_support_titles(path, titles) -> None:
+    """Set the first question row's ``gold_support_titles`` to ``titles``."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), "gold_support_titles": titles}) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("titles, expected", [(None, None), ([], None), (["Paris", "Lyon"], {"Paris", "Lyon"})])
+def test_question_file_support_titles_null_or_a_list(tmp_path, titles, expected):
+    path = tmp_path / "questions.jsonl"
+    write_question_file(make_items(2), path)
+    with_support_titles(path, titles)
+    loaded, _ = read_question_file(path)
+    assert loaded[0].gold_support_titles == (None if expected is None else frozenset(expected))
+
+
+@pytest.mark.parametrize("titles", ["Paris", "", {"Paris": 1}, ["Paris", 3], [["Paris"]], 7, True])
+def test_question_file_support_titles_of_another_type_are_refused(tmp_path, titles):
+    # A string was read as the set of its characters.
+    path = tmp_path / "questions.jsonl"
+    write_question_file(make_items(2), path)
+    with_support_titles(path, titles)
+    with pytest.raises(CorpusError) as err:
+        read_question_file(path)
+    assert str(err.value) == (
+        f"{path}: line 2: gold_support_titles must be null or a list of strings, "
+        f"got {type(titles).__name__} {titles!r}"
+    )
 
 
 class InterruptedAfter(list):
@@ -651,7 +690,7 @@ def write_output(target, out_dir, n, wrap=list):
         return
     chunks = build_corpus([make_doc(120, "a"), make_doc(90, "b"), make_doc(60, "c")])[:n]
     if target == "chunks.jsonl":
-        write_chunk_manifest(wrap(chunks), out_dir / target, 400, 50, TOK.tokenizer_id)
+        write_chunk_manifest(wrap(chunks), out_dir / target, 400, 50)
     else:
         index = build_index(chunks, HashingEmbedder(dim=16))
         index.ids = wrap(index.ids)
@@ -697,7 +736,7 @@ def test_question_file_version_checked(tmp_path):
 
 def _manifest_files(tmp_path):
     chunks_path, questions_path = tmp_path / "chunks.jsonl", tmp_path / "questions.jsonl"
-    write_chunk_manifest(build_corpus([make_doc(900, "a")]), chunks_path, 400, 50, TOK.tokenizer_id)
+    write_chunk_manifest(build_corpus([make_doc(900, "a")]), chunks_path, 400, 50)
     write_question_file(make_items(3), questions_path)
     return [(read_chunk_manifest, chunks_path), (read_question_file, questions_path)]
 
@@ -749,7 +788,7 @@ def test_manifest_cut_at_a_line_end_is_caught_by_the_row_count(tmp_path):
 def test_manifest_cut_inside_a_character(tmp_path):
     doc = Document(doc_id="z", title="Zürich", text="Zürich lies on the Limmat.")
     path = tmp_path / "chunks.jsonl"
-    write_chunk_manifest(build_corpus([doc]), path, 400, 50, TOK.tokenizer_id)
+    write_chunk_manifest(build_corpus([doc]), path, 400, 50)
     data = path.read_bytes()
     path.write_bytes(data[: data.rindex("ü".encode("utf-8")) + 1])
     with pytest.raises(CorpusError, match="not UTF-8"):

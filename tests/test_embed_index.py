@@ -1,6 +1,8 @@
 import json
+import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -8,7 +10,6 @@ import time
 import tracemalloc
 import zlib
 from fractions import Fraction
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 from unittest import mock
 
@@ -104,11 +105,11 @@ def test_embed_rejects_empty_inputs():
         embed(["ok", ""], provider)
 
 
-def hashing_v1_reference(text: str, dim: int, ngram_sizes: tuple[int, ...]) -> np.ndarray:
-    """The scalar hashing-v1 embedder: one zlib.crc32 and one += per n-gram."""
+def hashing_v1_reference(text: str, dim: int) -> np.ndarray:
+    """The scalar hashing-v1 embedder: one zlib.crc32 and one += per 3-, 4- and 5-gram."""
     v = np.zeros(dim, dtype=np.float64)
     t = " ".join(re.sub(r"[^a-z0-9]+", " ", text.lower()).split())
-    grams = [t[i : i + n] for n in ngram_sizes for i in range(len(t) - n + 1)]
+    grams = [t[i : i + n] for n in (3, 4, 5) for i in range(len(t) - n + 1)]
     if not grams and t:
         grams = [t]
     for gram in grams:
@@ -130,12 +131,11 @@ LONG_TEXTS = st.lists(st.sampled_from(UNICODE_WORDS + WORDS), min_size=600, max_
 @given(
     texts=st.lists(st.one_of(st.text(), st.text(alphabet="ab !_İé", max_size=6), LONG_TEXTS), min_size=1, max_size=6),
     dim=st.sampled_from([2, 31, 256]),
-    ngram_sizes=st.sampled_from([(3, 4, 5), (5, 3, 4), (1,), (2, 6)]),
 )
-@example(texts=["", "!!! ???", "ab", "a", "İ", "é", "x" * 3001, " ".join(WORDS) * 20], dim=256, ngram_sizes=(3, 4, 5))
-def test_hashing_embedder_matches_scalar_reference(texts, dim, ngram_sizes):
-    got = HashingEmbedder(dim=dim, ngram_sizes=ngram_sizes).embed_batch(texts)
-    expected = np.stack([hashing_v1_reference(t, dim, ngram_sizes) for t in texts])
+@example(texts=["", "!!! ???", "ab", "a", "İ", "é", "x" * 3001, " ".join(WORDS) * 20], dim=256)
+def test_hashing_embedder_matches_scalar_reference(texts, dim):
+    got = HashingEmbedder(dim=dim).embed_batch(texts)
+    expected = np.stack([hashing_v1_reference(t, dim) for t in texts])
     assert got.dtype == np.float32
     assert np.array_equal(got, expected)
 
@@ -147,9 +147,8 @@ EDGE_TEXTS = ["", "a", "!!! ???", "ab", "river stone", "é", "İ", "x" * 90, "Zq
               "K", "cedar summit", "b c", "ab", "", "quill"]
 
 
-@pytest.mark.parametrize("ngram_sizes", [(3, 4, 5), (2, 6), (1,)])
 @pytest.mark.parametrize("dim", [2, 8])
-def test_hashing_embedder_rows_across_block_edges(monkeypatch, dim, ngram_sizes):
+def test_hashing_embedder_rows_across_block_edges(monkeypatch, dim):
     blocks: list[list[bytes]] = []
     embed_block = HashingEmbedder._embed_block
 
@@ -158,10 +157,10 @@ def test_hashing_embedder_rows_across_block_edges(monkeypatch, dim, ngram_sizes)
         embed_block(self, texts, out)
 
     monkeypatch.setattr(HashingEmbedder, "_embed_block", spy)
-    expected = np.stack([hashing_v1_reference(t, dim, ngram_sizes) for t in EDGE_TEXTS])
+    expected = np.stack([hashing_v1_reference(t, dim) for t in EDGE_TEXTS])
     for block_bytes in range(1, 60):
         monkeypatch.setattr(embed_index, "_BLOCK_BYTES", block_bytes)
-        got = HashingEmbedder(dim=dim, ngram_sizes=ngram_sizes).embed_batch(EDGE_TEXTS)
+        got = HashingEmbedder(dim=dim).embed_batch(EDGE_TEXTS)
         assert np.array_equal(got, expected), block_bytes
     # Blocks of one text each, blocks of many, and one text alone in a block
     # it overflows were all formed.
@@ -181,12 +180,6 @@ def test_hashing_embedder_batch_equals_rows_embedded_alone(texts, block_bytes, d
         got = provider.embed_batch(texts)
     alone = [provider.embed_batch([t]) for t in texts]
     assert np.array_equal(got, np.concatenate(alone) if alone else np.empty((0, dim), dtype=np.float32))
-
-
-@pytest.mark.parametrize("ngram_sizes", [(), (3, 3), (3, 4, 3), (0,), (0, 3), (-1, 2)])
-def test_hashing_embedder_rejects_degenerate_ngram_sizes(ngram_sizes):
-    with pytest.raises(EmbedIndexError, match="ngram sizes"):
-        HashingEmbedder(ngram_sizes=ngram_sizes)
 
 
 def test_embed_checks_norms_without_copying_the_batch():
@@ -333,10 +326,10 @@ def test_search_matches_float64_oracle_with_planted_near_ties(seed, n, dim, quer
     exact = exact_scores(rows, q)
     ranked = sorted(range(n), key=lambda i: (-exact[i], ids[i]))
     for k in sorted({1, 2, n - 1, n, n + 3} - {0}):
-        hits = index.search("q", k=k, vector=q)
-        assert [h.chunk_id for h in hits] == [ids[i] for i in ranked[:k]]
-        for hit, i in zip(hits, ranked):
-            assert abs(hit.score - float(exact[i])) <= 1e-12 * max(1.0, abs(float(exact[i])))
+        (hits,) = index._top_k(q[None], k)
+        assert [cid for cid, _ in hits] == [ids[i] for i in ranked[:k]]
+        for (_, score), i in zip(hits, ranked):
+            assert abs(score - float(exact[i])) <= 1e-12 * max(1.0, abs(float(exact[i])))
 
 
 def test_rescored_score_does_not_depend_on_the_other_candidates():
@@ -352,8 +345,8 @@ def test_rescored_score_does_not_depend_on_the_other_candidates():
         perm = rng.permutation(n)
         index = Index([ids[i] for i in perm], rows[perm], UnusedProvider(dim))
         for k in (1, 2, 3, 5, 8, 13, 21, n):
-            for hit in index.search("q", k=k, vector=q):
-                assert seen.setdefault(hit.chunk_id, hit.score) == hit.score, (trial, k, hit.chunk_id)
+            for cid, score in index._top_k(q[None], k)[0]:
+                assert seen.setdefault(cid, score) == score, (trial, k, cid)
     assert len(seen) == n
 
 
@@ -385,7 +378,7 @@ def test_top_k_of_a_query_block_matches_each_query_searched_alone(seed, n, m, di
             block = index._top_k(queries, k)
         assert len(block) == m
         for q, scores, ranked in zip(queries, exact, block):
-            assert ranked == [(h.chunk_id, h.score) for h in index.search("q", k=k, vector=q)]
+            assert ranked == index._top_k(q[None], k)[0]
             expected = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:k]
             assert [cid for cid, _ in ranked] == [ids[i] for i in expected]
             for (_, score), i in zip(ranked, expected):
@@ -632,42 +625,15 @@ def test_empty_triples_rejected():
 # --- remote embeddings endpoint ------------------------------------------------
 
 
-class FakeEmbeddingsHandler(BaseHTTPRequestHandler):
-    seen_payloads: list[dict] = []
-
-    def do_POST(self):  # noqa: N802 (stdlib naming)
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        FakeEmbeddingsHandler.seen_payloads.append(payload)
-        # deterministic 4-d vectors keyed by text length, returned out of order
-        data = [
-            {"index": i, "embedding": [float(len(text)), 1.0, 0.0, 0.0]}
-            for i, text in enumerate(payload["input"])
-        ]
-        body = json.dumps({"data": list(reversed(data)), "model": payload["model"]}).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
+def length_rows(payload):
+    """Deterministic 4-d rows keyed by text length, listed out of order."""
+    data = [{"index": i, "embedding": [float(len(text)), 1.0, 0.0, 0.0]} for i, text in enumerate(payload["input"])]
+    return reply(body={"data": data[::-1], "model": payload["model"]})
 
 
-@pytest.fixture()
-def fake_embeddings_endpoint():
-    server = HTTPServer(("127.0.0.1", 0), FakeEmbeddingsHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    FakeEmbeddingsHandler.seen_payloads = []
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1"
-    server.shutdown()
-    server.server_close()
-
-
-def test_remote_embedder_round_trip(fake_embeddings_endpoint):
-    provider = RemoteEmbedder(base_url=fake_embeddings_endpoint, model="embed-model", api_key="k", batch_size=2)
+def test_remote_embedder_round_trip(loopback):
+    loopback.routes["/embeddings"] = length_rows
+    provider = RemoteEmbedder(base_url=loopback.url, model="embed-model", api_key="k", batch_size=2)
     vectors = embed(["ab", "abcd", "a"], provider)
     assert provider.dim == 4
     assert vectors.shape == (3, 4)
@@ -675,41 +641,23 @@ def test_remote_embedder_round_trip(fake_embeddings_endpoint):
     assert vectors[0][0] > vectors[2][0]
     norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
     assert np.all(np.abs(norms - 1.0) <= 1e-6)
-    assert [len(p["input"]) for p in FakeEmbeddingsHandler.seen_payloads] == [2, 1]
-    assert FakeEmbeddingsHandler.seen_payloads[0]["model"] == "embed-model"
+    assert [len(payload["input"]) for _, payload in loopback.seen] == [2, 1]
+    assert loopback.seen[0][1]["model"] == "embed-model"
 
 
-def test_remote_embedder_dim_mismatch(fake_embeddings_endpoint):
-    provider = RemoteEmbedder(base_url=fake_embeddings_endpoint, model="m", dim=8)
+def test_remote_embedder_dim_mismatch(loopback):
+    loopback.routes["/embeddings"] = length_rows
+    provider = RemoteEmbedder(base_url=loopback.url, model="m", dim=8)
     with pytest.raises(EmbedIndexError):
         provider.embed_batch(["text"])
 
 
-class KeepAliveEmbeddingsHandler(FakeEmbeddingsHandler):
-    """HTTP/1.1 variant of the fake endpoint that counts TCP connections."""
-
-    protocol_version = "HTTP/1.1"
-    timeout = 10
-    connections = 0
-
-    def setup(self):
-        KeepAliveEmbeddingsHandler.connections += 1
-        super().setup()
-
-
-def test_remote_embedder_reuses_one_connection():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveEmbeddingsHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    FakeEmbeddingsHandler.seen_payloads = []
-    KeepAliveEmbeddingsHandler.connections = 0
-    try:
-        provider = RemoteEmbedder(base_url=f"http://127.0.0.1:{server.server_address[1]}/v1", model="m", batch_size=2)
-        for i in range(4):
-            assert embed(["ab", "abcd", "a" * (i + 1)], provider).shape == (3, 4)
-        assert (len(FakeEmbeddingsHandler.seen_payloads), KeepAliveEmbeddingsHandler.connections) == (8, 1)
-    finally:
-        server.shutdown()
-        server.server_close()
+def test_remote_embedder_reuses_one_connection(loopback):
+    loopback.routes["/embeddings"] = length_rows
+    provider = RemoteEmbedder(base_url=loopback.url, model="m", batch_size=2)
+    for i in range(4):
+        assert embed(["ab", "abcd", "a" * (i + 1)], provider).shape == (3, 4)
+    assert (len(loopback.seen), loopback.connections) == (8, 1)
 
 
 def test_remote_embedder_transport_failure(monkeypatch):
@@ -967,10 +915,17 @@ def test_scores_bounded(texts, query):
 
 
 def test_bench_retrieval_script_smoke(tmp_path):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_retrieval.py"
+    repo = Path(__file__).resolve().parent.parent
+    script = repo / "scripts" / "bench_retrieval.py"
+    # A copy of the package outside the repo, and no PYTHONPATH: the script
+    # can import anchor_rag only from the tree --src names.
+    tree = tmp_path / "tree"
+    shutil.copytree(repo / "src" / "anchor_rag", tree / "anchor_rag", ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = tmp_path / "BENCH_retrieval.json"
     args = ["--sizes", "50", "--queries", "4", "--embed-texts", "2", "--embed-repeats", "1", "--out", str(out)]
-    subprocess.run([sys.executable, str(script), *args, "--label", "smoke"], check=True, capture_output=True, timeout=120)
+    subprocess.run([sys.executable, str(script), *args, "--label", "smoke", "--src", str(tree)], check=True,
+                   capture_output=True, timeout=120, env=env, cwd=tmp_path)
     run = json.loads(out.read_text(encoding="utf-8"))["runs"]["smoke"]
     assert run["machine"]["cores"] >= 1
     assert run["index"]["50"]["search"]["samples"] == 4

@@ -4,7 +4,6 @@ import math
 import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -172,7 +171,7 @@ class FlakyProvider:
 def test_retry_recovers_from_transient_failures():
     provider = FlakyProvider(failures=2)
     napped = []
-    response = complete(make_request(), provider, retries=3, backoff_s=0.5, sleep=napped.append)
+    response = complete(make_request(), provider, sleep=napped.append)
     assert response.text == "ok"
     assert provider.calls == 3
     assert napped == [0.5, 1.0]  # exponential backoff
@@ -181,7 +180,7 @@ def test_retry_recovers_from_transient_failures():
 def test_retry_exhaustion_raises():
     provider = FlakyProvider(failures=10)
     with pytest.raises(TransportError):
-        complete(make_request(), provider, retries=3, sleep=lambda _: None)
+        complete(make_request(), provider, sleep=lambda _: None)
     assert provider.calls == 3
 
 
@@ -271,137 +270,77 @@ def test_confidence_monotone_and_bounded(logprobs, bump, data):
 # --- OpenAI-compatible HTTP provider ---------------------------------------------
 
 
-class FakeChatHandler(BaseHTTPRequestHandler):
-    behaviour = "ok"
-    seen_payloads: list[dict] = []
-    fail_once = {"count": 0}
-
-    def do_POST(self):  # noqa: N802 (stdlib naming)
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        FakeChatHandler.seen_payloads.append(payload)
-        if FakeChatHandler.behaviour == "flaky" and FakeChatHandler.fail_once["count"] == 0:
-            FakeChatHandler.fail_once["count"] += 1
-            self.send_response(503)
-            self.end_headers()
-            self.wfile.write(b"busy")
-            return
-        if FakeChatHandler.behaviour == "no_logprobs" and payload.get("logprobs"):
-            self.send_response(400)
-            self.end_headers()
-            self.wfile.write(b'{"error": "logprobs is not supported on this endpoint"}')
-            return
-        body = {
-            "choices": [
-                {
-                    "message": {"role": "assistant", "content": "<answer>Paris</answer>"},
-                    "logprobs": (
-                        {
-                            "content": [
-                                {"token": "<answer>", "logprob": -0.01},
-                                {"token": "Paris", "logprob": -0.25},
-                                {"token": "</answer>", "logprob": -0.01},
-                            ]
-                        }
-                        if payload.get("logprobs")
-                        else None
-                    ),
-                }
-            ],
-            "usage": {"prompt_tokens": 21, "completion_tokens": 3},
+def chat_route(payload):
+    """An OpenAI-compatible chat reply, with log-probabilities when asked for."""
+    logprobs = None
+    if payload.get("logprobs"):
+        logprobs = {
+            "content": [
+                {"token": "<answer>", "logprob": -0.01},
+                {"token": "Paris", "logprob": -0.25},
+                {"token": "</answer>", "logprob": -0.01},
+            ]
         }
-        raw = json.dumps(body).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def log_message(self, *args):
-        pass
+    message = {"role": "assistant", "content": "<answer>Paris</answer>"}
+    return reply(body={"choices": [{"message": message, "logprobs": logprobs}],
+                       "usage": {"prompt_tokens": 21, "completion_tokens": 3}})
 
 
-@pytest.fixture()
-def fake_endpoint():
-    server = HTTPServer(("127.0.0.1", 0), FakeChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    FakeChatHandler.behaviour = "ok"
-    FakeChatHandler.seen_payloads = []
-    FakeChatHandler.fail_once = {"count": 0}
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1"
-    server.shutdown()
-    server.server_close()
-
-
-def test_openai_provider_round_trip(fake_endpoint):
-    provider = OpenAIChatProvider(base_url=fake_endpoint, model="test-model", api_key="k")
+def test_openai_provider_round_trip(loopback):
+    loopback.routes["/chat/completions"] = chat_route
+    provider = OpenAIChatProvider(base_url=loopback.url, model="test-model", api_key="k")
     response = complete(make_request(want_logprobs=True), provider, sleep=lambda _: None)
     assert response.text == "<answer>Paris</answer>"
     assert response.token_logprobs == (("<answer>", -0.01), ("Paris", -0.25), ("</answer>", -0.01))
     assert response.prompt_tokens == 21 and response.completion_tokens == 3
-    payload = FakeChatHandler.seen_payloads[0]
+    payload = loopback.seen[0][1]
     assert payload["model"] == "test-model"
     assert payload["messages"][0]["role"] == "system"
     assert payload["logprobs"] is True
     assert payload["max_tokens"] == 32
 
 
-def test_openai_provider_retries_server_errors(fake_endpoint):
-    FakeChatHandler.behaviour = "flaky"
-    provider = OpenAIChatProvider(base_url=fake_endpoint, model="m")
-    response = complete(make_request(), provider, retries=3, sleep=lambda _: None)
+def test_openai_provider_retries_server_errors(loopback):
+    loopback.routes["/chat/completions"] = chat_route
+    loopback.queued["/chat/completions"].append(reply(503, b"busy"))
+    provider = OpenAIChatProvider(base_url=loopback.url, model="m")
+    response = complete(make_request(), provider, sleep=lambda _: None)
     assert response.text == "<answer>Paris</answer>"
-    assert len(FakeChatHandler.seen_payloads) == 2
+    assert len(loopback.seen) == 2
 
 
-def test_openai_provider_degrades_when_logprobs_rejected(fake_endpoint):
-    FakeChatHandler.behaviour = "no_logprobs"
-    provider = OpenAIChatProvider(base_url=fake_endpoint, model="m")
+def test_openai_provider_degrades_when_logprobs_rejected(loopback):
+    def no_logprobs(payload):
+        if payload.get("logprobs"):
+            return reply(400, b'{"error": "logprobs is not supported on this endpoint"}')
+        return chat_route(payload)
+
+    loopback.routes["/chat/completions"] = no_logprobs
+    provider = OpenAIChatProvider(base_url=loopback.url, model="m")
     response = complete(make_request(want_logprobs=True), provider, sleep=lambda _: None)
     assert response.text == "<answer>Paris</answer>"
     assert not response.has_logprobs
     assert mean_token_confidence(response) is None
+    assert [payload.get("logprobs") for _, payload in loopback.seen] == [True, None]
 
 
-class KeepAliveChatHandler(FakeChatHandler):
-    """HTTP/1.1 variant of the fake endpoint that counts TCP connections."""
-
-    protocol_version = "HTTP/1.1"
-    timeout = 10
-    connections = 0
-
-    def setup(self):
-        KeepAliveChatHandler.connections += 1
-        super().setup()
-
-
-def test_openai_provider_reuses_one_connection_per_thread():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveChatHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    FakeChatHandler.behaviour = "ok"
-    FakeChatHandler.seen_payloads = []
-    KeepAliveChatHandler.connections = 0
-    try:
-        provider = OpenAIChatProvider(base_url=f"http://127.0.0.1:{server.server_address[1]}/v1", model="m")
-        for _ in range(8):
-            assert complete(make_request(), provider).text == "<answer>Paris</answer>"
-        assert (len(FakeChatHandler.seen_payloads), KeepAliveChatHandler.connections) == (8, 1)
-        # another thread gets its own session, so its own connection
-        other = threading.Thread(target=lambda: [complete(make_request(), provider) for _ in range(3)])
-        other.start()
-        other.join(timeout=10)
-        assert not other.is_alive()
-        assert (len(FakeChatHandler.seen_payloads), KeepAliveChatHandler.connections) == (11, 2)
-    finally:
-        server.shutdown()
-        server.server_close()
+def test_openai_provider_reuses_one_connection_per_thread(loopback):
+    provider = OpenAIChatProvider(base_url=loopback.url, model="m")
+    for _ in range(8):
+        assert complete(make_request(), provider).text == "<answer>Paris</answer>"
+    assert (len(loopback.seen), loopback.connections) == (8, 1)
+    # another thread gets its own session, so its own connection
+    other = threading.Thread(target=lambda: [complete(make_request(), provider) for _ in range(3)])
+    other.start()
+    other.join(timeout=10)
+    assert not other.is_alive()
+    assert (len(loopback.seen), loopback.connections) == (11, 2)
 
 
 def test_openai_provider_transport_error_on_unreachable_host():
     provider = OpenAIChatProvider(base_url="http://127.0.0.1:9", model="m", timeout_s=0.2)
     with pytest.raises(TransportError):
-        complete(make_request(), provider, retries=2, sleep=lambda _: None)
+        complete(make_request(), provider, sleep=lambda _: None)
 
 
 # --- status policy, malformed replies, Retry-After, proxies --------------------
