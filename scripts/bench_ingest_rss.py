@@ -2,9 +2,9 @@
 """Record peak RSS and wall time of each CLI step, for the local and the remote embedder.
 
 Four cases, each on inputs that `perfbench/gen.py` generates for seed 7.
-Every repeat is a fresh process that runs the case's CLI steps in-process,
-reads `ru_maxrss` before the first step and after each step, and times each
-step with `time.perf_counter`:
+Every repeat is a fresh process that runs the case's CLI steps in-process
+after one `gc.collect()`, reads `ru_maxrss` before the first step and after
+each step, and times each step with `time.perf_counter`:
 
 - `short_docs_full`: `ingest -> build-index -> run -> report` on 300
   HotpotQA records of ten one-chunk paragraphs (3,000 chunks), hashing
@@ -30,6 +30,7 @@ measured back to back:
 import argparse
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import multiprocessing
@@ -66,6 +67,10 @@ def measure_pass(steps: dict[str, list[str]]) -> dict:
     each step, and each step's wall time in seconds."""
     from anchor_rag import cli
 
+    # As perfbench/worker.py does before each pass: otherwise a gen-2
+    # collection due soon after the imports lands in whichever step crosses
+    # the threshold, and moves with the code's allocation pattern.
+    gc.collect()
     rss, wall = {"start": maxrss_mb()}, {}
     for name, argv in steps.items():
         started = time.perf_counter()

@@ -20,15 +20,15 @@ from anchor_rag.corpus import (
     DEFAULT_STRIDE,
     CorpusError,
     Document,
-    build_corpus,
     load_dataset,
     read_chunk_manifest,
+    read_chunk_texts,
     read_question_file,
     sample_questions,
-    write_chunk_manifest,
+    write_corpus_manifest,
     write_question_file,
 )
-from anchor_rag.embed_index import EmbedIndexError, HashingEmbedder, Index, RemoteEmbedder, build_index
+from anchor_rag.embed_index import EmbedIndexError, HashingEmbedder, Index, RemoteEmbedder, index_texts
 from anchor_rag.llm_gateway import GatewayError, OpenAIChatProvider, ScriptedProvider
 from anchor_rag.pipeline import MODES, Pipeline, PipelineError, RunConfig, read_trace_file
 
@@ -96,24 +96,25 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         # ``keep`` would list them: first appearance, in file order.
         keep = {q.question_id for q in items}
         docs = list(dict.fromkeys(d for q, ds in zip(all_items, item_docs) if q.question_id in keep for d in ds))
-    chunks = build_corpus(docs, chunk_size=args.chunk_size, stride=args.stride)
     out = Path(args.out_dir)
+    # The manifest goes first: a document that cannot be chunked is refused
+    # before any file is written.
+    num_chunks = write_corpus_manifest(docs, out / "chunks.jsonl", chunk_size=args.chunk_size, stride=args.stride)
     write_question_file(
         items,
         out / "questions.jsonl",
         meta={"dataset_tag": args.format, "sample_n": args.sample_n, "seed": args.seed},
     )
-    write_chunk_manifest(chunks, out / "chunks.jsonl", chunk_size=args.chunk_size, stride=args.stride)
-    print(f"ingested {len(items)} questions, {len(docs)} documents, {len(chunks)} chunks -> {out}")
+    print(f"ingested {len(items)} questions, {len(docs)} documents, {num_chunks} chunks -> {out}")
     return 0
 
 
 def cmd_build_index(args: argparse.Namespace) -> int:
-    chunks, _ = read_chunk_manifest(args.chunks)
+    ids, texts = read_chunk_texts(args.chunks)
     provider = build_embed_provider(
         {"kind": args.embedder, "dim": args.dim, "base_url": args.endpoint, "model": args.model}
     )
-    index = build_index(chunks, provider)
+    index = index_texts(ids, texts, provider)
     index.save(args.out)
     print(f"indexed {len(index)} chunks (dim={index.dim}, provider={index.provider_id}) -> {args.out}")
     return 0

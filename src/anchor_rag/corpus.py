@@ -16,6 +16,15 @@ module-level memo filled the same way. :func:`build_corpus` joins
 passages, one space apart, into blocks of about ``_BLOCK_CHARS`` characters
 and tokenizes each block in one class-array pass; the space keeps every
 passage's tokens exactly its own (see :meth:`WordPunctTokenizer.block_spans`).
+
+Set-up handles chunks as columns and builds a :class:`Chunk` only where one
+is used. One window core (``_windows``) gives every block's window
+boundaries as arrays. :func:`build_corpus` makes ``Chunk`` objects from
+them; :func:`write_corpus_manifest`, which ``ingest`` calls, formats each
+manifest row straight from them and streams it to the file. On the reading
+side, :func:`read_chunk_texts` (``build-index``) and
+:func:`read_chunk_manifest` (``run``) share one reader, and every row,
+like every ``Chunk``, passes the one check ``_check_chunk``.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import random
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -191,6 +201,7 @@ class Chunk:
     text. ``title`` is denormalized from the parent document so prompts can
     be rendered from chunks alone. ``tokenizer_id`` must be that of
     :data:`DEFAULT_TOKENIZER`, the tokenizer every offset and count is in.
+    The fields are checked by ``_check_chunk``, as every manifest row is.
     """
 
     chunk_id: str
@@ -205,15 +216,39 @@ class Chunk:
     end_char: int = 0
 
     def __post_init__(self) -> None:
-        if self.start_token < 0 or self.end_token <= self.start_token:
-            raise CorpusError(f"chunk {self.chunk_id!r} has invalid token range")
-        if self.token_count != self.end_token - self.start_token:
-            raise CorpusError(f"chunk {self.chunk_id!r} token_count does not match its range")
-        if self.tokenizer_id != DEFAULT_TOKENIZER.tokenizer_id:
-            raise CorpusError(
-                f"chunk {self.chunk_id!r} was cut by tokenizer {self.tokenizer_id!r}, "
-                f"not {DEFAULT_TOKENIZER.tokenizer_id!r}"
-            )
+        _check_chunk(
+            self.chunk_id, self.doc_id, self.start_token, self.end_token, self.text,
+            self.token_count, self.tokenizer_id, self.title, self.start_char, self.end_char,
+        )
+
+
+# The type of every Chunk field, in field order: ids, title and text are
+# str, offsets and counts are int (a bool is refused, though it is an int).
+_CHUNK_TYPES = {"chunk_id": str, "doc_id": str, "start_token": int, "end_token": int, "text": str,
+                "token_count": int, "tokenizer_id": str, "title": str, "start_char": int, "end_char": int}
+_FIELD_TYPES = tuple(_CHUNK_TYPES.values())
+
+
+def _check_chunk(
+    chunk_id, doc_id, start_token, end_token, text, token_count, tokenizer_id, title, start_char, end_char
+) -> None:
+    """The one check of a chunk's fields, given in :class:`Chunk` field
+    order: each of its type in ``_CHUNK_TYPES``, a nonempty token range
+    starting at or after 0, a ``token_count`` equal to its length, and the
+    tokenizer of :data:`DEFAULT_TOKENIZER`. Raises :class:`CorpusError`."""
+    fields = (chunk_id, doc_id, start_token, end_token, text, token_count, tokenizer_id, title, start_char, end_char)
+    if tuple(map(type, fields)) != _FIELD_TYPES:
+        for (name, kind), value in zip(_CHUNK_TYPES.items(), fields):
+            if type(value) is not kind:
+                raise CorpusError(f"{name} must be {kind.__name__}, got {type(value).__name__} {value!r}")
+    if start_token < 0 or end_token <= start_token:
+        raise CorpusError(f"chunk {chunk_id!r} has invalid token range")
+    if token_count != end_token - start_token:
+        raise CorpusError(f"chunk {chunk_id!r} token_count does not match its range")
+    if tokenizer_id != DEFAULT_TOKENIZER.tokenizer_id:
+        raise CorpusError(
+            f"chunk {chunk_id!r} was cut by tokenizer {tokenizer_id!r}, not {DEFAULT_TOKENIZER.tokenizer_id!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -360,24 +395,35 @@ def load_dataset(
         qid = str(record.get("_id") or record.get("id") or f"{fmt}-{i:06d}")
         if restrict_to is not None and qid not in restrict_to:
             continue
+        support = _support_titles(record, fmt)
+        contexts = _contexts_musique(record) if fmt == "musique" else _contexts_hotpot_style(record)
+        # A JSON escape such as "\ud800" decodes to a lone surrogate, which no
+        # output file can hold: UTF-8 has no encoding for it. _doc_id encodes
+        # every new passage; this encodes the rest of what the record writes.
+        try:
+            "\x1f".join([qid, question, answer, *(support or ())]).encode("utf-8")
+            record_docs = []
+            for title, text in contexts:
+                if not text:
+                    continue
+                doc = docs.get((title, text))
+                if doc is None:
+                    doc = docs[(title, text)] = Document(doc_id=_doc_id(title, text), title=title, text=text)
+                record_docs.append(doc)
+        except UnicodeEncodeError as exc:
+            raise CorpusError(
+                f"{path}: record {i + 1} holds a lone surrogate (U+{ord(exc.object[exc.start]):04X}), "
+                "which UTF-8 cannot encode"
+            ) from None
         items.append(
             QAItem(
                 question_id=qid,
                 question=question,
                 gold_answer=answer,
-                gold_support_titles=_support_titles(record, fmt),
+                gold_support_titles=support,
                 dataset_tag=fmt,
             )
         )
-        contexts = _contexts_musique(record) if fmt == "musique" else _contexts_hotpot_style(record)
-        record_docs = []
-        for title, text in contexts:
-            if not text:
-                continue
-            doc = docs.get((title, text))
-            if doc is None:
-                doc = docs[(title, text)] = Document(doc_id=_doc_id(title, text), title=title, text=text)
-            record_docs.append(doc)
         if item_docs is not None:
             item_docs.append(tuple(record_docs))
     if skipped:
@@ -413,11 +459,21 @@ def build_corpus(
     document with no tokens raises :class:`CorpusError` naming it before any
     later document is chunked.
     """
+    return [Chunk(*fields) for fields in _window_fields(_windows(docs, chunk_size, stride))]
+
+
+# One block's windows: its documents, then per window the index of its
+# document in the block, its start and end token and its start and end
+# character, as arrays.
+_Windows = tuple[list[Document], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _windows(docs: Iterable[Document], chunk_size: int, stride: int) -> Iterator[_Windows]:
+    """The window core of :func:`build_corpus` and
+    :func:`write_corpus_manifest`: every block's windows, block by block."""
     if stride < 0 or chunk_size <= stride:
         raise CorpusError(f"need chunk_size > stride >= 0, got {chunk_size=}, {stride=}")
     step = chunk_size - stride
-    tokenizer_id = DEFAULT_TOKENIZER.tokenizer_id
-    chunks: list[Chunk] = []
     for block in _blocks(docs):
         starts, ends, bounds = DEFAULT_TOKENIZER.block_spans([doc.text for doc in block])
         totals = np.diff(bounds)
@@ -432,27 +488,17 @@ def build_corpus(
         start_tokens = (np.arange(len(owner)) - np.repeat(np.cumsum(windows) - windows, windows)) * step
         end_tokens = np.minimum(start_tokens + chunk_size, totals[owner])
         first = bounds[owner]
-        start_chars = starts[first + start_tokens]
-        end_chars = ends[first + end_tokens - 1]
-        for i, start, end, start_char, end_char in zip(
-            owner.tolist(), start_tokens.tolist(), end_tokens.tolist(), start_chars.tolist(), end_chars.tolist()
-        ):
+        yield block, owner, start_tokens, end_tokens, starts[first + start_tokens], ends[first + end_tokens - 1]
+
+
+def _window_fields(windows: Iterable[_Windows]) -> Iterator[tuple]:
+    """Each window's :class:`Chunk` fields, in field order."""
+    tokenizer_id = DEFAULT_TOKENIZER.tokenizer_id
+    for block, *columns in windows:
+        for i, start, end, start_char, end_char in zip(*(column.tolist() for column in columns)):
             doc = block[i]
-            chunks.append(
-                Chunk(
-                    chunk_id=f"{doc.doc_id}:{start}",
-                    doc_id=doc.doc_id,
-                    start_token=start,
-                    end_token=end,
-                    text=doc.text[start_char:end_char],
-                    token_count=end - start,
-                    tokenizer_id=tokenizer_id,
-                    title=doc.title,
-                    start_char=start_char,
-                    end_char=end_char,
-                )
-            )
-    return chunks
+            yield (f"{doc.doc_id}:{start}", doc.doc_id, start, end, doc.text[start_char:end_char], end - start,
+                   tokenizer_id, doc.title, start_char, end_char)
 
 
 def _blocks(docs: Iterable[Document]) -> Iterator[list[Document]]:
@@ -472,8 +518,8 @@ def _blocks(docs: Iterable[Document]) -> Iterator[list[Document]]:
 
 # --- manifest / question file I/O -----------------------------------------
 # Both files are JSONL with a typed header line, so readers can refuse files
-# of another kind or schema version; a chunk row recorded under another
-# tokenizer is refused by Chunk itself.
+# of another kind or schema version; a chunk manifest whose header or any row
+# records another tokenizer is refused too.
 
 
 @contextmanager
@@ -495,51 +541,96 @@ def write_atomically(path: Path, mode: str = "w") -> Iterator[IO]:
 
 
 def write_chunk_manifest(chunks: Sequence[Chunk], path: str | Path, chunk_size: int, stride: int) -> None:
+    rows = (
+        _manifest_row(c.chunk_id, c.doc_id, c.start_token, c.end_token, c.text, c.token_count, c.tokenizer_id,
+                      c.title, c.start_char, c.end_char)
+        for c in chunks
+    )
+    _write_manifest(Path(path), len(chunks), chunk_size, stride, rows)
+
+
+def write_corpus_manifest(docs: Sequence[Document], path: str | Path, chunk_size: int, stride: int) -> int:
+    """Write the manifest ``write_chunk_manifest(build_corpus(docs, chunk_size,
+    stride), path, chunk_size, stride)`` writes, byte for byte, and return its
+    chunk count, without building a :class:`Chunk`.
+
+    Every block's windows are found first, so a bad chunking parameter or a
+    document with no tokens raises before the file is opened, and the count
+    goes into the header. Each row is then formatted straight from the window
+    arrays and streamed to the file.
+    """
+    windows = list(_windows(docs, chunk_size, stride))
+    count = sum(len(owner) for _, owner, *_ in windows)
+    _write_manifest(Path(path), count, chunk_size, stride, (_manifest_row(*f) for f in _window_fields(windows)))
+    return count
+
+
+def _manifest_row(
+    chunk_id, doc_id, start_token, end_token, text, token_count, tokenizer_id, title, start_char, end_char
+) -> str:
+    """The manifest line of one chunk, given its fields in :class:`Chunk`
+    field order: what ``json.JSONEncoder(ensure_ascii=False).encode`` writes
+    for the row's dict, plus a newline. Each string goes through the
+    encoder's own ``encode_basestring``, and each int prints as it does:
+    a ``Chunk``'s ints are checked and the window arrays' come from
+    ``tolist()``, so no bool or float reaches it."""
+    return (
+        f'{{"chunk_id": {encode_basestring(chunk_id)}, "doc_id": {encode_basestring(doc_id)}, '
+        f'"title": {encode_basestring(title)}, "start_token": {start_token}, "end_token": {end_token}, '
+        f'"token_count": {token_count}, "start_char": {start_char}, "end_char": {end_char}, '
+        f'"tokenizer_id": {encode_basestring(tokenizer_id)}, "text": {encode_basestring(text)}}}\n'
+    )
+
+
+def _write_manifest(path: Path, count: int, chunk_size: int, stride: int, rows: Iterable[str]) -> None:
+    """Write a chunk manifest of ``count`` rows, one line each from ``rows``.
+    The file is written in binary, one encoded row at a time, so no more than
+    a row and the file buffer are held."""
     header = {
         "kind": "chunk_manifest",
         "schema_version": CHUNK_MANIFEST_VERSION,
         "tokenizer_id": DEFAULT_TOKENIZER.tokenizer_id,
         "chunk_size": chunk_size,
         "stride": stride,
-        "num_chunks": len(chunks),
+        "num_chunks": count,
     }
-    # json.dumps with ensure_ascii=False makes a new encoder per call.
-    encode = json.JSONEncoder(ensure_ascii=False).encode
-    with write_atomically(Path(path)) as fh:
-        fh.write(json.dumps(header) + "\n")
-        for c in chunks:
-            row = {
-                "chunk_id": c.chunk_id,
-                "doc_id": c.doc_id,
-                "title": c.title,
-                "start_token": c.start_token,
-                "end_token": c.end_token,
-                "token_count": c.token_count,
-                "start_char": c.start_char,
-                "end_char": c.end_char,
-                "tokenizer_id": c.tokenizer_id,
-                "text": c.text,
-            }
-            fh.write(encode(row) + "\n")
+    with write_atomically(path, "wb") as fh:
+        fh.write(f"{json.dumps(header)}\n".encode("utf-8"))
+        for row in rows:
+            fh.write(row.encode("utf-8"))
+
+
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _json_object(path: Path, lineno: int, line: str) -> dict:
+    # raw_decode skips json.loads' two whitespace scans. A line it does not
+    # take whole, up to JSON whitespace, goes to json.loads, so every line is
+    # accepted, or refused in the same words, as json.loads alone would.
     try:
-        row = json.loads(line)
-    except ValueError as exc:
-        raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+        row, end = _raw_decode(line)
+        if line[end:].strip(" \t\n\r"):
+            raise ValueError
+    except ValueError:
+        try:
+            row = json.loads(line)
+        except ValueError as exc:
+            raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
     if not isinstance(row, dict):
         raise CorpusError(f"{path}: line {lineno}: not a JSON object")
     return row
 
 
-def _read_jsonl(path: str | Path, kind: str, version: int, count_key: str, make: Callable) -> tuple[list, dict]:
+def _read_jsonl(
+    path: str | Path, kind: str, version: int, count_key: str, make: Callable, tokenizer_id: str | None = None
+) -> tuple[list, dict]:
     """Read a JSONL file with a typed header line, making one item per row.
 
     A line that does not parse, is not an object, lacks a key or holds a bad
-    value, a header of another kind or version, and a row count other than
-    the header's (a file cut at a line end) each raise :class:`CorpusError`
-    naming the path and, where there is one, the line.
+    value, a header of another kind or version (or, with ``tokenizer_id``
+    given, of another tokenizer), and a row count other than the header's
+    (a file cut at a line end) each raise :class:`CorpusError` naming the
+    path and, where there is one, the line.
     """
     path = Path(path)
     what = kind.replace("_", " ")
@@ -551,8 +642,12 @@ def _read_jsonl(path: str | Path, kind: str, version: int, count_key: str, make:
                 raise CorpusError(f"{path} is not a {what}")
             if header.get("schema_version") != version:
                 raise CorpusError(f"{path}: unsupported {what} version {header.get('schema_version')}")
+            if tokenizer_id is not None and header.get("tokenizer_id") != tokenizer_id:
+                raise CorpusError(
+                    f"{path}: the {what} was cut by tokenizer {header.get('tokenizer_id')!r}, not {tokenizer_id!r}"
+                )
             for lineno, line in enumerate(fh, 2):
-                if line.strip():
+                if not line.isspace():
                     row = _json_object(path, lineno, line)
                     try:
                         items.append(make(row))
@@ -567,25 +662,37 @@ def _read_jsonl(path: str | Path, kind: str, version: int, count_key: str, make:
     return items, header
 
 
-def _chunk_from_row(row: dict) -> Chunk:
-    # Manifest rows carry the Chunk fields under their own names; a missing
-    # required one is a KeyError, and other keys are ignored.
-    return Chunk(
-        chunk_id=row["chunk_id"],
-        doc_id=row["doc_id"],
-        start_token=row["start_token"],
-        end_token=row["end_token"],
-        text=row["text"],
-        token_count=row["token_count"],
-        tokenizer_id=row["tokenizer_id"],
-        title=row.get("title", ""),
-        start_char=row.get("start_char", 0),
-        end_char=row.get("end_char", 0),
-    )
+def _row_fields(row: dict) -> tuple:
+    """A manifest row's :class:`Chunk` fields, in field order, unchecked.
+    Rows carry the fields under their own names; a missing required one is a
+    KeyError, and other keys are ignored."""
+    return (row["chunk_id"], row["doc_id"], row["start_token"], row["end_token"], row["text"], row["token_count"],
+            row["tokenizer_id"], row.get("title", ""), row.get("start_char", 0), row.get("end_char", 0))
+
+
+def _checked_row(row: dict) -> tuple[str, str]:
+    """A manifest row's chunk id and text, once all its fields pass
+    ``_check_chunk``, as a :class:`Chunk` built from it would."""
+    fields = _row_fields(row)
+    _check_chunk(*fields)
+    return fields[0], fields[4]
+
+
+def _read_chunk_rows(path: str | Path, make: Callable) -> tuple[list, dict]:
+    tokenizer_id = DEFAULT_TOKENIZER.tokenizer_id
+    return _read_jsonl(path, "chunk_manifest", CHUNK_MANIFEST_VERSION, "num_chunks", make, tokenizer_id)
 
 
 def read_chunk_manifest(path: str | Path) -> tuple[list[Chunk], dict]:
-    return _read_jsonl(path, "chunk_manifest", CHUNK_MANIFEST_VERSION, "num_chunks", _chunk_from_row)
+    """Every row of a chunk manifest as a :class:`Chunk`, and the header."""
+    return _read_chunk_rows(path, lambda row: Chunk(*_row_fields(row)))
+
+
+def read_chunk_texts(path: str | Path) -> tuple[list[str], list[str]]:
+    """The chunk ids and texts of a chunk manifest, in row order, after the
+    same checks as :func:`read_chunk_manifest` but with no :class:`Chunk`."""
+    rows, _ = _read_chunk_rows(path, _checked_row)
+    return [cid for cid, _ in rows], [text for _, text in rows]
 
 
 def write_question_file(items: Sequence[QAItem], path: str | Path, meta: dict | None = None) -> None:

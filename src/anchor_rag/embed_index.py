@@ -44,10 +44,10 @@ it, indexed by each gram's last byte, gives the hash of every n-gram of
 every size. A gram that would start before its own text gets a trash key.
 A text shorter than every size is hashed whole: its hash is read at its
 last byte after as many steps as it has bytes. One ``np.bincount`` over
-``(row·dim + bucket)·2 + sign`` then counts the whole block. The signed
-counts are integers, so their sum of squares is exact and the row norm
-equals ``np.linalg.norm``'s bit for bit: rows match the scalar
-``hashing-v1`` definition exactly.
+``(row·dim + bucket)·2 + sign``, with the bucket found by floor division,
+then counts the whole block. The signed counts are integers, so their sum
+of squares is exact and the row norm equals ``np.linalg.norm``'s bit for
+bit: rows match the scalar ``hashing-v1`` definition exactly.
 """
 
 from __future__ import annotations
@@ -189,9 +189,11 @@ class HashingEmbedder:
       the state after as many steps as the text has bytes, at its last
       byte.
     - One ``np.bincount`` over ``(row·dim + bucket)·2 + sign`` counts every
-      gram of the block. The counts are integers, so the sum of squares is
-      exact, and dividing by its square root equals dividing by
-      ``np.linalg.norm`` of the float64 count vector bit for bit.
+      gram of the block; the bucket is ``h - h // dim * dim``, which is
+      ``h % dim`` bit for bit at a quarter of the cost. The counts are
+      integers, so the sum of squares is exact, and dividing by its square
+      root equals dividing by ``np.linalg.norm`` of the float64 count
+      vector bit for bit.
     """
 
     def __init__(self, dim: int = 256):
@@ -252,7 +254,12 @@ class HashingEmbedder:
                     kept = 0
                 offsets += (trash, 2 * dim * row)
                 counts += (length - kept, kept)
-        keys = (((hashes % dim) << 1) | (hashes >> 31)) + np.repeat(offsets, counts)
+        # hashes - hashes // dim * dim is hashes % dim bit for bit, but numpy
+        # has a fast path for floor division by a scalar and none for the
+        # remainder: 22-27 us against 92-100 us per 16 KiB block with numpy
+        # 2.4 on a 2-core x86-64 Xeon.
+        buckets = hashes - hashes // dim * dim
+        keys = ((buckets << 1) | (hashes >> 31)) + np.repeat(offsets, counts)
         bins = np.bincount(keys, minlength=trash + 2 * dim)[:trash]
         v = (bins[1::2] - bins[::2]).reshape(-1, dim)
         squares = (v * v).sum(axis=1)
@@ -696,13 +703,18 @@ def _open_index(fh: BinaryIO, path: Path) -> tuple[int, int, str, int]:
 
 def build_index(chunks: Sequence[Chunk], provider: EmbeddingProvider) -> Index:
     """Embed all chunk texts and assemble the index."""
-    if not chunks:
+    return index_texts([c.chunk_id for c in chunks], [c.text for c in chunks], provider)
+
+
+def index_texts(ids: Sequence[str], texts: Sequence[str], provider: EmbeddingProvider) -> Index:
+    """Embed ``texts`` and index them under ``ids``, one id per text: what
+    :func:`build_index` does for chunks, for ``build-index``, which reads
+    the ids and texts of a manifest without building a :class:`Chunk`."""
+    if not ids:
         raise EmbedIndexError("cannot build an index from zero chunks")
-    ids = [c.chunk_id for c in chunks]
     if len(set(ids)) != len(ids):
         raise EmbedIndexError("duplicate chunk ids")
-    vectors = embed([c.text for c in chunks], provider)
-    return Index(ids, vectors, provider)
+    return Index(ids, embed(texts, provider), provider)
 
 
 def triple_query(triple: ReasoningTriple, style: str = "space") -> str:

@@ -97,6 +97,15 @@ def test_ingest_zero_sample_rejected(tmp_path, hotpot_file, capsys):
     assert "sample-n" in capsys.readouterr().err
 
 
+def test_ingest_refuses_bad_chunking_before_writing_any_file(tmp_path, hotpot_file, capsys):
+    out = tmp_path / "x"
+    rc = main(["ingest", "--data", str(hotpot_file), "--format", "hotpotqa", "--out-dir", str(out),
+               "--chunk-size", "50", "--stride", "50"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: need chunk_size > stride >= 0, got chunk_size=50, stride=50"]
+    assert not out.exists()
+
+
 def test_ingest_unreadable_file(tmp_path, capsys):
     rc = main(["ingest", "--data", str(tmp_path / "missing.json"), "--format", "hotpotqa",
                "--out-dir", str(tmp_path / "x")])
@@ -240,6 +249,55 @@ def test_manifest_row_cut_by_another_tokenizer_is_one_error_line(workspace, caps
     assert rc == 1
     assert error_lines(capsys) == [
         f"error: {chunks}: line 4: chunk {row['chunk_id']!r} was cut by tokenizer 'wordpunct-v2', not 'wordpunct-v1'"
+    ]
+    assert not out.exists()
+
+
+def use_manifest(workspace, command, chunks):
+    """Run ``command`` on the manifest ``chunks``; returns the exit code and
+    the file the command would have written."""
+    if command == "build-index":
+        out = workspace / f"{chunks.stem}.bin"
+        return main(["build-index", "--chunks", str(chunks), "--out", str(out)]), out
+    return run_full(workspace, f"{chunks.stem}_run.jsonl", extra=("--chunks", str(chunks)))
+
+
+@pytest.mark.parametrize("command", ["build-index", "run"])
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"text": 5}, "text must be str, got int 5"),
+        ({"chunk_id": 7}, "chunk_id must be str, got int 7"),
+        ({"start_token": 0.0, "end_token": 2.5, "token_count": 2.5, "title": ["T"]},
+         "start_token must be int, got float 0.0"),
+        ({"title": ["T"]}, "title must be str, got list ['T']"),
+        ({"start_token": False, "end_token": True, "token_count": True}, "start_token must be int, got bool False"),
+        ({"end_char": "9"}, "end_char must be int, got str '9'"),
+    ],
+    ids=["text_int", "chunk_id_int", "float_offsets", "title_list", "bool_offsets", "end_char_str"],
+)
+def test_manifest_row_field_of_the_wrong_type_is_one_error_line(workspace, capsys, command, changes, message):
+    lines = (workspace / "chunks.jsonl").read_text(encoding="utf-8").splitlines()
+    header, row = json.loads(lines[0]), json.loads(lines[1])
+    chunks = workspace / "wrong_type.jsonl"
+    chunks.write_text(json.dumps({**header, "num_chunks": 1}) + "\n" + json.dumps({**row, **changes}) + "\n",
+                      encoding="utf-8")
+    rc, out = use_manifest(workspace, command, chunks)
+    assert rc == 1
+    assert error_lines(capsys) == [f"error: {chunks}: line 2: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build-index", "run"])
+def test_manifest_header_of_another_tokenizer_is_one_error_line(workspace, capsys, command):
+    lines = (workspace / "chunks.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = json.dumps({**json.loads(lines[0]), "tokenizer_id": "other-v9"}) + "\n"
+    chunks = workspace / "other_header.jsonl"
+    chunks.write_text("".join(lines), encoding="utf-8")
+    rc, out = use_manifest(workspace, command, chunks)
+    assert rc == 1
+    assert error_lines(capsys) == [
+        f"error: {chunks}: the chunk manifest was cut by tokenizer 'other-v9', not 'wordpunct-v1'"
     ]
     assert not out.exists()
 
@@ -564,6 +622,36 @@ def test_ingest_non_utf8_dataset_is_one_error_line(tmp_path, capsys):
     assert rc == 1
     err = error_lines(capsys)
     assert len(err) == 1 and err[0].startswith(f"error: cannot read {data}: not UTF-8")
+
+
+def dataset_record(fmt, i, question="Who?", answer="X", title="T", passage="A passage."):
+    if fmt == "musique":
+        return {"id": f"q{i}", "question": question, "answer": answer,
+                "paragraphs": [{"title": title, "paragraph_text": passage, "is_supporting": True}]}
+    return {"_id": f"q{i}", "question": question, "answer": answer, "context": [[title, [passage]]],
+            "supporting_facts": [[title, 0]]}
+
+
+@pytest.mark.parametrize("field", ["question", "answer", "title", "passage"])
+@pytest.mark.parametrize("fmt", ["hotpotqa", "musique"])
+def test_ingest_lone_surrogate_is_one_error_line(tmp_path, capsys, fmt, field):
+    # json.dumps writes the lone surrogate as the escape "\ud800", as a
+    # dataset file may hold it.
+    records = [dataset_record(fmt, 0), dataset_record(fmt, 1, **{field: "caf\ud800"})]
+    if fmt == "musique":
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    else:
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(records), encoding="utf-8")
+    assert "\\ud800" in data.read_text(encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["ingest", "--data", str(data), "--format", fmt, "--out-dir", str(out)])
+    assert rc == 1
+    assert error_lines(capsys) == [
+        f"error: {data}: record 2 holds a lone surrogate (U+D800), which UTF-8 cannot encode"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -793,3 +793,190 @@ def test_manifest_cut_inside_a_character(tmp_path):
     path.write_bytes(data[: data.rindex("ü".encode("utf-8")) + 1])
     with pytest.raises(CorpusError, match="not UTF-8"):
         read_chunk_manifest(path)
+
+
+# --- manifest rows without Chunk objects --------------------------------------------
+
+
+ROW_KEYS = ["chunk_id", "doc_id", "title", "start_token", "end_token", "token_count", "start_char", "end_char",
+            "tokenizer_id", "text"]
+# What ensure_ascii=False JSON escapes, and what it must leave alone.
+JSON_TRICKY = ['"', "\\", "/", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é",
+               "\U0001f600", "\ud800"]
+JSON_TEXT = st.text(alphabet=st.one_of(st.characters(), st.sampled_from(JSON_TRICKY)), max_size=40)
+
+
+@settings(max_examples=300)
+@given(strings=st.tuples(*[JSON_TEXT] * 5), ints=st.tuples(*[st.integers(-(10**20), 10**20)] * 5))
+def test_manifest_row_is_what_the_json_encoder_writes(strings, ints):
+    chunk_id, doc_id, title, text, tokenizer_id = strings
+    start_token, end_token, token_count, start_char, end_char = ints
+    row = {"chunk_id": chunk_id, "doc_id": doc_id, "title": title, "start_token": start_token,
+           "end_token": end_token, "token_count": token_count, "start_char": start_char, "end_char": end_char,
+           "tokenizer_id": tokenizer_id, "text": text}
+    assert list(row) == ROW_KEYS
+    formatted = corpus._manifest_row(
+        chunk_id, doc_id, start_token, end_token, text, token_count, tokenizer_id, title, start_char, end_char
+    )
+    assert formatted == json.JSONEncoder(ensure_ascii=False).encode(row) + "\n"
+
+
+def reference_manifest(chunks, chunk_size, stride) -> bytes:
+    """A chunk manifest written through the json module alone."""
+    header = {"kind": "chunk_manifest", "schema_version": 1, "tokenizer_id": "wordpunct-v1",
+              "chunk_size": chunk_size, "stride": stride, "num_chunks": len(chunks)}
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    lines = [json.dumps(header)] + [encode({key: getattr(c, key) for key in ROW_KEYS}) for c in chunks]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+# A manifest holds UTF-8, which has no lone surrogates (load_dataset refuses
+# them), so these passages are the block-edge ones without them.
+UTF8_PIECES = [p for p in EDGE_PIECES if not re.search("[\ud800-\udfff]", p)]
+UTF8_PASSAGE = st.lists(st.sampled_from(UTF8_PIECES), min_size=1, max_size=30).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    passages=st.lists(UTF8_PASSAGE.filter(reference_spans), min_size=1, max_size=10),
+    long_passage=st.lists(st.sampled_from(UTF8_PIECES), min_size=40, max_size=120).map("".join).filter(reference_spans),
+    where=st.integers(0, 10),
+    block_chars=st.sampled_from([1, 8, 30, 64, 150]),
+    params=st.sampled_from([(2, 0), (3, 1), (7, 2), (400, 50)]),
+)
+def test_corpus_manifest_reads_back_as_build_corpus(tmp_path_factory, passages, long_passage, where, block_chars,
+                                                    params):
+    passages.insert(min(where, len(passages)), long_passage)
+    docs = [Document(doc_id=f"p{i}", title=f'T"{i}\\', text=text) for i, text in enumerate(passages)]
+    chunk_size, stride = params
+    path = tmp_path_factory.mktemp("manifest") / "chunks.jsonl"
+    with mock.patch.object(corpus, "_BLOCK_CHARS", block_chars):
+        chunks = build_corpus(docs, chunk_size=chunk_size, stride=stride)
+        count = corpus.write_corpus_manifest(docs, path, chunk_size, stride)
+    assert count == len(chunks)
+    assert path.read_bytes() == reference_manifest(chunks, chunk_size, stride)
+    assert read_chunk_manifest(path)[0] == chunks
+    assert corpus.read_chunk_texts(path) == ([c.chunk_id for c in chunks], [c.text for c in chunks])
+
+
+def old_chunk_manifest_reader(path):
+    """The chunk manifest reader before rows had one check: ``json.loads`` per
+    line, the ``Chunk`` fields read by name, and ``Chunk``'s checks of the
+    time (token range, token count, tokenizer) with no type check. Returns
+    the rows' fields in Chunk field order, or the CorpusError message."""
+
+    def json_object(lineno, line):
+        try:
+            row = json.loads(line)
+        except ValueError as exc:
+            raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+        if not isinstance(row, dict):
+            raise CorpusError(f"{path}: line {lineno}: not a JSON object")
+        return row
+
+    def make(row):
+        fields = (row["chunk_id"], row["doc_id"], row["start_token"], row["end_token"], row["text"],
+                  row["token_count"], row["tokenizer_id"], row.get("title", ""), row.get("start_char", 0),
+                  row.get("end_char", 0))
+        chunk_id, _, start, end, _, count, tokenizer_id = fields[:7]
+        if start < 0 or end <= start:
+            raise CorpusError(f"chunk {chunk_id!r} has invalid token range")
+        if count != end - start:
+            raise CorpusError(f"chunk {chunk_id!r} token_count does not match its range")
+        if tokenizer_id != "wordpunct-v1":
+            raise CorpusError(f"chunk {chunk_id!r} was cut by tokenizer {tokenizer_id!r}, not 'wordpunct-v1'")
+        return fields
+
+    rows = []
+    try:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                header = json_object(1, fh.readline())
+                if header.get("kind") != "chunk_manifest":
+                    raise CorpusError(f"{path} is not a chunk manifest")
+                if header.get("schema_version") != 1:
+                    raise CorpusError(f"{path}: unsupported chunk manifest version {header.get('schema_version')}")
+                for lineno, line in enumerate(fh, 2):
+                    if line.strip():
+                        row = json_object(lineno, line)
+                        try:
+                            rows.append(make(row))
+                        except KeyError as exc:
+                            raise CorpusError(f"{path}: line {lineno}: missing key {exc}") from exc
+                        except (TypeError, ValueError) as exc:
+                            raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise corpus._not_utf8(path, exc) from exc
+        if header.get("num_chunks", len(rows)) != len(rows):
+            raise CorpusError(f"{path}: the header counts {header['num_chunks']} rows but the file has {len(rows)}")
+    except CorpusError as exc:
+        return str(exc)
+    return rows
+
+
+TYPE_REFUSAL = re.compile(r": line \d+: (" + "|".join(ROW_KEYS) + r") must be (str|int), got ")
+ROW_VALUES = st.one_of(
+    st.integers(-2, 12), st.floats(allow_nan=False, allow_infinity=False), st.booleans(), st.none(),
+    st.sampled_from(["", "x", "wordpunct-v1", "wordpunct-v2", "é\"\\"]), st.lists(st.integers(0, 2), max_size=2),
+)
+ROW_EDIT = st.one_of(
+    st.tuples(st.just("delete"), st.sampled_from(ROW_KEYS)),
+    st.tuples(st.just("set"), st.sampled_from(ROW_KEYS), ROW_VALUES),
+    st.tuples(st.just("set"), st.sampled_from(["other", "chunk"]), ROW_VALUES),  # extra keys are ignored
+)
+LINE_EDIT = st.one_of(
+    st.tuples(st.just("before"), st.sampled_from(["\n", "  \n", "\t \r\n", "\x0b\n", "\u3000\n"])),
+    st.tuples(st.just("after"),
+              st.sampled_from([" x", "]", " }", " ", " \t", "\r", ", 1", "\x0b", "\u2028", "\u3000"])),
+    st.tuples(st.just("replace"), st.sampled_from(["[1]", "7", "null", "{}", " {\"chunk_id\": 1}", "\ufeff{}"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    row_edits=st.lists(st.tuples(st.integers(0, 5), ROW_EDIT), max_size=3),
+    line_edits=st.lists(st.tuples(st.integers(0, 5), LINE_EDIT), max_size=2),
+    cut=st.one_of(st.none(), st.integers(1, 60)),
+)
+def test_chunk_row_reader_agrees_with_the_old_reader(tmp_path_factory, row_edits, line_edits, cut):
+    docs = [Document(doc_id="a", title="Zürich \"Z\"", text="Zürich lies on the Limmat 😀 and\tthe lake."),
+            Document(doc_id="b", title="", text="A short \\ one.")]
+    chunks = build_corpus(docs, chunk_size=4, stride=1)
+    path = tmp_path_factory.mktemp("rows") / "chunks.jsonl"
+    write_chunk_manifest(chunks, path, 4, 1)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    header, rows = lines[0], [json.loads(line) for line in lines[1:]]
+    for i, (kind, key, *value) in row_edits:
+        row = rows[i % len(rows)]
+        if kind == "delete":
+            row.pop(key, None)
+        else:
+            row[key] = value[0]
+    body = [json.dumps(row, ensure_ascii=False) + "\n" for row in rows]
+    for i, (kind, text) in line_edits:
+        i %= len(body)
+        if kind == "before":
+            body.insert(i, text)
+        elif kind == "after":
+            body[i] = body[i][:-1] + text + "\n"
+        else:
+            body[i] = text + "\n"
+    data = (header + "".join(body)).encode("utf-8")
+    if cut is not None:
+        data = data[: max(len(data) - cut, data.rindex(b"\n", 0, len(data) - 1) + 1)]  # the last line only
+    path.write_bytes(data)
+
+    expected = old_chunk_manifest_reader(path)
+    for reader in (read_chunk_manifest, corpus.read_chunk_texts):
+        try:
+            got = reader(path)
+        except CorpusError as exc:
+            if TYPE_REFUSAL.search(str(exc)):
+                continue  # a row the old reader indexed, or refused for a field of the wrong type
+            assert str(exc) == expected
+            continue
+        assert not isinstance(expected, str), expected
+        if reader is read_chunk_manifest:
+            assert [tuple(getattr(c, key) for key in corpus._CHUNK_TYPES) for c in got[0]] == expected
+        else:
+            assert got == ([f[0] for f in expected], [f[4] for f in expected])
