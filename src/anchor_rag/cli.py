@@ -20,6 +20,7 @@ from anchor_rag.corpus import (
     DEFAULT_STRIDE,
     CorpusError,
     Document,
+    check_encodable,
     load_dataset,
     read_chunk_manifest,
     read_chunk_texts,
@@ -96,6 +97,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         # ``keep`` would list them: first appearance, in file order.
         keep = {q.question_id for q in items}
         docs = list(dict.fromkeys(d for q, ds in zip(all_items, item_docs) if q.question_id in keep for d in ds))
+    check_encodable(items, args.data)
     out = Path(args.out_dir)
     # The manifest goes first: a document that cannot be chunked is refused
     # before any file is written.

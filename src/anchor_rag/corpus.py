@@ -32,14 +32,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
 import os
 import random
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -216,31 +217,34 @@ class Chunk:
     end_char: int = 0
 
     def __post_init__(self) -> None:
-        _check_chunk(
-            self.chunk_id, self.doc_id, self.start_token, self.end_token, self.text,
-            self.token_count, self.tokenizer_id, self.title, self.start_char, self.end_char,
-        )
+        _check_chunk(_field_values(self))
 
 
-# The type of every Chunk field, in field order: ids, title and text are
-# str, offsets and counts are int (a bool is refused, though it is an int).
-_CHUNK_TYPES = {"chunk_id": str, "doc_id": str, "start_token": int, "end_token": int, "text": str,
-                "token_count": int, "tokenizer_id": str, "title": str, "start_char": int, "end_char": int}
-_FIELD_TYPES = tuple(_CHUNK_TYPES.values())
+# Chunk's fields in order, the defaults of the last three, and the type of
+# each: ids, title and text are str, offsets and counts are int (a bool is
+# refused, though it is an int). Everything else reads fields by name.
+_CHUNK_FIELDS = tuple(f.name for f in fields(Chunk))
+_CHUNK_DEFAULTS = {f.name: f.default for f in fields(Chunk) if f.default is not MISSING}
+_CHUNK_TYPES = {"chunk_id": str, "doc_id": str, "title": str, "text": str, "tokenizer_id": str,
+                "start_token": int, "end_token": int, "token_count": int, "start_char": int, "end_char": int}
+_FIELD_TYPES = tuple(_CHUNK_TYPES[name] for name in _CHUNK_FIELDS)
+_field_values = operator.attrgetter(*_CHUNK_FIELDS)
+_range_fields = operator.itemgetter(
+    *map(_CHUNK_FIELDS.index, ["chunk_id", "start_token", "end_token", "token_count", "tokenizer_id"])
+)
 
 
-def _check_chunk(
-    chunk_id, doc_id, start_token, end_token, text, token_count, tokenizer_id, title, start_char, end_char
-) -> None:
-    """The one check of a chunk's fields, given in :class:`Chunk` field
-    order: each of its type in ``_CHUNK_TYPES``, a nonempty token range
-    starting at or after 0, a ``token_count`` equal to its length, and the
-    tokenizer of :data:`DEFAULT_TOKENIZER`. Raises :class:`CorpusError`."""
-    fields = (chunk_id, doc_id, start_token, end_token, text, token_count, tokenizer_id, title, start_char, end_char)
-    if tuple(map(type, fields)) != _FIELD_TYPES:
-        for (name, kind), value in zip(_CHUNK_TYPES.items(), fields):
+def _check_chunk(values: tuple) -> None:
+    """The one check of a chunk's fields, given in ``_CHUNK_FIELDS`` order:
+    each of its type in ``_CHUNK_TYPES``, a nonempty token range starting at
+    or after 0, a ``token_count`` equal to its length, and the tokenizer of
+    :data:`DEFAULT_TOKENIZER`. Raises :class:`CorpusError`."""
+    if tuple(map(type, values)) != _FIELD_TYPES:
+        for name, value in zip(_CHUNK_FIELDS, values):
+            kind = _CHUNK_TYPES[name]
             if type(value) is not kind:
                 raise CorpusError(f"{name} must be {kind.__name__}, got {type(value).__name__} {value!r}")
+    chunk_id, start_token, end_token, token_count, tokenizer_id = _range_fields(values)
     if start_token < 0 or end_token <= start_token:
         raise CorpusError(f"chunk {chunk_id!r} has invalid token range")
     if token_count != end_token - start_token:
@@ -399,9 +403,9 @@ def load_dataset(
         contexts = _contexts_musique(record) if fmt == "musique" else _contexts_hotpot_style(record)
         # A JSON escape such as "\ud800" decodes to a lone surrogate, which no
         # output file can hold: UTF-8 has no encoding for it. _doc_id encodes
-        # every new passage; this encodes the rest of what the record writes.
+        # every new passage; the question's own fields are checked only if it
+        # is written (see check_encodable).
         try:
-            "\x1f".join([qid, question, answer, *(support or ())]).encode("utf-8")
             record_docs = []
             for title, text in contexts:
                 if not text:
@@ -429,6 +433,20 @@ def load_dataset(
     if skipped:
         logger.warning("%s: skipped %d record(s) missing question or answer", path, skipped)
     return items, list(docs.values())
+
+
+def check_encodable(items: Iterable[QAItem], path: str | Path) -> None:
+    """Refuse, with a :class:`CorpusError` naming ``path`` (the dataset) and
+    the question, the first item whose id, question, answer or a support
+    title holds a lone surrogate, which UTF-8 cannot encode."""
+    for q in items:
+        try:
+            "\x1f".join([q.question_id, q.question, q.gold_answer, *(q.gold_support_titles or ())]).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CorpusError(
+                f"{path}: question {q.question_id!r} holds a lone surrogate (U+{ord(exc.object[exc.start]):04X}), "
+                "which UTF-8 cannot encode"
+            ) from None
 
 
 def sample_questions(items: Sequence[QAItem], n: int, seed: int) -> list[QAItem]:
@@ -459,13 +477,14 @@ def build_corpus(
     document with no tokens raises :class:`CorpusError` naming it before any
     later document is chunked.
     """
-    return [Chunk(*fields) for fields in _window_fields(_windows(docs, chunk_size, stride))]
+    return list(_each_window(_windows(docs, chunk_size, stride), Chunk))
 
 
 # One block's windows: its documents, then per window the index of its
 # document in the block, its start and end token and its start and end
 # character, as arrays.
 _Windows = tuple[list[Document], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+_T = TypeVar("_T")
 
 
 def _windows(docs: Iterable[Document], chunk_size: int, stride: int) -> Iterator[_Windows]:
@@ -491,14 +510,15 @@ def _windows(docs: Iterable[Document], chunk_size: int, stride: int) -> Iterator
         yield block, owner, start_tokens, end_tokens, starts[first + start_tokens], ends[first + end_tokens - 1]
 
 
-def _window_fields(windows: Iterable[_Windows]) -> Iterator[tuple]:
-    """Each window's :class:`Chunk` fields, in field order."""
+def _each_window(windows: Iterable[_Windows], make: Callable[..., _T]) -> Iterator[_T]:
+    """``make`` of each window's :class:`Chunk` fields, passed by name."""
     tokenizer_id = DEFAULT_TOKENIZER.tokenizer_id
     for block, *columns in windows:
         for i, start, end, start_char, end_char in zip(*(column.tolist() for column in columns)):
             doc = block[i]
-            yield (f"{doc.doc_id}:{start}", doc.doc_id, start, end, doc.text[start_char:end_char], end - start,
-                   tokenizer_id, doc.title, start_char, end_char)
+            yield make(chunk_id=f"{doc.doc_id}:{start}", doc_id=doc.doc_id, start_token=start, end_token=end,
+                       text=doc.text[start_char:end_char], token_count=end - start, tokenizer_id=tokenizer_id,
+                       title=doc.title, start_char=start_char, end_char=end_char)
 
 
 def _blocks(docs: Iterable[Document]) -> Iterator[list[Document]]:
@@ -521,6 +541,20 @@ def _blocks(docs: Iterable[Document]) -> Iterator[list[Document]]:
 # of another kind or schema version; a chunk manifest whose header or any row
 # records another tokenizer is refused too.
 
+# The header values each reader requires, which each writer puts first, and
+# the refusal of a header with another value (``what`` is the kind in words).
+_MANIFEST_HEADER = {
+    "kind": "chunk_manifest",
+    "schema_version": CHUNK_MANIFEST_VERSION,
+    "tokenizer_id": DEFAULT_TOKENIZER.tokenizer_id,
+}
+_QUESTION_HEADER = {"kind": "question_file", "schema_version": QUESTION_FILE_VERSION}
+_HEADER_ERRORS = {
+    "kind": "{path} is not a {what}",
+    "schema_version": "{path}: unsupported {what} version {got}",
+    "tokenizer_id": "{path}: the {what} was cut by tokenizer {got!r}, not {want!r}",
+}
+
 
 @contextmanager
 def write_atomically(path: Path, mode: str = "w") -> Iterator[IO]:
@@ -541,11 +575,7 @@ def write_atomically(path: Path, mode: str = "w") -> Iterator[IO]:
 
 
 def write_chunk_manifest(chunks: Sequence[Chunk], path: str | Path, chunk_size: int, stride: int) -> None:
-    rows = (
-        _manifest_row(c.chunk_id, c.doc_id, c.start_token, c.end_token, c.text, c.token_count, c.tokenizer_id,
-                      c.title, c.start_char, c.end_char)
-        for c in chunks
-    )
+    rows = (_manifest_row(**dict(zip(_CHUNK_FIELDS, _field_values(c)))) for c in chunks)
     _write_manifest(Path(path), len(chunks), chunk_size, stride, rows)
 
 
@@ -561,17 +591,17 @@ def write_corpus_manifest(docs: Sequence[Document], path: str | Path, chunk_size
     """
     windows = list(_windows(docs, chunk_size, stride))
     count = sum(len(owner) for _, owner, *_ in windows)
-    _write_manifest(Path(path), count, chunk_size, stride, (_manifest_row(*f) for f in _window_fields(windows)))
+    _write_manifest(Path(path), count, chunk_size, stride, _each_window(windows, _manifest_row))
     return count
 
 
 def _manifest_row(
-    chunk_id, doc_id, start_token, end_token, text, token_count, tokenizer_id, title, start_char, end_char
+    *, chunk_id, doc_id, start_token, end_token, text, token_count, tokenizer_id, title, start_char, end_char
 ) -> str:
-    """The manifest line of one chunk, given its fields in :class:`Chunk`
-    field order: what ``json.JSONEncoder(ensure_ascii=False).encode`` writes
-    for the row's dict, plus a newline. Each string goes through the
-    encoder's own ``encode_basestring``, and each int prints as it does:
+    """The manifest line of one chunk, given its fields by name: what
+    ``json.JSONEncoder(ensure_ascii=False).encode`` writes for the row's
+    dict, plus a newline. Each string goes through the encoder's own
+    ``encode_basestring``, and each int prints as it does:
     a ``Chunk``'s ints are checked and the window arrays' come from
     ``tolist()``, so no bool or float reaches it."""
     return (
@@ -586,68 +616,44 @@ def _write_manifest(path: Path, count: int, chunk_size: int, stride: int, rows: 
     """Write a chunk manifest of ``count`` rows, one line each from ``rows``.
     The file is written in binary, one encoded row at a time, so no more than
     a row and the file buffer are held."""
-    header = {
-        "kind": "chunk_manifest",
-        "schema_version": CHUNK_MANIFEST_VERSION,
-        "tokenizer_id": DEFAULT_TOKENIZER.tokenizer_id,
-        "chunk_size": chunk_size,
-        "stride": stride,
-        "num_chunks": count,
-    }
+    header = {**_MANIFEST_HEADER, "chunk_size": chunk_size, "stride": stride, "num_chunks": count}
     with write_atomically(path, "wb") as fh:
         fh.write(f"{json.dumps(header)}\n".encode("utf-8"))
         for row in rows:
             fh.write(row.encode("utf-8"))
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
 def _json_object(path: Path, lineno: int, line: str) -> dict:
-    # raw_decode skips json.loads' two whitespace scans. A line it does not
-    # take whole, up to JSON whitespace, goes to json.loads, so every line is
-    # accepted, or refused in the same words, as json.loads alone would.
     try:
-        row, end = _raw_decode(line)
-        if line[end:].strip(" \t\n\r"):
-            raise ValueError
-    except ValueError:
-        try:
-            row = json.loads(line)
-        except ValueError as exc:
-            raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+        row = json.loads(line)
+    except ValueError as exc:
+        raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
     if not isinstance(row, dict):
         raise CorpusError(f"{path}: line {lineno}: not a JSON object")
     return row
 
 
-def _read_jsonl(
-    path: str | Path, kind: str, version: int, count_key: str, make: Callable, tokenizer_id: str | None = None
-) -> tuple[list, dict]:
+def _read_jsonl(path: str | Path, expect: dict, count_key: str, make: Callable) -> tuple[list, dict]:
     """Read a JSONL file with a typed header line, making one item per row.
 
     A line that does not parse, is not an object, lacks a key or holds a bad
-    value, a header of another kind or version (or, with ``tokenizer_id``
-    given, of another tokenizer), and a row count other than the header's
-    (a file cut at a line end) each raise :class:`CorpusError` naming the
-    path and, where there is one, the line.
+    value, a header whose values differ from ``expect``'s (checked in its
+    order), and a row count other than the header's (a file cut at a line
+    end) each raise :class:`CorpusError` naming the path and, where there is
+    one, the line.
     """
     path = Path(path)
-    what = kind.replace("_", " ")
+    what = expect["kind"].replace("_", " ")
     items = []
     try:
         with path.open("r", encoding="utf-8") as fh:
             header = _json_object(path, 1, fh.readline())
-            if header.get("kind") != kind:
-                raise CorpusError(f"{path} is not a {what}")
-            if header.get("schema_version") != version:
-                raise CorpusError(f"{path}: unsupported {what} version {header.get('schema_version')}")
-            if tokenizer_id is not None and header.get("tokenizer_id") != tokenizer_id:
-                raise CorpusError(
-                    f"{path}: the {what} was cut by tokenizer {header.get('tokenizer_id')!r}, not {tokenizer_id!r}"
-                )
+            for key, want in expect.items():
+                got = header.get(key)
+                if got != want:
+                    raise CorpusError(_HEADER_ERRORS[key].format(path=path, what=what, got=got, want=want))
             for lineno, line in enumerate(fh, 2):
-                if not line.isspace():
+                if line.strip():
                     row = _json_object(path, lineno, line)
                     try:
                         items.append(make(row))
@@ -662,42 +668,42 @@ def _read_jsonl(
     return items, header
 
 
+_all_fields = operator.itemgetter(*_CHUNK_FIELDS)
+_required_fields = operator.itemgetter(*(name for name in _CHUNK_FIELDS if name not in _CHUNK_DEFAULTS))
+
+
 def _row_fields(row: dict) -> tuple:
     """A manifest row's :class:`Chunk` fields, in field order, unchecked.
     Rows carry the fields under their own names; a missing required one is a
     KeyError, and other keys are ignored."""
-    return (row["chunk_id"], row["doc_id"], row["start_token"], row["end_token"], row["text"], row["token_count"],
-            row["tokenizer_id"], row.get("title", ""), row.get("start_char", 0), row.get("end_char", 0))
+    try:
+        return _all_fields(row)  # every row ingest writes has every field
+    except KeyError:
+        # A dataclass lists the fields with defaults last.
+        return _required_fields(row) + tuple(map(row.get, _CHUNK_DEFAULTS, _CHUNK_DEFAULTS.values()))
 
 
 def _checked_row(row: dict) -> tuple[str, str]:
-    """A manifest row's chunk id and text, once all its fields pass
+    """A manifest row's chunk id and text, once its fields pass
     ``_check_chunk``, as a :class:`Chunk` built from it would."""
-    fields = _row_fields(row)
-    _check_chunk(*fields)
-    return fields[0], fields[4]
-
-
-def _read_chunk_rows(path: str | Path, make: Callable) -> tuple[list, dict]:
-    tokenizer_id = DEFAULT_TOKENIZER.tokenizer_id
-    return _read_jsonl(path, "chunk_manifest", CHUNK_MANIFEST_VERSION, "num_chunks", make, tokenizer_id)
+    _check_chunk(_row_fields(row))
+    return row["chunk_id"], row["text"]
 
 
 def read_chunk_manifest(path: str | Path) -> tuple[list[Chunk], dict]:
     """Every row of a chunk manifest as a :class:`Chunk`, and the header."""
-    return _read_chunk_rows(path, lambda row: Chunk(*_row_fields(row)))
+    return _read_jsonl(path, _MANIFEST_HEADER, "num_chunks", lambda row: Chunk(*_row_fields(row)))
 
 
 def read_chunk_texts(path: str | Path) -> tuple[list[str], list[str]]:
     """The chunk ids and texts of a chunk manifest, in row order, after the
     same checks as :func:`read_chunk_manifest` but with no :class:`Chunk`."""
-    rows, _ = _read_chunk_rows(path, _checked_row)
-    return [cid for cid, _ in rows], [text for _, text in rows]
+    rows, _ = _read_jsonl(path, _MANIFEST_HEADER, "num_chunks", _checked_row)
+    return [chunk_id for chunk_id, _ in rows], [text for _, text in rows]
 
 
 def write_question_file(items: Sequence[QAItem], path: str | Path, meta: dict | None = None) -> None:
-    header = {"kind": "question_file", "schema_version": QUESTION_FILE_VERSION, "num_questions": len(items)}
-    header.update(meta or {})
+    header = {**_QUESTION_HEADER, "num_questions": len(items), **(meta or {})}
     with write_atomically(Path(path)) as fh:
         fh.write(json.dumps(header) + "\n")
         for q in items:
@@ -727,4 +733,4 @@ def _question_from_row(row: dict) -> QAItem:
 
 
 def read_question_file(path: str | Path) -> tuple[list[QAItem], dict]:
-    return _read_jsonl(path, "question_file", QUESTION_FILE_VERSION, "num_questions", _question_from_row)
+    return _read_jsonl(path, _QUESTION_HEADER, "num_questions", _question_from_row)

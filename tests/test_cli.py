@@ -624,20 +624,20 @@ def test_ingest_non_utf8_dataset_is_one_error_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: cannot read {data}: not UTF-8")
 
 
-def dataset_record(fmt, i, question="Who?", answer="X", title="T", passage="A passage."):
+def dataset_record(fmt, i, question="Who?", answer="X", title="T", passage="A passage.", support=None):
+    # A MuSiQue support title is a passage's title; a HotpotQA one need not be.
     if fmt == "musique":
-        return {"id": f"q{i}", "question": question, "answer": answer,
-                "paragraphs": [{"title": title, "paragraph_text": passage, "is_supporting": True}]}
+        paragraphs = [{"title": title, "paragraph_text": passage, "is_supporting": True}]
+        if support is not None:
+            paragraphs.append({"title": support, "paragraph_text": "Another.", "is_supporting": True})
+        return {"id": f"q{i}", "question": question, "answer": answer, "paragraphs": paragraphs}
     return {"_id": f"q{i}", "question": question, "answer": answer, "context": [[title, [passage]]],
-            "supporting_facts": [[title, 0]]}
+            "supporting_facts": [[title if support is None else support, 0]]}
 
 
-@pytest.mark.parametrize("field", ["question", "answer", "title", "passage"])
-@pytest.mark.parametrize("fmt", ["hotpotqa", "musique"])
-def test_ingest_lone_surrogate_is_one_error_line(tmp_path, capsys, fmt, field):
-    # json.dumps writes the lone surrogate as the escape "\ud800", as a
+def write_dataset(tmp_path, fmt, records):
+    # json.dumps writes a lone surrogate as the escape "\ud800", as a
     # dataset file may hold it.
-    records = [dataset_record(fmt, 0), dataset_record(fmt, 1, **{field: "caf\ud800"})]
     if fmt == "musique":
         data = tmp_path / "data.jsonl"
         data.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
@@ -645,13 +645,37 @@ def test_ingest_lone_surrogate_is_one_error_line(tmp_path, capsys, fmt, field):
         data = tmp_path / "data.json"
         data.write_text(json.dumps(records), encoding="utf-8")
     assert "\\ud800" in data.read_text(encoding="utf-8")
+    return data
+
+
+@pytest.mark.parametrize(
+    "fmt, field, where",
+    [(fmt, field, "question 'q1'") for fmt in ["hotpotqa", "musique"] for field in ["question", "answer"]]
+    + [(fmt, field, "record 2") for fmt in ["hotpotqa", "musique"] for field in ["title", "passage"]]
+    + [("hotpotqa", "support", "question 'q1'"), ("musique", "support", "record 2")],
+)
+def test_ingest_lone_surrogate_is_one_error_line(tmp_path, capsys, fmt, field, where):
+    data = write_dataset(tmp_path, fmt, [dataset_record(fmt, 0), dataset_record(fmt, 1, **{field: "caf\ud800"})])
     out = tmp_path / "out"
     rc = main(["ingest", "--data", str(data), "--format", fmt, "--out-dir", str(out)])
     assert rc == 1
-    assert error_lines(capsys) == [
-        f"error: {data}: record 2 holds a lone surrogate (U+D800), which UTF-8 cannot encode"
-    ]
+    assert error_lines(capsys) == [f"error: {data}: {where} holds a lone surrogate (U+D800), which UTF-8 cannot encode"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fmt, field", [("hotpotqa", "question"), ("hotpotqa", "answer"), ("hotpotqa", "support"), ("musique", "question")]
+)
+def test_ingest_lone_surrogate_in_a_question_not_sampled_is_no_error(tmp_path, fmt, field):
+    # Only the sampled questions are written, and only their fields are
+    # checked; every passage is, as it is hashed. Seed 1 samples record 1 of 2.
+    data = write_dataset(tmp_path, fmt, [dataset_record(fmt, 0), dataset_record(fmt, 1, **{field: "caf\ud800"})])
+    out = tmp_path / "out"
+    rc = main(["ingest", "--data", str(data), "--format", fmt, "--out-dir", str(out), "--sample-n", "1",
+               "--seed", "1"])
+    assert rc == 0
+    questions, _ = read_question_file(out / "questions.jsonl")
+    assert [q.question_id for q in questions] == ["q0"]
 
 
 @pytest.mark.parametrize(
