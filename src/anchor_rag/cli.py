@@ -156,6 +156,9 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    if out.exists() and not args.resume:
+        raise CliError(f"{out} already exists; pass --resume to continue it or remove it first")
     config = _run_config_from_args(args)
     items, _ = read_question_file(args.questions)
     chunks: list = []
@@ -174,9 +177,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 embed_spec["model"] = model
         index = Index.load(args.index, build_embed_provider(embed_spec))
     provider = build_chat_provider(config.chat_provider)
-    out = Path(args.out)
-    if out.exists() and not args.resume:
-        raise CliError(f"{out} already exists; pass --resume to continue it or remove it first")
     pipeline = Pipeline(provider, config, index=index, chunks=chunks)
     traces = pipeline.run_dataset(items, trace_path=out, resume=args.resume)
     failed = sum(1 for t in traces if t.errors)
@@ -334,10 +334,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, CorpusError, EmbedIndexError, GatewayError, PipelineError, evaluation.EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (CliError, CorpusError, EmbedIndexError, GatewayError, PipelineError, evaluation.EvaluationError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

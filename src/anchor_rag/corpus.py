@@ -266,6 +266,10 @@ class QAItem:
     dataset_tag: str = "hotpotqa"
 
     def __post_init__(self) -> None:
+        for name in ("question_id", "question", "gold_answer", "dataset_tag"):
+            value = getattr(self, name)
+            if type(value) is not str:
+                raise CorpusError(f"{name} must be str, got {type(value).__name__} {value!r}")
         if not self.question or not self.gold_answer:
             raise CorpusError(f"question {self.question_id!r} missing question or answer text")
         if self.dataset_tag not in DATASET_TAGS:

@@ -72,7 +72,7 @@ from anchor_rag.prompt_kit import ReasoningTriple
 INDEX_MAGIC = b"ARIX"
 INDEX_VERSION = 1
 
-QUERY_STYLES = ("space", "pipe")
+QUERY_STYLES = ("space",)
 
 # Unit roundoff of float32 and float64.
 _U32 = float(np.finfo(np.float32).eps) / 2
@@ -717,17 +717,11 @@ def index_texts(ids: Sequence[str], texts: Sequence[str], provider: EmbeddingPro
     return Index(ids, embed(texts, provider), provider)
 
 
-def triple_query(triple: ReasoningTriple, style: str = "space") -> str:
-    """Render a triple as a retrieval query string.
-
-    ``space`` joins the fields with single spaces (predicates kept
-    verbatim, underscores intact); ``pipe`` keeps the field separators.
-    """
-    if style == "space":
-        return f"{triple.subject} {triple.predicate} {triple.object}"
-    if style == "pipe":
-        return f"{triple.subject} | {triple.predicate} | {triple.object}"
-    raise EmbedIndexError(f"unknown query style: {style!r} (expected one of {QUERY_STYLES})")
+def triple_query(triple: ReasoningTriple) -> str:
+    """Render a triple as a retrieval query string: the fields joined with
+    single spaces, predicates kept verbatim (underscores intact). This is
+    the ``space`` query style, the only one."""
+    return f"{triple.subject} {triple.predicate} {triple.object}"
 
 
 def retrieve_for_queries(index: Index, queries: Sequence[str], k_per_query: int = 5) -> tuple[list[str], list[RetrievalHit]]:

@@ -60,12 +60,6 @@ class EvalScore:
     em: int
     f1: float
 
-    def __post_init__(self) -> None:
-        if self.em not in (0, 1):
-            raise EvaluationError("em must be 0 or 1")
-        if not (0.0 <= self.f1 <= 1.0):
-            raise EvaluationError("f1 must lie in [0, 1]")
-
 
 def score_pair(question_id: str, pred: str, gold: str) -> EvalScore:
     return EvalScore(question_id=question_id, em=exact_match(pred, gold), f1=token_f1(pred, gold))

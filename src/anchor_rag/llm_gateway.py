@@ -64,6 +64,8 @@ class EmptyCompletionError(GatewayError):
 
 @dataclass(frozen=True)
 class ChatRequest:
+    # max_new_tokens and temperature are checked where a run sets them, in
+    # the pipeline's StageTokenLimits and RunConfig.
     system_prompt: str
     user_prompt: str
     max_new_tokens: int = 256
@@ -75,10 +77,6 @@ class ChatRequest:
     question_id: str = ""
 
     def __post_init__(self) -> None:
-        if self.max_new_tokens < 1:
-            raise GatewayError("max_new_tokens must be >= 1")
-        if self.temperature < 0:
-            raise GatewayError("temperature must be >= 0")
         if not self.system_prompt or not self.user_prompt:
             raise GatewayError("prompts must be non-empty")
 
@@ -118,6 +116,8 @@ class ScriptedProvider:
         self._fixtures: dict[tuple[str, str], tuple[str, tuple[tuple[str, float], ...] | None]] = {}
 
     def add(self, stage_tag: str, question_id: str, text: str, token_logprobs: Sequence | None = None) -> None:
+        if not isinstance(text, str):
+            raise TypeError(f"text must be str, got {type(text).__name__} {text!r}")
         key = (stage_tag, question_id)
         if key in self._fixtures:
             raise GatewayError(f"duplicate fixture for {key}")

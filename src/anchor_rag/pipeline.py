@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -55,18 +56,18 @@ class PipelineError(RuntimeError):
     """Configuration or wiring problem that prevents a run from starting."""
 
 
-def _check_field_types(obj: object, what: str) -> None:
-    """Raise PipelineError for a dataclass field whose value does not match
-    its annotation (an int is accepted for a float; a bool never is), so a
-    bad value from a JSON config ends as one error, not a TypeError."""
-    for name, hint in get_type_hints(type(obj)).items():
+def _check_field_types(obj: object, what: str, hints: dict | None = None, error: type = PipelineError) -> None:
+    """Raise ``error`` for a dataclass field whose value does not match its
+    annotation (an int is accepted for a float; a bool never is), so a bad
+    value from a JSON file ends as one error. ``hints`` picks the fields to
+    check and their annotations; by default every field is checked."""
+    for name, hint in (hints or get_type_hints(type(obj))).items():
         value = getattr(obj, name)
         allowed = get_args(hint) or (hint,)
-        expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-        if float in allowed:
-            allowed += (int,)
-        if (isinstance(value, bool) and bool not in allowed) or not isinstance(value, allowed):
-            raise PipelineError(f"{what} {name} must be {expected}, got {type(value).__name__} {value!r}")
+        accepted = allowed + (int,) if float in allowed else allowed
+        if (isinstance(value, bool) and bool not in allowed) or not isinstance(value, accepted):
+            expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise error(f"{what} {name} must be {expected}, got {type(value).__name__} {value!r}")
 
 
 def _from_dict(cls: type, data: dict, what: str):
@@ -115,8 +116,10 @@ class RunConfig:
             raise PipelineError("k_per_triple must be >= 1")
         if self.query_style not in QUERY_STYLES:
             raise PipelineError(f"unknown query style {self.query_style!r}; expected one of {QUERY_STYLES}")
-        if self.confidence_threshold is not None and self.confidence_threshold < 0:
-            raise PipelineError("confidence threshold must be >= 0 (or None to disable)")
+        for name in ("temperature", "confidence_threshold"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:  # also refuses NaN
+                raise PipelineError(f"config {name} must be finite and >= 0, got {value!r}")
         if self.concurrency < 1:
             raise PipelineError("concurrency must be >= 1")
         if not (0.0 <= self.max_failure_rate <= 1.0):
@@ -210,13 +213,22 @@ class PipelineTrace:
 
         A missing field takes its dataclass default, so a line written
         before a field with a default was added still loads; a missing field
-        without a default raises TypeError.
+        without a default, or a str, int or float field of another JSON type,
+        raises TypeError.
         """
         fields = {name: data[name] for name in cls.__dataclass_fields__ if name in data}
         fields["triples"] = [ReasoningTriple(subject=s, predicate=p, object=o) for s, p, o in data.get("triples", ())]
         fields["hits"] = [RetrievalHit(**h) for h in data.get("hits", ())]
         fields["usage"] = {stage: StageUsage(**u) for stage, u in data.get("usage", {}).items()}
-        return cls(**fields)
+        trace = cls(**fields)
+        _check_field_types(trace, "trace", _TRACE_SCALARS, TypeError)
+        return trace
+
+
+# The trace fields that hold one JSON string, number or null.
+_TRACE_SCALARS = {
+    name: hint for name, hint in get_type_hints(PipelineTrace).items() if hint in (str, int, float | None)
+}
 
 
 class Pipeline:
@@ -316,11 +328,9 @@ class Pipeline:
         they are used as they are. A failed retrieval records its error and
         still records its queries and time, with no hits.
         """
-        if self.index is None:
-            raise PipelineError("gather_evidence requires an index")
         anchored = queries is None
         if anchored:
-            queries = [triple_query(t, style=self.config.query_style) for t in trace.triples] or [q.question]
+            queries = [triple_query(t) for t in trace.triples] or [q.question]
         started = time.perf_counter()
         try:
             chunk_ids, hits = retrieve_for_queries(self.index, queries, k_per_query=self.config.k_per_triple)

@@ -134,6 +134,16 @@ def test_run_refuses_overwrite_without_resume(workspace, capsys):
     assert rc == 0
 
 
+def test_run_refuses_an_existing_out_before_reading_any_input(workspace, capsys):
+    out = workspace / "taken.jsonl"
+    out.write_text("", encoding="utf-8")
+    rc = main(["run", "--questions", str(workspace / "questions.jsonl"), "--index", str(workspace / "index.bin"),
+               "--chunks", str(workspace / "missing_chunks.jsonl"), "--mode", "full", "--provider", "scripted",
+               "--fixtures", str(DATA / "scripted_fixtures.jsonl"), "--out", str(out)])
+    assert rc == 1
+    assert error_lines(capsys) == [f"error: {out} already exists; pass --resume to continue it or remove it first"]
+
+
 def test_run_resume_appends_to_traces_written_without_a_defaulted_field(workspace):
     # A trace line written before a field with a default existed, e.g. one
     # without `flags`, `saved_input_tokens` or `usage`, is kept as it is.
@@ -562,6 +572,31 @@ def test_report_rejects_header_without_config_mode(workspace, capsys, header):
     assert "bad.jsonl" in err and "config" in err
 
 
+@pytest.mark.parametrize(
+    "name, value, expected",
+    [
+        ("final_answer", 5, "trace final_answer must be str, got int 5"),
+        ("payload_tokens", "many", "trace payload_tokens must be int, got str 'many'"),
+    ],
+    ids=["final_answer_int", "payload_tokens_str"],
+)
+@pytest.mark.parametrize("command", ["report", "eval", "transitions", "run --resume"])
+def test_trace_line_of_the_wrong_type_is_one_error_line(workspace, capsys, command, name, value, expected):
+    _, trace_path = run_full(workspace)
+    header, line = trace_path.read_text(encoding="utf-8").splitlines()
+    trace_path.write_text(f"{header}\n{json.dumps({**json.loads(line), name: value})}\n", encoding="utf-8")
+    capsys.readouterr()
+    if command == "run --resume":
+        rc, _ = run_full(workspace, extra=("--resume",))
+    else:
+        argv = {"report": ["--traces", str(trace_path), "--out-dir", str(workspace / "r")],
+                "eval": ["--traces", str(trace_path)],
+                "transitions": ["--traces", str(trace_path)]}[command]
+        rc = main([command, *argv])
+    assert rc == 1
+    assert error_lines(capsys) == [f"error: {trace_path}: line 2 is not a valid trace: {expected}"]
+
+
 def test_inspect_command(workspace, capsys):
     _, trace_path = run_full(workspace)
     capsys.readouterr()
@@ -679,6 +714,28 @@ def test_ingest_lone_surrogate_in_a_question_not_sampled_is_no_error(tmp_path, f
 
 
 @pytest.mark.parametrize(
+    "name, value, expected",
+    [
+        ("question", {"a": 1}, "question must be str, got dict {'a': 1}"),
+        ("question_id", 7, "question_id must be str, got int 7"),
+        ("gold_answer", ["x"], "gold_answer must be str, got list ['x']"),
+        ("dataset_tag", None, "dataset_tag must be str, got NoneType None"),
+    ],
+    ids=["question_object", "question_id_int", "gold_answer_list", "dataset_tag_null"],
+)
+def test_question_row_field_of_the_wrong_type_is_one_error_line(workspace, capsys, name, value, expected):
+    questions = workspace / "questions.jsonl"
+    header, row = questions.read_text(encoding="utf-8").splitlines()
+    questions.write_text(f"{header}\n{json.dumps({**json.loads(row), name: value})}\n", encoding="utf-8")
+    out = workspace / "bad_question_run.jsonl"
+    rc = main(["run", "--questions", str(questions), "--mode", "system1_only", "--provider", "scripted",
+               "--fixtures", str(DATA / "scripted_fixtures.jsonl"), "--out", str(out)])
+    assert rc == 1
+    assert error_lines(capsys) == [f"error: {questions}: line 2: {expected}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "name, body, flag, expected",
     [
         ("fixtures.jsonl", '{"stage_tag": "system1", "question_id": "q", "text": "x"}\n{not json\n', "--fixtures",
@@ -686,10 +743,15 @@ def test_ingest_lone_surrogate_in_a_question_not_sampled_is_no_error(tmp_path, f
         ("fixtures.jsonl", '{"stage_tag": "system1", "text": "<answer>x</answer>"}\n', "--fixtures",
          "line 1: missing key 'question_id'"),
         ("fixtures.jsonl", '[1, 2]\n', "--fixtures", "line 1: "),
+        ("fixtures.jsonl", '{"stage_tag": "system1", "question_id": "q", "text": 5}\n', "--fixtures",
+         "line 1: text must be str, got int 5"),
+        ("fixtures.jsonl", '{"stage_tag": "system1", "question_id": "q", "text": {"a": 1}}\n', "--fixtures",
+         "line 1: text must be str, got dict {'a': 1}"),
         ("config.json", '{"mode": "system1_only",\n', "--config", "not a JSON config"),
         ("config.json", '["system1_only"]\n', "--config", "not a JSON config"),
     ],
-    ids=["fixtures_bad_json", "fixtures_missing_key", "fixtures_not_object", "config_bad_json", "config_not_object"],
+    ids=["fixtures_bad_json", "fixtures_missing_key", "fixtures_not_object", "fixtures_text_int",
+         "fixtures_text_object", "config_bad_json", "config_not_object"],
 )
 def test_run_bad_json_input_is_one_error_line(workspace, capsys, name, body, flag, expected):
     path = workspace / name
@@ -713,12 +775,13 @@ def test_run_bad_json_input_is_one_error_line(workspace, capsys, name, body, fla
         ({"limits": []}, "config limits must be an object, got list []"),
         ({"limits": {"system1": "64"}}, "limits system1 must be int, got str '64'"),
         ({"limits": {"system_1": 64}}, "unknown limits keys: ['system_1']"),
+        ({"limits": {"system1": 0}}, "stage token limits must be >= 1"),
         ({"max_new_tokens": {"system1": 32}}, "unknown config keys: ['max_new_tokens']"),
         ({"chat_provider": "scripted"}, "{path}: config chat_provider must be an object"),
         ({"embed_provider": ["hashing"]}, "{path}: config embed_provider must be an object"),
     ],
     ids=["k_str", "k_bool", "tau_str", "limits_int", "limits_list", "limit_str", "limit_unknown_key",
-         "max_new_tokens", "chat_provider_str", "embed_provider_list"],
+         "limit_zero", "max_new_tokens", "chat_provider_str", "embed_provider_list"],
 )
 def test_run_config_with_bad_values_is_one_error_line(workspace, capsys, config, expected):
     path = workspace / "config.json"
@@ -745,7 +808,35 @@ def test_run_unknown_query_style_fails_before_any_question(workspace, capsys, mo
     path.write_text(json.dumps({"query_style": "bogus"}), encoding="utf-8")
     rc, out = run_full(workspace, "bad_style_run.jsonl", extra=("--config", str(path)))
     assert rc == 1
-    assert error_lines(capsys) == ["error: unknown query style 'bogus'; expected one of ('space', 'pipe')"]
+    assert error_lines(capsys) == ["error: unknown query style 'bogus'; expected one of ('space',)"]
+    assert not out.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "config, flags, expected",
+    [
+        ({"temperature": -1}, (), "config temperature must be finite and >= 0, got -1"),
+        ({"temperature": float("nan")}, (), "config temperature must be finite and >= 0, got nan"),
+        (None, ("--tau", "nan"), "config confidence_threshold must be finite and >= 0, got nan"),
+        (None, ("--tau", "inf"), "config confidence_threshold must be finite and >= 0, got inf"),
+    ],
+    ids=["config_temperature_negative", "config_temperature_nan", "tau_nan", "tau_inf"],
+)
+def test_run_bad_temperature_or_tau_fails_before_any_file_or_call(workspace, capsys, monkeypatch, config, flags,
+                                                                  expected):
+    # A NaN tau would let the gate complete no question; -1 used to pass the
+    # config and fail only at the first request, after the trace header was written.
+    calls = []
+    monkeypatch.setattr(ScriptedProvider, "complete", lambda self, request: calls.append(request))
+    extra = ["--mode", "threshold_gated", *flags]
+    if config is not None:
+        path = workspace / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")  # NaN is written as the bare token NaN
+        extra += ["--config", str(path)]
+    rc, out = run_full(workspace, "bad_value_run.jsonl", extra=extra)
+    assert rc == 1
+    assert error_lines(capsys) == [f"error: {expected}"]
     assert not out.exists()
     assert calls == []
 
@@ -799,6 +890,32 @@ def test_run_config_bad_embed_dim_is_one_error_line(workspace, capsys, dim, expe
         expected_line = f"error: config embed_provider dim must be int or null, got {expected}"
     assert error_lines(capsys) == [expected_line]
     assert not (workspace / "bad_dim_run.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["run --questions", "run --fixtures", "build-index --chunks", "report --out-dir"]
+)
+def test_path_of_the_wrong_kind_is_one_error_line(workspace, capsys, case):
+    directory = workspace / "a_directory"
+    directory.mkdir()
+    run = ["run", "--questions", str(workspace / "questions.jsonl"), "--mode", "system1_only",
+           "--provider", "scripted", "--fixtures", str(DATA / "scripted_fixtures.jsonl"),
+           "--out", str(workspace / "kind_run.jsonl")]
+    if case == "report --out-dir":
+        _, trace_path = run_full(workspace)
+        capsys.readouterr()
+        bad = workspace / "a_file"
+        bad.write_text("", encoding="utf-8")
+        argv = ["report", "--traces", str(trace_path), "--out-dir", str(bad)]
+    elif case == "build-index --chunks":
+        bad = directory
+        argv = ["build-index", "--chunks", str(bad), "--out", str(workspace / "kind_index.bin")]
+    else:
+        bad = directory
+        argv = run + [case.split()[1], str(bad)]  # the last of two flags wins
+    assert main(argv) == 1
+    err = error_lines(capsys)
+    assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
 
 
 # --- remote endpoints: retries, malformed replies, interrupts -------------------

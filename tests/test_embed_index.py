@@ -611,9 +611,6 @@ def test_search_rejects_query_dim_mismatch():
 def test_triple_query_styles():
     t = ReasoningTriple("Modric", "plays_for", "AC Milan")
     assert triple_query(t) == "Modric plays_for AC Milan"
-    assert triple_query(t, style="pipe") == "Modric | plays_for | AC Milan"
-    with pytest.raises(EmbedIndexError):
-        triple_query(t, style="json")
 
 
 def test_empty_triples_rejected():

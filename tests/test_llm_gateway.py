@@ -56,12 +56,10 @@ def make_response(token_logprobs, text=None):
 
 
 def test_request_validation():
-    with pytest.raises(GatewayError):
-        ChatRequest(system_prompt="s", user_prompt="u", max_new_tokens=0)
+    # max_new_tokens and temperature come from StageTokenLimits and RunConfig,
+    # which check them (test_pipeline.py::test_config_refuses_bad_temperature_tau_and_limits).
     with pytest.raises(GatewayError):
         ChatRequest(system_prompt="", user_prompt="u")
-    with pytest.raises(GatewayError):
-        ChatRequest(system_prompt="s", user_prompt="u", temperature=-1.0)
 
 
 def test_response_rejects_positive_logprobs():
@@ -97,6 +95,12 @@ def test_scripted_duplicate_fixture_rejected():
     provider.add("system1", "q1", "a")
     with pytest.raises(GatewayError):
         provider.add("system1", "q1", "b")
+
+
+@pytest.mark.parametrize("text", [5, None, ["a"], {"text": "a"}])
+def test_scripted_fixture_text_must_be_str(text):
+    with pytest.raises(TypeError, match=f"text must be str, got {type(text).__name__}"):
+        ScriptedProvider().add("system1", "q42", text)
 
 
 def test_scripted_without_logprob_request_degrades():

@@ -58,6 +58,32 @@ def test_config_validates_mode_and_limits():
         RunConfig(confidence_threshold=-0.5)
 
 
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (lambda: RunConfig(temperature=-1), "config temperature must be finite and >= 0, got -1"),
+        (lambda: RunConfig(temperature=math.nan), "config temperature must be finite and >= 0, got nan"),
+        (lambda: RunConfig(temperature=math.inf), "config temperature must be finite and >= 0, got inf"),
+        (lambda: RunConfig(confidence_threshold=math.nan), "config confidence_threshold must be finite and >= 0, got nan"),
+        (lambda: RunConfig(confidence_threshold=-math.inf), "config confidence_threshold must be finite and >= 0, got -inf"),
+        (lambda: StageTokenLimits(system1=0), "stage token limits must be >= 1"),
+        (lambda: StageTokenLimits(triple_gen=0), "stage token limits must be >= 1"),
+    ],
+    ids=["temperature_negative", "temperature_nan", "temperature_inf", "tau_nan", "tau_minus_inf", "system1_zero",
+         "triple_gen_zero"],
+)
+def test_config_refuses_bad_temperature_tau_and_limits(make, expected):
+    with pytest.raises(PipelineError) as err:
+        make()
+    assert str(err.value) == expected
+
+
+def test_config_accepts_zero_and_integer_temperature_and_tau():
+    config = RunConfig(temperature=0, confidence_threshold=0)
+    assert (config.temperature, config.confidence_threshold) == (0, 0)
+    assert RunConfig(temperature=0.7, confidence_threshold=None).temperature == 0.7
+
+
 def test_config_round_trip_and_hash():
     config = RunConfig(mode="threshold_gated", confidence_threshold=0.05, limits=StageTokenLimits(32, 128, 512))
     clone = RunConfig.from_dict(config.to_dict())
@@ -516,12 +542,13 @@ def test_read_trace_file_rejects_corrupt_inner_line(tmp_path, scripted_provider,
         pipe.run_dataset(list(golden_questions.values()), trace_path=path, resume=True)
 
 
-def snapshot_trace_file(tmp_path, drop: str):
-    """The committed full-mode snapshot header and one trace line, without ``drop``."""
+def snapshot_trace_file(tmp_path, drop: str = "", **changes):
+    """The committed full-mode snapshot header and one trace line, without
+    ``drop`` and with ``changes``."""
     rows = [json.loads(line) for line in (DATA / "trace_snapshot.jsonl").read_text(encoding="utf-8").splitlines()]
     header, line = [r for r in rows if r["case"] == "fixtures/full" and r.get("question_id") in (None, "bannan-conference")]
     full = PipelineTrace.from_json_dict(line)
-    line = {k: v for k, v in line.items() if k != drop}
+    line = {**{k: v for k, v in line.items() if k != drop}, **changes}
     path = tmp_path / "traces.jsonl"
     path.write_text(json.dumps(header) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
     return path, full
@@ -545,6 +572,35 @@ def test_trace_line_without_a_required_field_is_refused(tmp_path, name):
     path, _ = snapshot_trace_file(tmp_path, name)
     with pytest.raises(PipelineError, match=f"line 2 is not a valid trace: .*'{name}'"):
         read_trace_file(path)
+
+
+@pytest.mark.parametrize(
+    "name, value, expected",
+    [
+        ("final_answer", 5, "str, got int 5"),
+        ("question_id", None, "str, got NoneType None"),
+        ("gate_decision", ["complete"], "str, got list ['complete']"),
+        ("payload_tokens", "many", "int, got str 'many'"),
+        ("payload_tokens", True, "int, got bool True"),
+        ("saved_input_tokens", 1.5, "int, got float 1.5"),
+        ("confidence", "high", "float or null, got str 'high'"),
+        ("mean_answer_logprob", False, "float or null, got bool False"),
+    ],
+    ids=["final_answer_int", "question_id_null", "gate_decision_list", "payload_tokens_str", "payload_tokens_bool",
+         "saved_input_tokens_float", "confidence_str", "mean_answer_logprob_bool"],
+)
+def test_trace_line_with_a_field_of_the_wrong_type_is_refused(tmp_path, name, value, expected):
+    path, _ = snapshot_trace_file(tmp_path, **{name: value})
+    with pytest.raises(PipelineError) as err:
+        read_trace_file(path)
+    assert str(err.value) == f"{path}: line 2 is not a valid trace: trace {name} must be {expected}"
+
+
+@pytest.mark.parametrize("value", [None, 1, 0.25])
+def test_trace_line_confidence_may_be_null_or_any_number(tmp_path, value):
+    path, full = snapshot_trace_file(tmp_path, confidence=value)
+    _, (trace,) = read_trace_file(path)
+    assert trace == dataclasses.replace(full, confidence=value)
 
 
 def test_run_dataset_resume_rejects_other_config(tmp_path, scripted_provider, bannan_index, bannan_chunks, golden_questions):
