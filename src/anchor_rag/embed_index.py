@@ -718,9 +718,8 @@ def index_texts(ids: Sequence[str], texts: Sequence[str], provider: EmbeddingPro
 
 
 def triple_query(triple: ReasoningTriple) -> str:
-    """Render a triple as a retrieval query string: the fields joined with
-    single spaces, predicates kept verbatim (underscores intact). This is
-    the ``space`` query style, the only one."""
+    """Render a triple as a retrieval query: its fields joined by single spaces,
+    predicates verbatim (the ``space`` query style, the only one)."""
     return f"{triple.subject} {triple.predicate} {triple.object}"
 
 

@@ -64,8 +64,7 @@ class EmptyCompletionError(GatewayError):
 
 @dataclass(frozen=True)
 class ChatRequest:
-    # max_new_tokens and temperature are checked where a run sets them, in
-    # the pipeline's StageTokenLimits and RunConfig.
+    # max_new_tokens and temperature are checked where set: StageTokenLimits, RunConfig.
     system_prompt: str
     user_prompt: str
     max_new_tokens: int = 256

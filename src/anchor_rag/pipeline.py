@@ -226,9 +226,7 @@ class PipelineTrace:
 
 
 # The trace fields that hold one JSON string, number or null.
-_TRACE_SCALARS = {
-    name: hint for name, hint in get_type_hints(PipelineTrace).items() if hint in (str, int, float | None)
-}
+_TRACE_SCALARS = {k: t for k, t in get_type_hints(PipelineTrace).items() if t in (str, int, float | None)}
 
 
 class Pipeline:
