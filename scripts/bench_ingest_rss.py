@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Record peak RSS and wall time of each CLI step, for the local and the remote embedder.
+"""Record peak RSS and wall time of start-up and of each CLI step, for the local and the remote embedder.
 
-Four cases, each on inputs that `perfbench/gen.py` generates for seed 7.
-Every repeat is a fresh process that runs the case's CLI steps in-process
-after one `gc.collect()`, reads `ru_maxrss` before the first step and after
-each step, and times each step with `time.perf_counter`:
+`startup` is a fresh `python3 -c "import anchor_rag.cli"`, five repeats,
+each timed from start to exit and reading its own `ru_maxrss` after the
+import. The four other cases run on inputs that `perfbench/gen.py`
+generates for seed 7. Every repeat is a fresh process that runs the case's
+CLI steps in-process after one `gc.collect()`, reads `ru_maxrss` before the
+first step and after each step, and times each step with
+`time.perf_counter`:
 
 - `short_docs_full`: `ingest -> build-index -> run -> report` on 300
   HotpotQA records of ten one-chunk paragraphs (3,000 chunks), hashing
@@ -128,6 +131,23 @@ def repeat(steps_for, root: Path, repeats: int, env: dict) -> dict:
             "ru_maxrss_mb_samples": rss, "wall_s_samples": wall}
 
 
+def measure_startup(env: dict) -> dict:
+    """``REPEATS`` fresh processes that import the CLI module and exit. It
+    runs first, while this process is smallest: a child's ``ru_maxrss``
+    starts at the peak of the process that started it."""
+    code = "import resource, anchor_rag.cli; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    rss, wall = [], []
+    for _ in range(REPEATS):
+        started = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        wall.append(time.perf_counter() - started)
+        rss.append({"import": int(proc.stdout) / 1024.0})
+    return {"settings": {"repeats": REPEATS},
+            "ru_maxrss_mb_median": {"import": statistics.median(s["import"] for s in rss)},
+            "wall_s_median": {"import": round(statistics.median(wall), 4)},
+            "ru_maxrss_mb_samples": rss, "wall_s_samples": [{"import": w} for w in wall]}
+
+
 def generate_apart(w, inputs: Path) -> dict:
     """``generate`` in a fresh process. Linux carries a process's peak RSS
     over into the ``ru_maxrss`` of every child it starts, so this process
@@ -187,9 +207,10 @@ def main() -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))  # gen.py reads the prompts of the measured tree
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()), PYTHONHASHSEED="0", OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cases = {"startup": measure_startup(env)}
     with tempfile.TemporaryDirectory() as tmp:
-        cases = {name: measure_workload(WORKLOADS[name], Path(tmp), env)
-                 for name in ("short_docs_full", "long_docs_standard_rag", "remote_gated_c2")}
+        cases.update((name, measure_workload(WORKLOADS[name], Path(tmp), env))
+                     for name in ("short_docs_full", "long_docs_standard_rag", "remote_gated_c2"))
         cases["remote_build_index_50k"] = measure_remote_build_index_50k(Path(tmp), env)
 
     run = {"machine": {"cores": os.cpu_count(), "arch": platform.machine(), "python": platform.python_version()},

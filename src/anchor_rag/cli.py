@@ -45,6 +45,14 @@ def _env_key(spec: dict, default_env: str) -> str | None:
     return os.environ.get(spec.get("api_key_env") or default_env)
 
 
+def _check_provider_types(spec: dict, key: str) -> None:
+    """Refuse a run config's provider setting of the wrong JSON type."""
+    for name in ("kind", "fixtures", "base_url", "model", "api_key_env"):
+        value = spec.get(name, "")
+        if not isinstance(value, str):
+            raise CliError(f"config {key} {name} must be str, got {type(value).__name__} {value!r}")
+
+
 def build_embed_provider(spec: dict):
     kind = spec.get("kind", "hashing")
     dim = spec.get("dim")
@@ -152,6 +160,9 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.dim is not None:
         embed["dim"] = args.dim
     base["embed_provider"] = embed
+    # Before any client is built or any input is read.
+    for key in ("chat_provider", "embed_provider"):
+        _check_provider_types(base[key], key)
     return RunConfig.from_dict(base)
 
 

@@ -56,6 +56,7 @@ import contextlib
 import json
 import os
 import queue
+import re
 import struct
 import threading
 from collections import deque
@@ -152,6 +153,7 @@ _GRAM_TABLES = _gram_tables(_NGRAM_SIZES[-1])
 
 # Maps every byte outside [a-z0-9] to a space.
 _WORD_BYTES = bytes(b if 48 <= b <= 57 or 97 <= b <= 122 else 32 for b in range(256))
+_SPACE_RUNS = re.compile(rb"  +")
 
 # Normalized bytes embedded per block, each text also counting `dim` for its
 # row of bucket counts; a longer text is a block of its own. Keeps a block's
@@ -173,10 +175,11 @@ class HashingEmbedder:
     Texts are embedded in blocks of about ``_BLOCK_BYTES``, with a fixed
     number of numpy calls per block, not per text:
 
-    - Normalization needs no regex: ``str.lower()`` (so ``İ`` and the
-      Kelvin sign lower as before), ASCII with ``?`` for the rest, a byte
-      table mapping everything outside ``[a-z0-9]`` to a space, then
-      split and join. That gives the same ``[a-z0-9]`` runs.
+    - Normalization is ``str.lower()`` (so ``İ`` and the Kelvin sign
+      lower as before), ASCII with ``?`` for the rest, a byte table
+      mapping everything outside ``[a-z0-9]`` to a space, then one regex
+      pass folding each run of spaces to one and a strip. That gives the
+      same ``[a-z0-9]`` runs, with no bytes object per word.
     - The block's texts are joined into one buffer, and grams are indexed
       by their last byte. Step j looks up every byte j positions back in
       ``_gram_tables``' table j and XORs it into the previous step, so
@@ -210,7 +213,7 @@ class HashingEmbedder:
         block: list[bytes] = []
         first = cost = 0
         for i, text in enumerate(texts):
-            data = b" ".join(text.lower().encode("ascii", "replace").translate(_WORD_BYTES).split())
+            data = _SPACE_RUNS.sub(b" ", text.lower().encode("ascii", "replace").translate(_WORD_BYTES)).strip(b" ")
             if block and cost + len(data) + self.dim > _BLOCK_BYTES:
                 self._embed_block(block, out[first:i])
                 block, first, cost = [], i, 0

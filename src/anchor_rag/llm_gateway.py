@@ -7,18 +7,20 @@ keeps runs deterministic regardless of prompt wording tweaks. The gateway
 computes the direct-answer confidence as the mean per-token probability.
 
 Every HTTP call in the package, chat and embeddings alike, goes through
-:class:`HttpClient`, and every retry through :func:`with_retries`. The
-retry policy is the two constants ``RETRIES`` and ``BACKOFF_S`` and nothing
-else: a connection error, HTTP 429 or 5xx is retried up to ``RETRIES``
-calls in all, after the server's ``Retry-After`` when it sends a readable
-one of at most a day, else after ``BACKOFF_S``·2^(n-1). Any other 4xx, and
-a reply that is not JSON or lacks the expected fields, is a
+:class:`HttpClient`, and every retry through :func:`with_retries`. Only
+:class:`HttpClient` imports ``requests``, when it is built, so a process
+that builds no HTTP provider never loads the HTTP stack.
+
+The retry policy is the two constants ``RETRIES`` and ``BACKOFF_S`` and
+nothing else: a connection error, HTTP 429 or 5xx is retried up to
+``RETRIES`` calls in all, after the server's ``Retry-After`` when it sends a
+readable one of at most a day, else after ``BACKOFF_S``·2^(n-1). Any other
+4xx, and a reply that is not JSON or lacks the expected fields, is a
 :class:`GatewayError` that is not retried.
 """
 
 from __future__ import annotations
 
-import email.utils
 import itertools
 import json
 import math
@@ -27,8 +29,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence, TypeVar
-
-import requests
 
 from anchor_rag.corpus import DEFAULT_TOKENIZER
 
@@ -134,7 +134,7 @@ class ScriptedProvider:
             try:
                 row = json.loads(line)
                 provider.add(row["stage_tag"], row["question_id"], row["text"], row.get("token_logprobs"))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError, GatewayError) as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
                 raise GatewayError(f"{path}: line {lineno}: {detail}") from exc
         return provider
@@ -169,6 +169,8 @@ class HttpClient:
     :meth:`post` is the two in turn."""
 
     def __init__(self, base_url: str, api_key: str | None, timeout_s: float):
+        import requests  # loaded here, on the calling thread, before any fetch thread starts
+
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
         self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
@@ -181,6 +183,8 @@ class HttpClient:
         return self.json_object(path, self.post_bytes(path, payload))
 
     def post_bytes(self, path: str, payload: dict) -> bytes:
+        import requests  # already loaded by __init__
+
         session = getattr(self._local, "session", None)
         if session is None:
             session = self._local.session = requests.Session()
@@ -233,6 +237,8 @@ def _retry_after(value: str | None) -> float | None:
         if value.strip().isdecimal():
             wait = float(value)
         else:
+            import email.utils
+
             wait = email.utils.mktime_tz(email.utils.parsedate_tz(value)) - time.time()
     except (TypeError, ValueError, OverflowError):
         return None

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from conftest import chat_reply, cut_off, embeddings_reply, reply
 
-from anchor_rag import corpus, embed_index
+from anchor_rag import cli, corpus, embed_index
 from anchor_rag.cli import main
 from anchor_rag.corpus import (
     Chunk,
@@ -747,11 +747,14 @@ def test_question_row_field_of_the_wrong_type_is_one_error_line(workspace, capsy
          "line 1: text must be str, got int 5"),
         ("fixtures.jsonl", '{"stage_tag": "system1", "question_id": "q", "text": {"a": 1}}\n', "--fixtures",
          "line 1: text must be str, got dict {'a': 1}"),
+        ("fixtures.jsonl", '{"stage_tag": "system1", "question_id": "q", "text": "a"}\n'
+         '{"stage_tag": "system1", "question_id": "q", "text": "b"}\n', "--fixtures",
+         "line 2: duplicate fixture for ('system1', 'q')"),
         ("config.json", '{"mode": "system1_only",\n', "--config", "not a JSON config"),
         ("config.json", '["system1_only"]\n', "--config", "not a JSON config"),
     ],
     ids=["fixtures_bad_json", "fixtures_missing_key", "fixtures_not_object", "fixtures_text_int",
-         "fixtures_text_object", "config_bad_json", "config_not_object"],
+         "fixtures_text_object", "fixtures_duplicate", "config_bad_json", "config_not_object"],
 )
 def test_run_bad_json_input_is_one_error_line(workspace, capsys, name, body, flag, expected):
     path = workspace / name
@@ -793,6 +796,42 @@ def test_run_config_with_bad_values_is_one_error_line(workspace, capsys, config,
     err = error_lines(capsys)
     assert err == [f"error: {expected.format(path=path)}"]
     assert not (workspace / "bad_config_run.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "key, spec, bad",
+    [
+        ("chat_provider", {"kind": "scripted", "fixtures": 5}, "fixtures must be str, got int 5"),
+        ("chat_provider", {"kind": 5}, "kind must be str, got int 5"),
+        ("chat_provider", {"kind": "openai", "base_url": 5, "model": "m"}, "base_url must be str, got int 5"),
+        ("chat_provider", {"kind": "openai", "base_url": "http://127.0.0.1:9/v1", "model": ["m"]},
+         "model must be str, got list ['m']"),
+        ("chat_provider", {"kind": "openai", "base_url": "http://127.0.0.1:9/v1", "model": "m", "api_key_env": 5},
+         "api_key_env must be str, got int 5"),
+        ("embed_provider", {"kind": "remote", "base_url": 5, "model": "m"}, "base_url must be str, got int 5"),
+        ("embed_provider", {"kind": "remote", "base_url": "http://127.0.0.1:9/v1", "model": [1]},
+         "model must be str, got list [1]"),
+        ("embed_provider", {"kind": "remote", "base_url": "http://127.0.0.1:9/v1", "model": "m",
+                            "api_key_env": None}, "api_key_env must be str, got NoneType None"),
+    ],
+    ids=["chat_fixtures_int", "chat_kind_int", "chat_base_url_int", "chat_model_list", "chat_api_key_env_int",
+         "embed_base_url_int", "embed_model_list", "embed_api_key_env_null"],
+)
+def test_run_provider_setting_of_wrong_type_is_one_error_line(workspace, capsys, monkeypatch, key, spec, bad):
+    # Before, these ended in a TypeError or AttributeError traceback, or (a
+    # list as the embedding model) ran as the provider id "remote:[1]".
+    reads = []
+    monkeypatch.setattr(cli, "read_question_file", lambda path: reads.append(path) or read_question_file(path))
+    path = workspace / "config.json"
+    path.write_text(json.dumps({"mode": "standard_rag", key: spec}), encoding="utf-8")
+    out = workspace / "bad_provider_run.jsonl"
+    argv = ["run", "--questions", str(workspace / "questions.jsonl"), "--index", str(workspace / "index.bin"),
+            "--chunks", str(workspace / "chunks.jsonl"), "--out", str(out), "--config", str(path)]
+    if key == "embed_provider":
+        argv += ["--provider", "scripted", "--fixtures", str(DATA / "scripted_fixtures.jsonl")]
+    assert main(argv) == 1
+    assert error_lines(capsys) == [f"error: config {key} {bad}"]
+    assert reads == [] and not out.exists()
 
 
 def test_run_unknown_query_style_fails_before_any_question(workspace, capsys, monkeypatch):

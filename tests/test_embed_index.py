@@ -133,6 +133,9 @@ LONG_TEXTS = st.lists(st.sampled_from(UNICODE_WORDS + WORDS), min_size=600, max_
     dim=st.sampled_from([2, 31, 256]),
 )
 @example(texts=["", "!!! ???", "ab", "a", "İ", "é", "x" * 3001, " ".join(WORDS) * 20], dim=256)
+# Separators leading, trailing and repeated, of one kind and mixed.
+@example(texts=["  river", "stone  ", "  cedar  ", "a  b", "a _-_ b", "\tq\n\nr\t", "__x__y__", " ", "-- é --"],
+         dim=31)
 def test_hashing_embedder_matches_scalar_reference(texts, dim):
     got = HashingEmbedder(dim=dim).embed_batch(texts)
     expected = np.stack([hashing_v1_reference(t, dim) for t in texts])

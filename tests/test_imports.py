@@ -1,7 +1,11 @@
 """The package's runtime dependencies are numpy and requests: every other
-module it imports is in the standard library or in the package itself."""
+module it imports is in the standard library or in the package itself, and
+only the HTTP clients load requests."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +39,45 @@ def test_import_check_flags_a_third_party_module(tmp_path):
     path.write_text("import os\nimport yaml.loader\nfrom pandas import DataFrame\nfrom . import sibling\n",
                     encoding="utf-8")
     assert [name for name in imported_modules(path) if name.split(".")[0] not in ALLOWED] == ["yaml.loader", "pandas"]
+
+
+# Every local command in one fresh process, then an HTTP chat provider built.
+LOCAL_COMMANDS = """
+import json, sys
+from pathlib import Path
+from anchor_rag.cli import main
+
+work, data, fixtures = (Path(arg) for arg in sys.argv[1:4])
+traces = str(work / "traces.jsonl")
+for argv in (
+    ["ingest", "--data", str(data), "--format", "hotpotqa", "--out-dir", str(work)],
+    ["build-index", "--chunks", str(work / "chunks.jsonl"), "--out", str(work / "index.bin"), "--embedder", "hashing"],
+    ["run", "--questions", str(work / "questions.jsonl"), "--index", str(work / "index.bin"),
+     "--chunks", str(work / "chunks.jsonl"), "--mode", "full", "--provider", "scripted",
+     "--fixtures", str(fixtures), "--out", traces],
+    ["report", "--traces", traces, "--out-dir", str(work / "report")],
+    ["eval", "--traces", traces],
+    ["transitions", "--traces", traces],
+    ["inspect", "--traces", traces, "--question-id", "bannan-conference"],
+):
+    assert main(argv) == 0, argv
+local = [name for name in ("requests", "urllib3", "email.utils") if name in sys.modules]
+from anchor_rag.llm_gateway import OpenAIChatProvider
+OpenAIChatProvider("http://127.0.0.1:9/v1", "m")
+print(json.dumps({"local": local, "after_openai": "requests" in sys.modules}))
+"""
+
+
+def test_local_commands_never_load_the_http_stack(tmp_path, bannan_docs, golden_questions):
+    q = golden_questions["bannan-conference"]
+    data = tmp_path / "hotpot.json"
+    data.write_text(json.dumps([{"_id": q.question_id, "question": q.question, "answer": q.gold_answer,
+                                 "context": [[d.title, [d.text]] for d in bannan_docs]}]), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOCAL_COMMANDS, str(tmp_path / "work"), str(data),
+         str(Path(__file__).parent / "data" / "scripted_fixtures.jsonl")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"local": [], "after_openai": True}
