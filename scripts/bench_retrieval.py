@@ -4,16 +4,19 @@
 Timings, each a median over repeated calls after a warm-up:
 
 - ``Index.search`` (embed one query, score, select the top k) over N random
-  unit vectors of dimension 256, for each N in ``--sizes`` (3,000 is the
-  index size of the ``short_docs_full`` benchmark workload), next to the
-  bytes of the arrays the index holds;
+  unit vectors of dimension 256, for each N in ``--sizes`` (533 and 3,000
+  are the index sizes of the ``long_docs_standard_rag`` and
+  ``short_docs_full`` benchmark workloads), next to the bytes of the arrays
+  the index holds;
+- ``standard_rag``'s retrieval of one block of questions over the same
+  index, per question: one ``embed`` call and one ``Index._top_k`` call for
+  max(1, 2**15 // N) questions, as ``Pipeline.run_dataset`` blocks them,
+  divided by the block's size;
 - ``retrieve_for_queries`` with 4 queries (one question's triples) over the
   same index;
-- ``HashingEmbedder.embed_batch`` per chunk, for chunks of 80 and 400 tokens;
-- ``HashingEmbedder.embed_batch`` of one query of 5 to 10 words (per call,
-  as ``standard_rag`` embeds one query per question), and of one build-sized
-  batch of 3,000 80-token chunks (the chunk count of the ``short_docs_full``
-  benchmark workload);
+- ``HashingEmbedder.embed_batch`` per chunk, for chunks of 80 and 400 tokens,
+  and of one build-sized batch of 3,000 80-token chunks (the chunk count of
+  the ``short_docs_full`` benchmark workload);
 - the tokenizer: ``count`` over a standard-RAG prompt (the question and k
   retrieved 400-token chunks, system and user text, as the scripted
   provider counts it) and ``chunk_document`` of a 3,000-token document into
@@ -57,7 +60,7 @@ src_option(_pre)
 sys.path.insert(0, str(Path(_pre.parse_known_args()[0].src).resolve()))
 
 from anchor_rag.corpus import DEFAULT_TOKENIZER, Document, QAItem, chunk_document  # noqa: E402
-from anchor_rag.embed_index import HashingEmbedder, Index, retrieve_for_queries  # noqa: E402
+from anchor_rag.embed_index import HashingEmbedder, Index, embed, retrieve_for_queries  # noqa: E402
 from anchor_rag.prompt_kit import render_standard_rag  # noqa: E402
 
 DIM = 256
@@ -67,8 +70,8 @@ QUERIES_PER_QUESTION = 4
 CHUNK_TOKENS = (80, 400)
 DOCUMENT_TOKENS = 3000
 TOKENIZER_REPEATS = 200
-QUERY_SAMPLES = 41
-QUERY_CALLS_PER_SAMPLE = 200
+# Scores per standard_rag retrieval block, as in Pipeline.run_dataset.
+QUESTION_BLOCK_SCORES = 1 << 15
 BUILD_CHUNK_TOKENS = 80
 BUILD_TEXTS = 3000
 WORDS = (
@@ -129,10 +132,23 @@ def bench_index(n: int, queries: list[str]) -> dict:
     for q in queries[:2]:
         index.search(q, k=K)
     search = [timed_ms(index.search, q, k=K) for q in queries]
+    size = max(1, QUESTION_BLOCK_SCORES // n)
+    blocks = [[queries[(i * size + j) % len(queries)] for j in range(size)] for i in range(len(queries))]
+
+    def retrieve_block(questions: list[str]) -> None:
+        index._top_k(embed(questions, provider), K)
+
+    retrieve_block(blocks[0])
+    per_question = [timed_ms(retrieve_block, b) / size for b in blocks]
     groups = [queries[i : i + QUERIES_PER_QUESTION] for i in range(0, len(queries), QUERIES_PER_QUESTION)]
     groups = [g for g in groups if len(g) == QUERIES_PER_QUESTION]
     retrieve = [timed_ms(retrieve_for_queries, index, g, k_per_query=K) for g in groups]
-    return {"matrix_bytes": held, "search": summary(search), "retrieve_4_queries": summary(retrieve)}
+    return {
+        "matrix_bytes": held,
+        "search": summary(search),
+        "standard_rag_block_per_question": {"questions": size, **summary(per_question)},
+        "retrieve_4_queries": summary(retrieve),
+    }
 
 
 def bench_embed(tokens: int, texts: int, repeats: int, rng: random.Random) -> dict:
@@ -141,17 +157,6 @@ def bench_embed(tokens: int, texts: int, repeats: int, rng: random.Random) -> di
     provider.embed_batch(batch[:2])
     per_chunk = [timed_ms(provider.embed_batch, batch) / texts for _ in range(repeats)]
     return summary(per_chunk)
-
-
-def bench_embed_one_query(rng: random.Random) -> dict:
-    provider = HashingEmbedder(dim=DIM)
-    query = [" ".join(rng.choices(WORDS, k=rng.randint(5, 10)))]
-    provider.embed_batch(query)
-    per_call = [
-        timed_ms(lambda: [provider.embed_batch(query) for _ in range(QUERY_CALLS_PER_SAMPLE)]) / QUERY_CALLS_PER_SAMPLE
-        for _ in range(QUERY_SAMPLES)
-    ]
-    return {"words": len(query[0].split()), "calls_per_sample": QUERY_CALLS_PER_SAMPLE, **summary(per_call)}
 
 
 def bench_embed_build_batch(repeats: int, rng: random.Random) -> dict:
@@ -202,7 +207,9 @@ def bench_tokenizer(rng: random.Random, titles: list[str], **text) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     src_option(parser)
-    parser.add_argument("--sizes", type=int, nargs="+", default=[3_000, 10_000, 50_000, 200_000], help="index rows")
+    parser.add_argument(
+        "--sizes", type=int, nargs="+", default=[533, 3_000, 10_000, 50_000, 200_000], help="index rows"
+    )
     parser.add_argument("--queries", type=int, default=40, help="timed searches per size")
     parser.add_argument("--embed-texts", type=int, default=200, help="chunks per timed embedding batch")
     parser.add_argument("--embed-repeats", type=int, default=9, help="timed embedding batches per chunk length")
@@ -219,7 +226,6 @@ def main() -> int:
         "hashing_embed_per_chunk": {
             f"{t}_tokens": bench_embed(t, args.embed_texts, args.embed_repeats, rng) for t in CHUNK_TOKENS
         },
-        "hashing_embed_one_query": bench_embed_one_query(random.Random(SEED)),
         "hashing_embed_build_batch": bench_embed_build_batch(args.embed_repeats, random.Random(SEED)),
         "tokenizer": bench_tokenizer(rng, [f"Title {i}" for i in range(K)]),
         "tokenizer_unicode": bench_tokenizer(

@@ -546,9 +546,10 @@ class Index:
         Each query keeps the rows within its own candidate margin (see the
         module docstring), rescores them in float64 and sorts them by
         (-score, chunk id), so a row's score and rank depend only on that
-        row and its query. This is the only selection path: ``search`` and
-        ``retrieve_for_queries`` both go through it, and a tracer can time
-        all retrieval by patching this one method.
+        row and its query. This is the only selection path: ``search``,
+        ``retrieve_for_queries`` and the standard-RAG baseline's block of
+        questions (``Pipeline.retrieve_questions``) all go through it, and a
+        tracer can time all retrieval by patching this one method.
         """
         queries = np.asarray(vectors, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.dim:

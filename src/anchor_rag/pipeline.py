@@ -17,10 +17,18 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence, TextIO, get_args, get_type_hints
+from typing import Iterable, Sequence, TextIO, get_args, get_type_hints
 
 from anchor_rag.corpus import DEFAULT_TOKENIZER, Chunk, QAItem
-from anchor_rag.embed_index import QUERY_STYLES, EmbedIndexError, Index, RetrievalHit, retrieve_for_queries, triple_query
+from anchor_rag.embed_index import (
+    QUERY_STYLES,
+    EmbedIndexError,
+    Index,
+    RetrievalHit,
+    embed,
+    retrieve_for_queries,
+    triple_query,
+)
 from anchor_rag.llm_gateway import (
     ChatProvider,
     ChatRequest,
@@ -48,6 +56,12 @@ MODES = ("full", "system1_only", "no_initial_reasoning", "threshold_gated", "sta
 
 EMPTY_HYPOTHESIS_SENTINEL = "unknown"
 TRACE_SCHEMA_VERSION = 1
+
+# Float32 scores per standard_rag retrieval block: ``run_dataset`` embeds
+# and selects max(1, _QUESTION_BLOCK_SCORES // len(index)) questions at a
+# time, so a block's score matrix stays at or under 128 KiB, and from
+# 32,768 rows up a block is one question, as a lone search is.
+_QUESTION_BLOCK_SCORES = 1 << 15
 
 logger = logging.getLogger(__name__)
 
@@ -317,30 +331,59 @@ class Pipeline:
             if malformed_count:
                 trace.flags["triples_malformed"] = malformed_count
 
-    def gather_evidence(self, q: QAItem, trace: PipelineTrace, queries: Sequence[str] | None = None) -> None:
-        """Retrieve top-k per query and record the union on the trace.
+    def gather_evidence(self, q: QAItem, trace: PipelineTrace) -> None:
+        """Retrieve top-k per triple and record the union on the trace.
 
-        Without ``queries`` the trace's triples are the queries (triple-
-        anchored retrieval), or the raw question, flagged, when no triple
-        survived parsing. With ``queries`` given (the standard-RAG baseline)
-        they are used as they are. A failed retrieval records its error and
-        still records its queries and time, with no hits.
+        The trace's triples are the queries (triple-anchored retrieval), or
+        the raw question, flagged, when no triple survived parsing. A failed
+        retrieval records its error and still records its queries and time,
+        with no hits.
         """
-        anchored = queries is None
-        if anchored:
-            queries = [triple_query(t) for t in trace.triples] or [q.question]
+        queries = [triple_query(t) for t in trace.triples] or [q.question]
         started = time.perf_counter()
         try:
             chunk_ids, hits = retrieve_for_queries(self.index, queries, k_per_query=self.config.k_per_triple)
         except EmbedIndexError as exc:
             trace.errors.append(f"retrieval: {exc}")
             chunk_ids, hits = [], []
-        trace.stage_ms["retrieval"] = (time.perf_counter() - started) * 1000.0
-        trace.retrieval_queries = list(queries)
+        self._record_evidence(trace, queries, chunk_ids, hits, (time.perf_counter() - started) * 1000.0)
+        if not trace.triples:
+            trace.flags["fallback_question_query"] = True
+
+    def retrieve_questions(self, items: Sequence[QAItem]) -> list[PipelineTrace]:
+        """The standard-RAG baseline's retrieval for a block of questions: a
+        new trace per question, holding its top k for the raw question.
+
+        All questions are embedded in one ``embed`` call (one ``/embeddings``
+        round trip for a remote embedder) and selected by one
+        ``Index._top_k`` call, whose hits depend only on the row and the
+        query, so each question gets exactly the hits ``Index.search`` gives
+        it alone. Each trace's retrieval time is its share of the block's.
+        A failed retrieval records its error on every question of the block,
+        each with its query and no hits.
+        """
+        traces = [self._new_trace(q) for q in items]
+        started = time.perf_counter()
+        try:
+            vectors = embed([q.question for q in items], self.index.provider)
+            ranked = self.index._top_k(vectors, self.config.k_per_triple)
+        except EmbedIndexError as exc:
+            for trace in traces:
+                trace.errors.append(f"retrieval: {exc}")
+            ranked = [[] for _ in items]
+        share_ms = (time.perf_counter() - started) * 1000.0 / len(items)
+        for q, trace, pairs in zip(items, traces, ranked):
+            hits = [RetrievalHit(chunk_id=cid, score=score, query_index=0) for cid, score in pairs]
+            self._record_evidence(trace, [q.question], [cid for cid, _ in pairs], hits, share_ms)
+        return traces
+
+    def _record_evidence(
+        self, trace: PipelineTrace, queries: list[str], chunk_ids: list[str], hits: list[RetrievalHit], ms: float
+    ) -> None:
+        trace.stage_ms["retrieval"] = ms
+        trace.retrieval_queries = queries
         trace.retrieved_chunks, trace.hits = chunk_ids, hits
         trace.payload_tokens = sum(c.token_count for c in self._chunks(trace))
-        if anchored and not trace.triples:
-            trace.flags["fallback_question_query"] = True
 
     def _system2_prompt(self, q: QAItem, trace: PipelineTrace, include_anchor: bool = True) -> RenderedPrompt:
         return render_system2(q, trace.hypothesis, trace.triples, self._chunks(trace), include_anchor=include_anchor)
@@ -375,8 +418,8 @@ class Pipeline:
             trace.flags["final_empty"] = True
 
     def answer_standard_rag(self, q: QAItem, trace: PipelineTrace) -> None:
-        """Baseline: retrieve on the raw question and answer directly over it."""
-        self.gather_evidence(q, trace, [q.question])
+        """Baseline: answer directly over the chunks that
+        :meth:`retrieve_questions` recorded on ``trace`` for the raw question."""
         if not trace.retrieved_chunks:  # the retrieval failed
             return
         prompt = render_standard_rag(q, self._chunks(trace))
@@ -390,20 +433,29 @@ class Pipeline:
 
     # --- per-question orchestration ------------------------------------------
 
-    def run_question(self, q: QAItem) -> PipelineTrace:
-        """Run one question under the configured mode; never raises per-question."""
-        cfg = self.config
-        trace = PipelineTrace(
+    def _new_trace(self, q: QAItem) -> PipelineTrace:
+        return PipelineTrace(
             question_id=q.question_id,
             question=q.question,
             gold_answer=q.gold_answer,
             dataset_tag=q.dataset_tag,
-            mode=cfg.mode,
+            mode=self.config.mode,
         )
+
+    def run_question(self, q: QAItem, retrieved: PipelineTrace | None = None) -> PipelineTrace:
+        """Run one question under the configured mode; never raises per-question.
+
+        In ``standard_rag`` mode the question's retrieval is the block-of-one
+        case of :meth:`retrieve_questions`, unless ``retrieved`` is the trace
+        a block's call already returned for it (as ``run_dataset`` passes).
+        """
+        cfg = self.config
         if cfg.mode == "standard_rag":
+            trace = retrieved if retrieved is not None else self.retrieve_questions([q])[0]
             self.answer_standard_rag(q, trace)
             return trace
 
+        trace = self._new_trace(q)
         self.answer_system1(q, trace)
         if cfg.mode == "system1_only":
             trace.final_answer = trace.system1_answer
@@ -440,6 +492,18 @@ class Pipeline:
         interrupted run leaves a sorted prefix and ``resume=True`` picks up
         exactly the remaining ids. Resume refuses a trace file written under
         a different config.
+
+        In ``standard_rag`` mode the questions still to run are retrieved in
+        blocks of max(1, 2**15 // len(index)), each by one
+        :meth:`retrieve_questions` call on the calling thread; at
+        concurrency > 1 the pool answers one block's questions while the
+        next block is retrieved. A block of one (from 2**15 rows up) is
+        retrieved by :meth:`run_question` on the worker that answers it,
+        so retrievals still run ``concurrency`` at a time. Traces are written in id order and equal
+        those of one :meth:`run_question` per question, apart from
+        ``stage_ms``: a question's ``retrieval`` time is its share of its
+        block's, and a block whose retrieval fails records the error on
+        each of its questions.
         """
         ordered = sorted(items, key=lambda q: q.question_id)
         if len({q.question_id for q in ordered}) != len(ordered):
@@ -464,10 +528,20 @@ class Pipeline:
             done = {t.question_id for t in existing}
             todo = [q for q in ordered if q.question_id not in done]
             fresh: list[PipelineTrace] = []
+            args: list[Iterable] = [todo]
+            size = max(1, _QUESTION_BLOCK_SCORES // len(self.index)) if self.config.mode == "standard_rag" else 1
+            if size > 1:
+                # Retrieved lazily, block by block: the pool answers one
+                # block while the next is retrieved, and the serial path
+                # retrieves a block only when it reaches it. A block of one
+                # is retrieved by run_question, on the worker that answers it.
+                args.append(
+                    t for s in range(0, len(todo), size) for t in self.retrieve_questions(todo[s : s + size])
+                )
             # The pool starts threads only when work is submitted to it.
             with ThreadPoolExecutor(max_workers=self.config.concurrency) as pool:
                 parallel = self.config.concurrency > 1 and len(todo) > 1
-                for trace in (pool.map if parallel else map)(self.run_question, todo):
+                for trace in (pool.map if parallel else map)(self.run_question, *args):
                     fresh.append(trace)
                     if writer:
                         writer.write(json.dumps(trace.to_json_dict(), ensure_ascii=False) + "\n")

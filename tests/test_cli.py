@@ -9,15 +9,17 @@ from pathlib import Path
 import pytest
 from conftest import chat_reply, cut_off, embeddings_reply, reply
 
-from anchor_rag import cli, corpus, embed_index
+from anchor_rag import cli, corpus, embed_index, pipeline
 from anchor_rag.cli import main
 from anchor_rag.corpus import (
     Chunk,
+    QAItem,
     build_corpus,
     load_dataset,
     read_chunk_manifest,
     read_question_file,
     write_chunk_manifest,
+    write_question_file,
 )
 from anchor_rag.llm_gateway import ScriptedProvider
 from anchor_rag.pipeline import read_trace_file
@@ -1080,6 +1082,26 @@ def test_run_malformed_reply_is_a_question_error(workspace, loopback, capsys, ro
     assert any(expected in e for e in traces[0].errors), traces[0].errors
     assert {p["model"] for path, p in loopback.seen if path.endswith("/embeddings")} == {"emb"}
     assert {p["model"] for path, p in loopback.seen if path.endswith("/chat/completions")} == {"chat"}
+
+
+def test_remote_standard_rag_run_posts_one_embeddings_request_per_block(workspace, loopback, monkeypatch):
+    rc, index = build_remote_index(workspace, loopback)
+    assert rc == 0
+    rows = len(read_chunk_manifest(workspace / "chunks.jsonl")[0])
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", 3 * rows)  # blocks of three questions
+    questions = workspace / "seven.jsonl"
+    write_question_file([QAItem(f"q{i}", f"Which conference, take {i}?", "Pac-12") for i in range(7)], questions)
+    seen_before = len(loopback.seen)
+    out = workspace / "rag_run.jsonl"
+    rc = main(["run", "--questions", str(questions), "--index", str(index), "--chunks", str(workspace / "chunks.jsonl"),
+               "--mode", "standard_rag", "--provider", "openai", "--endpoint", loopback.url, "--model", "chat",
+               "--embedder", "remote", "--out", str(out)])
+    assert rc == 0
+    posted = [p["input"] for path, p in loopback.seen[seen_before:] if path.endswith("/embeddings")]
+    assert [len(texts) for texts in posted] == [3, 3, 1]  # ceil(7 / 3) requests, not one per question
+    _, traces = read_trace_file(out)
+    assert [t.question_id for t in traces] == [f"q{i}" for i in range(7)]
+    assert all(t.errors == [] and t.final_answer == "Paris" and len(t.hits) == 5 for t in traces)
 
 
 def test_remote_run_index_provider_id_not_utf8_is_one_error_line(workspace, loopback, capsys):

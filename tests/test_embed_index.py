@@ -931,8 +931,8 @@ def test_bench_retrieval_script_smoke(tmp_path):
     assert run["index"]["50"]["search"]["samples"] == 4
     assert run["index"]["50"]["retrieve_4_queries"]["samples"] == 1
     assert run["hashing_embed_per_chunk"]["400_tokens"]["median_ms"] > 0
-    assert 5 <= run["hashing_embed_one_query"]["words"] <= 10
-    assert run["hashing_embed_one_query"]["samples"] == 41 and run["hashing_embed_one_query"]["median_ms"] > 0
+    block = run["index"]["50"]["standard_rag_block_per_question"]
+    assert block["questions"] == 2**15 // 50 and block["samples"] == 4 and block["median_ms"] > 0
     assert run["hashing_embed_build_batch"]["texts"] == 3000
     assert run["hashing_embed_build_batch"]["samples"] == 1 and run["hashing_embed_build_batch"]["median_ms"] > 0
     assert run["index"]["50"]["matrix_bytes"] == 50 * 256 * 4

@@ -1,11 +1,15 @@
 import dataclasses
 import json
 import math
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from anchor_rag.corpus import QAItem
+from anchor_rag import pipeline
+from anchor_rag.corpus import Document, QAItem, build_corpus
+from anchor_rag.embed_index import EmbedIndexError, HashingEmbedder, Index
 from anchor_rag.llm_gateway import ScriptedProvider
 from anchor_rag.pipeline import (
     Pipeline,
@@ -635,3 +639,182 @@ def test_read_trace_file_rejects_other_schema(tmp_path):
     path.write_text('{"kind": "trace_file", "schema_version": 99}\n', encoding="utf-8")
     with pytest.raises(PipelineError):
         read_trace_file(path)
+
+
+# --- standard_rag retrieval in blocks --------------------------------------------
+
+
+class CountingEmbedder:
+    """Wraps an embedder, keeps the size of every batch, and raises on the
+    calls numbered (from 1) in ``fail_on``."""
+
+    def __init__(self, inner, fail_on=()):
+        self.inner = inner
+        self.provider_id = inner.provider_id
+        self.fail_on = fail_on
+        self.batches = []
+
+    def embed_batch(self, texts):
+        self.batches.append(len(texts))
+        if len(self.batches) in self.fail_on:
+            raise EmbedIndexError("embedding request failed: endpoint down")
+        return self.inner.embed_batch(texts)
+
+
+ROWS = 40
+WORLD_WORDS = "river castle falcon harbor cedar summit marble quill anchor canyon lagoon orchid".split()
+
+
+def tied_world(fail_on=()):
+    """A seeded random index of ``ROWS`` rows drawn from 12 distinct unit
+    vectors, so scores tie exactly, with its chunks and ten questions."""
+    rng = np.random.default_rng(11)
+    docs = [Document(doc_id=f"d{i:02d}", title=f"Title {i}", text=f"Passage {i} text.") for i in range(ROWS)]
+    chunks = build_corpus(docs)
+    distinct = rng.standard_normal((12, 16))
+    distinct /= np.linalg.norm(distinct, axis=1, keepdims=True)
+    embedder = CountingEmbedder(HashingEmbedder(dim=16), fail_on)
+    index = Index([c.chunk_id for c in chunks], distinct[rng.integers(0, 12, ROWS)], embedder)
+    items = [
+        QAItem(question_id=f"q{i:02d}", question=" ".join(rng.choice(WORLD_WORDS, 5)), gold_answer="x")
+        for i in range(10)
+    ]
+    return index, chunks, items
+
+
+def answering_provider(items):
+    provider = ScriptedProvider()
+    for q in items:
+        provider.add("standard_rag", q.question_id, f"<output><answer>answer {q.question_id}</answer></output>")
+    return RecordingProvider(provider)
+
+
+def rag_pipeline(provider, index, chunks, **cfg):
+    return Pipeline(provider, RunConfig(mode="standard_rag", **cfg), index=index, chunks=chunks)
+
+
+def without_timing(traces):
+    rows = [t.to_json_dict() for t in traces]
+    for row in rows:
+        row.pop("stage_ms")
+    return rows
+
+
+@pytest.mark.parametrize(
+    "budget, k, blocks",
+    [
+        (ROWS, 5, [1] * 10),  # a block of one question
+        (3 * ROWS, 5, [3, 3, 3, 1]),  # a ragged last block
+        (4 * ROWS, ROWS, [4, 4, 2]),  # k = len(index)
+        (3 * ROWS, ROWS + 7, [3, 3, 3, 1]),  # k > len(index)
+    ],
+)
+def test_block_retrieval_equals_search(monkeypatch, budget, k, blocks):
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", budget)
+    index, chunks, items = tied_world()
+    traces = rag_pipeline(answering_provider(items), index, chunks, k_per_triple=k).run_dataset(items)
+    assert index.provider.batches == blocks
+    assert any(len({h.score for h in t.hits}) < len(t.hits) for t in traces)  # ties to break
+    for q, trace in zip(items, traces):
+        assert trace.hits == index.search(q.question, k)
+        assert trace.retrieved_chunks == [h.chunk_id for h in trace.hits]
+        assert trace.retrieval_queries == [q.question]
+        assert trace.final_answer == f"answer {q.question_id}" and trace.errors == []
+        assert list(trace.stage_ms) == ["retrieval", "standard_rag"]
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_block_run_equals_a_run_question_loop(tmp_path, monkeypatch, concurrency):
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", 3 * ROWS)
+    index, chunks, items = tied_world()
+    loop = [rag_pipeline(answering_provider(items), index, chunks).run_question(q) for q in items]
+    assert index.provider.batches == [1] * 10
+    path = tmp_path / "traces.jsonl"
+    blocked = rag_pipeline(answering_provider(items), index, chunks, concurrency=concurrency).run_dataset(
+        items, trace_path=path
+    )
+    assert without_timing(blocked) == without_timing(loop)
+    assert without_timing(read_trace_file(path)[1]) == without_timing(loop)
+
+
+@pytest.mark.parametrize("budget, batches", [(ROWS, [1] * 10), (3 * ROWS, [3, 3, 3, 1])])
+def test_blocks_are_answered_concurrently(monkeypatch, budget, batches):
+    # From 2**15 rows up a block is one question; at every block size the
+    # pool must keep `concurrency` chat requests in flight across blocks.
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", budget)
+    index, chunks, items = tied_world()
+    provider = answering_provider(items)
+    answer = provider.complete
+    in_flight = threading.Barrier(2, timeout=10)
+
+    def complete(request):
+        in_flight.wait()  # breaks unless two requests are in flight at once
+        return answer(request)
+
+    provider.complete = complete
+    traces = rag_pipeline(provider, index, chunks, concurrency=2).run_dataset(items)
+    assert index.provider.batches == batches
+    assert [t.final_answer for t in traces] == [f"answer {q.question_id}" for q in items]
+
+
+def test_blocks_of_one_are_retrieved_concurrently(monkeypatch):
+    # A block of one is retrieved on the worker that answers it, so a remote
+    # embedder still sees `concurrency` requests at once.
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", ROWS)
+    index, chunks, items = tied_world()
+    embed_batch = index.provider.embed_batch
+    in_flight = threading.Barrier(2, timeout=10)
+
+    def embed_in_pairs(texts):
+        in_flight.wait()  # breaks unless two embed calls are in flight at once
+        return embed_batch(texts)
+
+    index.provider.embed_batch = embed_in_pairs
+    traces = rag_pipeline(answering_provider(items), index, chunks, concurrency=2).run_dataset(items)
+    assert index.provider.batches == [1] * 10
+    assert all(t.errors == [] for t in traces)
+
+
+def test_block_run_resumed_after_an_interrupt_equals_a_whole_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", 3 * ROWS)
+    index, chunks, items = tied_world()
+    whole = tmp_path / "whole.jsonl"
+    rag_pipeline(answering_provider(items), index, chunks).run_dataset(items, trace_path=whole)
+
+    interrupting = answering_provider(items)
+    answer = interrupting.complete
+
+    def complete(request):
+        if len(interrupting.requests) == 4:  # in the second block, after q03 is written
+            raise KeyboardInterrupt
+        return answer(request)
+
+    interrupting.complete = complete
+    cut = tmp_path / "cut.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        rag_pipeline(interrupting, index, chunks).run_dataset(items, trace_path=cut)
+    assert [t.question_id for t in read_trace_file(cut)[1]] == ["q00", "q01", "q02", "q03"]
+
+    index.provider.batches.clear()
+    rag_pipeline(answering_provider(items), index, chunks).run_dataset(items, trace_path=cut, resume=True)
+    assert index.provider.batches == [3, 3]  # q04-q06 and q07-q09, not the whole run's blocks
+    assert trace_lines_without_timing(cut) == trace_lines_without_timing(whole)
+
+
+def test_failed_block_retrieval_stays_in_its_block(monkeypatch):
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", 3 * ROWS)
+    index, chunks, items = tied_world(fail_on=(2,))
+    provider = answering_provider(items)
+    traces = rag_pipeline(provider, index, chunks).run_dataset(items)
+    assert index.provider.batches == [3, 3, 3, 1]
+    failed = {"q03", "q04", "q05"}
+    assert [r.question_id for r in provider.requests] == [q.question_id for q in items if q.question_id not in failed]
+    for trace in traces:
+        if trace.question_id in failed:
+            assert trace.errors == ["retrieval: embedding request failed: endpoint down"]
+            assert trace.hits == [] and trace.retrieved_chunks == [] and trace.payload_tokens == 0
+            assert trace.retrieval_queries == [trace.question] and trace.final_answer == ""
+            assert list(trace.stage_ms) == ["retrieval"]
+        else:
+            assert trace.errors == [] and trace.final_answer == f"answer {trace.question_id}"
+            assert len(trace.hits) == 5
