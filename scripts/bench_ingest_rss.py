@@ -2,12 +2,17 @@
 """Record peak RSS and wall time of start-up and of each CLI step, for the local and the remote embedder.
 
 `startup` is a fresh `python3 -c "import anchor_rag.cli"`, five repeats,
-each timed from start to exit and reading its own `ru_maxrss` after the
-import. The four other cases run on inputs that `perfbench/gen.py`
-generates for seed 7. Every repeat is a fresh process that runs the case's
-CLI steps in-process after one `gc.collect()`, reads `ru_maxrss` before the
-first step and after each step, and times each step with
-`time.perf_counter`:
+each timed from start to exit and reading its own peak RSS (`VmHWM`) and
+module count after the import. `<workload>_report` is the same for a fresh
+process that imports the CLI and runs `report` over the traces of the
+workload's first pass. These two read `VmHWM`, not `ru_maxrss`: Linux
+starts a child's `ru_maxrss` at the peak of the process that started it,
+and this one is at about 35 MB once the generator has loaded numpy.
+
+The four other cases run on inputs that `perfbench/gen.py` generates for
+seed 7. Every repeat is a fresh process that runs the case's CLI steps
+in-process after one `gc.collect()`, reads `ru_maxrss` before the first
+step and after each step, and times each step with `time.perf_counter`:
 
 - `short_docs_full`: `ingest -> build-index -> run -> report` on 300
   HotpotQA records of ten one-chunk paragraphs (3,000 chunks), hashing
@@ -21,10 +26,10 @@ first step and after each step, and times each step with
   a chunk manifest of about 50k chunks (the `remote_gated_c2` generator with
   794 records of 63 paragraphs), ingested once beforehand; three repeats.
 
-The medians (`ru_maxrss_mb_median`, `wall_s_median`) and every sample are
-stored under `--label` in `runs` of the output file, next to the runs already
-there. `--src` picks the source tree to measure, so two commits can be
-measured back to back:
+The medians (`ru_maxrss_mb_median` or `vm_hwm_mb_median`, and
+`wall_s_median`) and every sample are stored under `--label` in `runs` of
+the output file, next to the runs already there. `--src` picks the source
+tree to measure, so two commits can be measured back to back:
 
     python3 scripts/bench_ingest_rss.py --src /path/to/parent/src --label parent --out BENCH_ingest.json
     python3 scripts/bench_ingest_rss.py --label change --out BENCH_ingest.json
@@ -131,21 +136,34 @@ def repeat(steps_for, root: Path, repeats: int, env: dict) -> dict:
             "ru_maxrss_mb_samples": rss, "wall_s_samples": wall}
 
 
-def measure_startup(env: dict) -> dict:
-    """``REPEATS`` fresh processes that import the CLI module and exit. It
-    runs first, while this process is smallest: a child's ``ru_maxrss``
-    starts at the peak of the process that started it."""
-    code = "import resource, anchor_rag.cli; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
-    rss, wall = [], []
+# A fresh process's own peak RSS in kB (VmHWM: the high-water mark of the
+# memory it has mapped since exec) and module count, printed as it ends.
+_USAGE = ("print(next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:')), "
+          "len(sys.modules))")
+STARTUP = "import sys, anchor_rag.cli; " + _USAGE
+# The CLI's `report` with the arguments given, its tables discarded.
+REPORT = ("import contextlib, io, sys, anchor_rag.cli\n"
+          "with contextlib.redirect_stdout(io.StringIO()):\n"
+          "    rc = anchor_rag.cli.main(['report', *sys.argv[1:]])\n"
+          "if rc:\n"
+          "    sys.exit(rc)\n" + _USAGE)
+
+
+def measure_fresh(env: dict, step: str, code: str, *args: str) -> dict:
+    """``REPEATS`` fresh processes that run ``code`` with ``args``, each timed
+    from start to exit, with the peak RSS and module count ``code`` prints."""
+    rss, wall, modules = [], [], []
     for _ in range(REPEATS):
         started = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
         wall.append(time.perf_counter() - started)
-        rss.append({"import": int(proc.stdout) / 1024.0})
-    return {"settings": {"repeats": REPEATS},
-            "ru_maxrss_mb_median": {"import": statistics.median(s["import"] for s in rss)},
-            "wall_s_median": {"import": round(statistics.median(wall), 4)},
-            "ru_maxrss_mb_samples": rss, "wall_s_samples": [{"import": w} for w in wall]}
+        peak, loaded = map(int, proc.stdout.split())
+        rss.append({step: peak / 1024.0})
+        modules.append(loaded)
+    return {"settings": {"repeats": REPEATS, "modules_loaded": modules},
+            "vm_hwm_mb_median": {step: statistics.median(s[step] for s in rss)},
+            "wall_s_median": {step: round(statistics.median(wall), 4)},
+            "vm_hwm_mb_samples": rss, "wall_s_samples": [{step: w} for w in wall]}
 
 
 def generate_apart(w, inputs: Path) -> dict:
@@ -207,10 +225,14 @@ def main() -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))  # gen.py reads the prompts of the measured tree
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()), PYTHONHASHSEED="0", OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    cases = {"startup": measure_startup(env)}
+    cases = {"startup": measure_fresh(env, "import", STARTUP)}
     with tempfile.TemporaryDirectory() as tmp:
-        cases.update((name, measure_workload(WORKLOADS[name], Path(tmp), env))
-                     for name in ("short_docs_full", "long_docs_standard_rag", "remote_gated_c2"))
+        for name in ("short_docs_full", "long_docs_standard_rag", "remote_gated_c2"):
+            cases[name] = measure_workload(WORKLOADS[name], Path(tmp), env)
+            work = Path(tmp) / name
+            traces = str(work / "pass0" / "traces.jsonl")
+            cases[f"{name}_report"] = measure_fresh(env, "report", REPORT, "--traces", traces,
+                                                    "--out-dir", str(work / "report"))
         cases["remote_build_index_50k"] = measure_remote_build_index_50k(Path(tmp), env)
 
     run = {"machine": {"cores": os.cpu_count(), "arch": platform.machine(), "python": platform.python_version()},
@@ -219,7 +241,7 @@ def main() -> int:
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     doc.setdefault("runs", {})[args.label] = run
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print(json.dumps({args.label: {name: {key: case[key] for key in ("ru_maxrss_mb_median", "wall_s_median")}
+    print(json.dumps({args.label: {name: {key: value for key, value in case.items() if key.endswith("_median")}
                                    for name, case in cases.items()}}, indent=2))
     return 0
 

@@ -20,7 +20,8 @@ from anchor_rag import evaluation
 from anchor_rag.corpus import Document, build_corpus, read_question_file
 from anchor_rag.embed_index import HashingEmbedder, build_index
 from anchor_rag.llm_gateway import ScriptedProvider
-from anchor_rag.pipeline import Pipeline, RunConfig
+from anchor_rag.pipeline import Pipeline
+from anchor_rag.traces import RunConfig
 
 DATA = REPO / "tests" / "data"
 

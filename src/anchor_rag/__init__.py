@@ -8,19 +8,3 @@ the deliberate pass, EM/F1 scoring, and run/report tooling.
 """
 
 __version__ = "0.1.0"
-
-from anchor_rag.corpus import Chunk, Document, QAItem, WordPunctTokenizer
-from anchor_rag.prompt_kit import ReasoningTriple
-from anchor_rag.pipeline import Pipeline, PipelineTrace, RunConfig
-
-__all__ = [
-    "Chunk",
-    "Document",
-    "QAItem",
-    "WordPunctTokenizer",
-    "ReasoningTriple",
-    "Pipeline",
-    "PipelineTrace",
-    "RunConfig",
-    "__version__",
-]

@@ -15,29 +15,16 @@ import sys
 from pathlib import Path
 
 from anchor_rag import evaluation
-from anchor_rag.corpus import (
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_STRIDE,
-    CorpusError,
-    Document,
-    check_encodable,
-    load_dataset,
-    read_chunk_manifest,
-    read_chunk_texts,
-    read_question_file,
-    sample_questions,
-    write_corpus_manifest,
-    write_question_file,
-)
-from anchor_rag.embed_index import EmbedIndexError, HashingEmbedder, Index, RemoteEmbedder, index_texts
-from anchor_rag.llm_gateway import GatewayError, OpenAIChatProvider, ScriptedProvider
-from anchor_rag.pipeline import MODES, Pipeline, PipelineError, RunConfig, read_trace_file
+from anchor_rag.traces import MODES, AnchorRagError, RunConfig, check_type, read_trace_file
+
+# The commands that only read traces load no numpy and nothing else of the
+# package; the other commands import what they use.
 
 DEFAULT_CHAT_KEY_ENV = "ANCHOR_RAG_API_KEY"
 DEFAULT_EMBED_KEY_ENV = "ANCHOR_RAG_EMBED_API_KEY"
 
 
-class CliError(RuntimeError):
+class CliError(AnchorRagError, RuntimeError):
     pass
 
 
@@ -45,19 +32,12 @@ def _env_key(spec: dict, default_env: str) -> str | None:
     return os.environ.get(spec.get("api_key_env") or default_env)
 
 
-def _check_provider_types(spec: dict, key: str) -> None:
-    """Refuse a run config's provider setting of the wrong JSON type."""
-    for name in ("kind", "fixtures", "base_url", "model", "api_key_env"):
-        value = spec.get(name, "")
-        if not isinstance(value, str):
-            raise CliError(f"config {key} {name} must be str, got {type(value).__name__} {value!r}")
-
-
 def build_embed_provider(spec: dict):
+    from anchor_rag.embed_index import HashingEmbedder, RemoteEmbedder
+
     kind = spec.get("kind", "hashing")
     dim = spec.get("dim")
-    if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int)):
-        raise CliError(f"config embed_provider dim must be int or null, got {type(dim).__name__} {dim!r}")
+    check_type("config embed_provider dim", dim, int | None, CliError)
     if kind == "hashing":
         return HashingEmbedder(dim=256 if dim is None else dim)
     if kind == "remote":
@@ -73,6 +53,8 @@ def build_embed_provider(spec: dict):
 
 
 def build_chat_provider(spec: dict):
+    from anchor_rag.llm_gateway import OpenAIChatProvider, ScriptedProvider
+
     kind = spec.get("kind", "scripted")
     if kind == "scripted":
         if not spec.get("fixtures"):
@@ -93,24 +75,28 @@ def build_chat_provider(spec: dict):
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from anchor_rag import corpus
+
     if args.sample_n is not None and args.sample_n < 1:
         raise CliError("--sample-n must be >= 1")
-    item_docs: list[tuple[Document, ...]] | None = [] if args.contexts == "sampled" else None
-    all_items, docs = load_dataset(args.data, args.format, item_docs=item_docs)
+    item_docs: list[tuple[corpus.Document, ...]] | None = [] if args.contexts == "sampled" else None
+    all_items, docs = corpus.load_dataset(args.data, args.format, item_docs=item_docs)
     items = all_items
     if args.sample_n is not None:
-        items = sample_questions(items, args.sample_n, args.seed)
+        items = corpus.sample_questions(items, args.sample_n, args.seed)
     if item_docs is not None:
         # The kept records' documents in the order a parse restricted to
         # ``keep`` would list them: first appearance, in file order.
         keep = {q.question_id for q in items}
         docs = list(dict.fromkeys(d for q, ds in zip(all_items, item_docs) if q.question_id in keep for d in ds))
-    check_encodable(items, args.data)
+    corpus.check_encodable(items, args.data)
     out = Path(args.out_dir)
+    chunk_size = corpus.DEFAULT_CHUNK_SIZE if args.chunk_size is None else args.chunk_size
+    stride = corpus.DEFAULT_STRIDE if args.stride is None else args.stride
     # The manifest goes first: a document that cannot be chunked is refused
     # before any file is written.
-    num_chunks = write_corpus_manifest(docs, out / "chunks.jsonl", chunk_size=args.chunk_size, stride=args.stride)
-    write_question_file(
+    num_chunks = corpus.write_corpus_manifest(docs, out / "chunks.jsonl", chunk_size=chunk_size, stride=stride)
+    corpus.write_question_file(
         items,
         out / "questions.jsonl",
         meta={"dataset_tag": args.format, "sample_n": args.sample_n, "seed": args.seed},
@@ -120,6 +106,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_build_index(args: argparse.Namespace) -> int:
+    from anchor_rag.corpus import read_chunk_texts
+    from anchor_rag.embed_index import index_texts
+
     ids, texts = read_chunk_texts(args.chunks)
     provider = build_embed_provider(
         {"kind": args.embedder, "dim": args.dim, "base_url": args.endpoint, "model": args.model}
@@ -160,13 +149,19 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.dim is not None:
         embed["dim"] = args.dim
     base["embed_provider"] = embed
-    # Before any client is built or any input is read.
+    # Provider settings of the wrong JSON type are refused before any client
+    # is built or any input is read.
     for key in ("chat_provider", "embed_provider"):
-        _check_provider_types(base[key], key)
+        for name in ("kind", "fixtures", "base_url", "model", "api_key_env"):
+            check_type(f"config {key} {name}", base[key].get(name, ""), str, CliError)
     return RunConfig.from_dict(base)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from anchor_rag.corpus import read_chunk_manifest, read_question_file
+    from anchor_rag.embed_index import Index
+    from anchor_rag.pipeline import Pipeline
+
     out = Path(args.out)
     if out.exists() and not args.resume:
         raise CliError(f"{out} already exists; pass --resume to continue it or remove it first")
@@ -285,8 +280,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--sample-n", type=int, default=None)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE)
-    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
+    p.add_argument("--chunk-size", type=int, default=None)
+    p.add_argument("--stride", type=int, default=None)
     p.add_argument("--contexts", choices=["all", "sampled"], default="all",
                    help="index contexts from every record, or only from sampled questions")
     p.set_defaults(func=cmd_ingest)
@@ -345,8 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, CorpusError, EmbedIndexError, GatewayError, PipelineError, evaluation.EvaluationError,
-            OSError) as exc:
+    except (AnchorRagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -44,6 +44,8 @@ from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
+from anchor_rag.traces import AnchorRagError, check_type
+
 logger = logging.getLogger(__name__)
 
 DATASET_TAGS = ("2wiki", "hotpotqa", "musique")
@@ -59,7 +61,7 @@ CHUNK_MANIFEST_VERSION = 1
 QUESTION_FILE_VERSION = 1
 
 
-class CorpusError(ValueError):
+class CorpusError(AnchorRagError, ValueError):
     """Bad dataset file, unknown format, or invalid chunking parameters."""
 
 
@@ -267,9 +269,7 @@ class QAItem:
 
     def __post_init__(self) -> None:
         for name in ("question_id", "question", "gold_answer", "dataset_tag"):
-            value = getattr(self, name)
-            if type(value) is not str:
-                raise CorpusError(f"{name} must be str, got {type(value).__name__} {value!r}")
+            check_type(name, getattr(self, name), str, CorpusError)
         if not self.question or not self.gold_answer:
             raise CorpusError(f"question {self.question_id!r} missing question or answer text")
         if self.dataset_tag not in DATASET_TAGS:

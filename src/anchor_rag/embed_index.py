@@ -60,7 +60,6 @@ import re
 import struct
 import threading
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Protocol, Sequence
 
@@ -68,12 +67,10 @@ import numpy as np
 
 from anchor_rag.corpus import Chunk, write_atomically
 from anchor_rag.llm_gateway import GatewayError, HttpClient, with_retries
-from anchor_rag.prompt_kit import ReasoningTriple
+from anchor_rag.traces import AnchorRagError, ReasoningTriple, RetrievalHit
 
 INDEX_MAGIC = b"ARIX"
 INDEX_VERSION = 1
-
-QUERY_STYLES = ("space",)
 
 # Unit roundoff of float32 and float64.
 _U32 = float(np.finfo(np.float32).eps) / 2
@@ -97,7 +94,7 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1.0 - n * u)
 
 
-class EmbedIndexError(ValueError):
+class EmbedIndexError(AnchorRagError, ValueError):
     """Invalid index input, dimension mismatch, or provider failure."""
 
 
@@ -477,13 +474,6 @@ def embed(texts: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
     if not np.all(np.abs(norms - 1.0) <= 1e-6):
         raise EmbedIndexError("provider returned non-unit vectors")
     return matrix
-
-
-@dataclass(frozen=True)
-class RetrievalHit:
-    chunk_id: str
-    score: float
-    query_index: int
 
 
 def _check_query(query: str, k: int) -> None:

@@ -15,13 +15,12 @@ import string
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
-if TYPE_CHECKING:
-    from anchor_rag.pipeline import PipelineTrace
+from anchor_rag.traces import AnchorRagError, PipelineTrace
 
 
-class EvaluationError(ValueError):
+class EvaluationError(AnchorRagError, ValueError):
     """Empty score list or misaligned question ids."""
 
 
@@ -122,7 +121,7 @@ def transitions(sys1_scores: Sequence[EvalScore], sys2_scores: Sequence[EvalScor
     return TransitionReport(both_correct=both_correct, gained=gained, lost=lost, both_incorrect=both_incorrect)
 
 
-def score_traces(traces: Iterable["PipelineTrace"], answer: str = "final") -> list[EvalScore]:
+def score_traces(traces: Iterable[PipelineTrace], answer: str = "final") -> list[EvalScore]:
     """Score one answer field of every trace against its gold answer."""
     if answer not in ("final", "system1"):
         raise EvaluationError(f"unknown answer field {answer!r}")
@@ -141,7 +140,7 @@ class PayloadReport:
     per_dataset: dict[str, float]
 
 
-def payload_tokens(traces: Sequence["PipelineTrace"]) -> PayloadReport:
+def payload_tokens(traces: Sequence[PipelineTrace]) -> PayloadReport:
     if not traces:
         raise EvaluationError("no traces to aggregate")
     per_dataset_sums: dict[str, list[int]] = {}
@@ -161,7 +160,7 @@ class ThresholdSavingsReport:
     avg_input_tokens_saved: float
 
 
-def threshold_savings(traces: Sequence["PipelineTrace"]) -> ThresholdSavingsReport:
+def threshold_savings(traces: Sequence[PipelineTrace]) -> ThresholdSavingsReport:
     """Count gate decisions and average the unsent deliberate-prompt sizes.
 
     Gate-complete traces carry the token count of their rendered-but-unsent
@@ -181,7 +180,7 @@ def score_summary(scores: Sequence[EvalScore]) -> dict:
     return {"em": em, "f1": f1, "n": len(scores)}
 
 
-def summarize_run(mode: str, traces: Sequence["PipelineTrace"]) -> tuple[dict, list[EvalScore]]:
+def summarize_run(mode: str, traces: Sequence[PipelineTrace]) -> tuple[dict, list[EvalScore]]:
     """A run's ``summary.json`` entry, and the final-answer scores it came from.
 
     Every run gets mode, EM/F1/n and payload; the anchored modes add their

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Callable, Protocol, Sequence, TypeVar
 
 from anchor_rag.corpus import DEFAULT_TOKENIZER
+from anchor_rag.traces import AnchorRagError, check_type
 
 RETRIES = 3
 BACKOFF_S = 0.5
@@ -41,7 +42,7 @@ _ANSWER_OPEN, _ANSWER_CLOSE = "<answer>", "</answer>"
 T = TypeVar("T")
 
 
-class GatewayError(RuntimeError):
+class GatewayError(AnchorRagError, RuntimeError):
     """Provider misuse or a non-retryable provider response."""
 
 
@@ -115,8 +116,7 @@ class ScriptedProvider:
         self._fixtures: dict[tuple[str, str], tuple[str, tuple[tuple[str, float], ...] | None]] = {}
 
     def add(self, stage_tag: str, question_id: str, text: str, token_logprobs: Sequence | None = None) -> None:
-        if not isinstance(text, str):
-            raise TypeError(f"text must be str, got {type(text).__name__} {text!r}")
+        check_type("text", text, str, TypeError)
         key = (stage_tag, question_id)
         if key in self._fixtures:
             raise GatewayError(f"duplicate fixture for {key}")

@@ -9,26 +9,14 @@ complete :class:`PipelineTrace` and a question never aborts a run.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO, get_args, get_type_hints
+from typing import Iterable, Sequence
 
 from anchor_rag.corpus import DEFAULT_TOKENIZER, Chunk, QAItem
-from anchor_rag.embed_index import (
-    QUERY_STYLES,
-    EmbedIndexError,
-    Index,
-    RetrievalHit,
-    embed,
-    retrieve_for_queries,
-    triple_query,
-)
+from anchor_rag.embed_index import EmbedIndexError, Index, embed, retrieve_for_queries, triple_query
 from anchor_rag.llm_gateway import (
     ChatProvider,
     ChatRequest,
@@ -41,7 +29,6 @@ from anchor_rag.llm_gateway import (
 )
 from anchor_rag.prompt_kit import (
     PromptParseError,
-    ReasoningTriple,
     RenderedPrompt,
     parse_answer,
     parse_final,
@@ -51,196 +38,26 @@ from anchor_rag.prompt_kit import (
     render_system2,
     render_triplegen,
 )
-
-MODES = ("full", "system1_only", "no_initial_reasoning", "threshold_gated", "standard_rag")
-
-EMPTY_HYPOTHESIS_SENTINEL = "unknown"
-TRACE_SCHEMA_VERSION = 1
+from anchor_rag.traces import (
+    PipelineError,
+    PipelineTrace,
+    RetrievalHit,
+    RunConfig,
+    StageUsage,
+    _append_after,
+    _scan_trace_file,
+    _trace_header,
+    decide_gate,
+    # Unused here: perfbench's tracer patches pipeline.read_trace_file, and
+    # the acceptance suite imports it from here.
+    read_trace_file,
+)
 
 # Float32 scores per standard_rag retrieval block: ``run_dataset`` embeds
 # and selects max(1, _QUESTION_BLOCK_SCORES // len(index)) questions at a
 # time, so a block's score matrix stays at or under 128 KiB, and from
 # 32,768 rows up a block is one question, as a lone search is.
 _QUESTION_BLOCK_SCORES = 1 << 15
-
-logger = logging.getLogger(__name__)
-
-
-class PipelineError(RuntimeError):
-    """Configuration or wiring problem that prevents a run from starting."""
-
-
-def _check_field_types(obj: object, what: str, hints: dict | None = None, error: type = PipelineError) -> None:
-    """Raise ``error`` for a dataclass field whose value does not match its
-    annotation (an int is accepted for a float; a bool never is), so a bad
-    value from a JSON file ends as one error. ``hints`` picks the fields to
-    check and their annotations; by default every field is checked."""
-    for name, hint in (hints or get_type_hints(type(obj))).items():
-        value = getattr(obj, name)
-        allowed = get_args(hint) or (hint,)
-        accepted = allowed + (int,) if float in allowed else allowed
-        if (isinstance(value, bool) and bool not in allowed) or not isinstance(value, accepted):
-            expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-            raise error(f"{what} {name} must be {expected}, got {type(value).__name__} {value!r}")
-
-
-def _from_dict(cls: type, data: dict, what: str):
-    """``cls(**data)``, with unknown keys reported as a PipelineError."""
-    unknown = set(data) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise PipelineError(f"unknown {what} keys: {sorted(unknown)}")
-    return cls(**data)
-
-
-@dataclass(frozen=True)
-class StageTokenLimits:
-    """Max new tokens per stage; the deliberate pass gets the largest budget."""
-
-    system1: int = 64
-    triple_gen: int = 256
-    system2: int = 1024
-
-    def __post_init__(self) -> None:
-        _check_field_types(self, "limits")
-        if min(self.system1, self.triple_gen, self.system2) < 1:
-            raise PipelineError("stage token limits must be >= 1")
-        if self.system2 < self.system1:
-            raise PipelineError("system2 token limit must be >= system1 limit")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str = "full"
-    k_per_triple: int = 5
-    confidence_threshold: float | None = None
-    seed: int = 0
-    temperature: float = 0.0
-    limits: StageTokenLimits = field(default_factory=StageTokenLimits)
-    query_style: str = "space"
-    concurrency: int = 1
-    max_failure_rate: float = 0.2
-    chat_provider: dict = field(default_factory=dict)
-    embed_provider: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _check_field_types(self, "config")
-        if self.mode not in MODES:
-            raise PipelineError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.k_per_triple < 1:
-            raise PipelineError("k_per_triple must be >= 1")
-        if self.query_style not in QUERY_STYLES:
-            raise PipelineError(f"unknown query style {self.query_style!r}; expected one of {QUERY_STYLES}")
-        for name in ("temperature", "confidence_threshold"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:  # also refuses NaN
-                raise PipelineError(f"config {name} must be finite and >= 0, got {value!r}")
-        if self.concurrency < 1:
-            raise PipelineError("concurrency must be >= 1")
-        if not (0.0 <= self.max_failure_rate <= 1.0):
-            raise PipelineError("max_failure_rate must lie in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        limits = data.pop("limits", None)
-        if limits is not None:
-            if not isinstance(limits, dict):
-                raise PipelineError(f"config limits must be an object, got {type(limits).__name__} {limits!r}")
-            data["limits"] = _from_dict(StageTokenLimits, limits, "limits")
-        return _from_dict(cls, data, "config")
-
-    def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def decide_gate(confidence: float | None, threshold: float | None) -> str:
-    """Stop at the fast answer only when its confidence clears the threshold.
-
-    A disabled threshold or an unavailable confidence routes the question
-    onward (fail-open toward more reasoning).
-    """
-    if threshold is None or confidence is None:
-        return "continue"
-    return "complete" if confidence >= threshold else "continue"
-
-
-@dataclass(frozen=True)
-class StageUsage:
-    prompt_tokens: int
-    completion_tokens: int
-
-
-@dataclass
-class PipelineTrace:
-    """Full per-question record of one pipeline pass.
-
-    Each stage method of :class:`Pipeline` writes its own fields here. In
-    JSON every field keeps its name; only ``triples``, ``hits`` and
-    ``usage`` change shape.
-    """
-
-    question_id: str
-    question: str
-    gold_answer: str
-    dataset_tag: str
-    mode: str
-    system1_answer: str = ""
-    confidence: float | None = None
-    mean_answer_logprob: float | None = None
-    gate_decision: str = "ungated"
-    triples: list[ReasoningTriple] = field(default_factory=list)
-    retrieval_queries: list[str] = field(default_factory=list)
-    hits: list[RetrievalHit] = field(default_factory=list)
-    retrieved_chunks: list[str] = field(default_factory=list)
-    final_answer: str = ""
-    payload_tokens: int = 0
-    saved_input_tokens: int = 0
-    usage: dict[str, StageUsage] = field(default_factory=dict)
-    stage_ms: dict[str, float] = field(default_factory=dict)
-    flags: dict[str, int | bool] = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def hypothesis(self) -> str:
-        """The fast answer as the later stages see it, never blank."""
-        return self.system1_answer or EMPTY_HYPOTHESIS_SENTINEL
-
-    def to_json_dict(self) -> dict:
-        # A shallow per-field build: dataclasses.asdict deep-copies and is
-        # several times slower per trace.
-        out = {name: getattr(self, name) for name in self.__dataclass_fields__}
-        out["triples"] = [[t.subject, t.predicate, t.object] for t in self.triples]
-        out["hits"] = [{"chunk_id": h.chunk_id, "score": h.score, "query_index": h.query_index} for h in self.hits]
-        out["usage"] = {
-            stage: {"prompt_tokens": u.prompt_tokens, "completion_tokens": u.completion_tokens}
-            for stage, u in self.usage.items()
-        }
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PipelineTrace":
-        """Rebuild a trace; extra keys are ignored.
-
-        A missing field takes its dataclass default, so a line written
-        before a field with a default was added still loads; a missing field
-        without a default, or a str, int or float field of another JSON type,
-        raises TypeError.
-        """
-        fields = {name: data[name] for name in cls.__dataclass_fields__ if name in data}
-        fields["triples"] = [ReasoningTriple(subject=s, predicate=p, object=o) for s, p, o in data.get("triples", ())]
-        fields["hits"] = [RetrievalHit(**h) for h in data.get("hits", ())]
-        fields["usage"] = {stage: StageUsage(**u) for stage, u in data.get("usage", {}).items()}
-        trace = cls(**fields)
-        _check_field_types(trace, "trace", _TRACE_SCALARS, TypeError)
-        return trace
-
-
-# The trace fields that hold one JSON string, number or null.
-_TRACE_SCALARS = {k: t for k, t in get_type_hints(PipelineTrace).items() if t in (str, int, float | None)}
 
 
 class Pipeline:
@@ -550,82 +367,4 @@ class Pipeline:
             if writer:
                 writer.close()
         return sorted(existing + fresh, key=lambda t: t.question_id)
-
-
-# --- trace file I/O -----------------------------------------------------------
-
-
-def _trace_header(config: RunConfig) -> dict:
-    return {
-        "kind": "trace_file",
-        "schema_version": TRACE_SCHEMA_VERSION,
-        "config": config.to_dict(),
-        "config_hash": config.config_hash(),
-    }
-
-
-def read_trace_file(path: str | Path) -> tuple[dict, list[PipelineTrace]]:
-    header, traces, _ = _scan_trace_file(path)
-    return header, traces
-
-
-def _scan_trace_file(path: str | Path) -> tuple[dict, list[PipelineTrace], int]:
-    """Parse a trace file and return its header, its traces and the byte
-    length of the lines they came from.
-
-    A last line that has no newline and does not parse is what a crash
-    leaves behind mid-write: it is dropped with a warning and is not counted
-    in the length. Any other line that does not parse raises
-    :class:`PipelineError`.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise PipelineError(f"trace file not found: {path}")
-    with path.open("rb") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise PipelineError(f"{path} is empty")
-        try:
-            header = json.loads(first)
-        except ValueError as exc:
-            raise PipelineError(f"{path}: cannot parse the header line: {exc}") from exc
-        if not isinstance(header, dict) or header.get("kind") != "trace_file":
-            raise PipelineError(f"{path} is not a trace file")
-        if header.get("schema_version") != TRACE_SCHEMA_VERSION:
-            raise PipelineError(
-                f"{path}: schema version {header.get('schema_version')} "
-                f"(this build reads {TRACE_SCHEMA_VERSION})"
-            )
-        config = header.get("config")
-        if not isinstance(config, dict) or config.get("mode") not in MODES:
-            raise PipelineError(f"{path}: the header has no config object naming a mode")
-        traces = []
-        end = len(first)
-        for lineno, line in enumerate(fh, 2):
-            if line.strip():
-                try:
-                    traces.append(PipelineTrace.from_json_dict(json.loads(line)))
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                    if not line.endswith(b"\n"):
-                        logger.warning("%s: dropping torn last line %d (%d bytes)", path, lineno, len(line))
-                        break
-                    raise PipelineError(f"{path}: line {lineno} is not a valid trace: {exc}") from exc
-            end += len(line)
-    return header, traces, end
-
-
-def _append_after(path: Path, end: int) -> TextIO:
-    """Open a trace file for appending after its first ``end`` bytes.
-
-    Whatever follows them (a torn last line) is cut off, and the kept part
-    is ended with a newline, so the next trace starts on a line of its own.
-    """
-    with path.open("r+b") as fh:
-        fh.truncate(end)
-        fh.seek(end - 1)
-        ends_line = fh.read(1) == b"\n"
-    writer = path.open("a", encoding="utf-8")
-    if not ends_line:
-        writer.write("\n")
-    return writer
 

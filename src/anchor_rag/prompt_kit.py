@@ -18,6 +18,7 @@ from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 from anchor_rag.corpus import Chunk, QAItem
+from anchor_rag.traces import ReasoningTriple
 
 STAGE_TAGS = ("system1", "triple_gen", "system2", "system2_noanchor", "standard_rag")
 
@@ -29,20 +30,6 @@ _OUTPUT_WRAPPER_RE = re.compile(r"^\s*<output>(.*?)</output>\s*$", re.DOTALL)
 
 class PromptParseError(ValueError):
     """No usable answer text could be extracted from a model response."""
-
-
-@dataclass(frozen=True)
-class ReasoningTriple:
-    """One (subject, predicate, object) step of the model's rationale."""
-
-    subject: str
-    predicate: str
-    object: str
-
-    def __post_init__(self) -> None:
-        for name in ("subject", "predicate", "object"):
-            if not getattr(self, name).strip():
-                raise ValueError(f"triple field {name!r} is empty")
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,10 @@ from anchor_rag.corpus import (
     write_chunk_manifest,
     write_question_file,
 )
-from anchor_rag.llm_gateway import ScriptedProvider
-from anchor_rag.pipeline import read_trace_file
+from anchor_rag.evaluation import EvaluationError
+from anchor_rag.llm_gateway import GatewayError, ScriptedProvider
+from anchor_rag.prompt_kit import PromptParseError
+from anchor_rag.traces import AnchorRagError, PipelineError, read_trace_file
 
 DATA = Path(__file__).parent / "data"
 
@@ -579,8 +581,11 @@ def test_report_rejects_header_without_config_mode(workspace, capsys, header):
     [
         ("final_answer", 5, "trace final_answer must be str, got int 5"),
         ("payload_tokens", "many", "trace payload_tokens must be int, got str 'many'"),
+        ("hits", [{"chunk_id": 7, "score": "high", "query_index": None}], "trace hit chunk_id must be str, got int 7"),
+        ("usage", {"system1": {"prompt_tokens": "12", "completion_tokens": 3}},
+         "trace usage system1 prompt_tokens must be int, got str '12'"),
     ],
-    ids=["final_answer_int", "payload_tokens_str"],
+    ids=["final_answer_int", "payload_tokens_str", "hit_chunk_id_int", "usage_prompt_tokens_str"],
 )
 @pytest.mark.parametrize("command", ["report", "eval", "transitions", "run --resume"])
 def test_trace_line_of_the_wrong_type_is_one_error_line(workspace, capsys, command, name, value, expected):
@@ -823,7 +828,7 @@ def test_run_provider_setting_of_wrong_type_is_one_error_line(workspace, capsys,
     # Before, these ended in a TypeError or AttributeError traceback, or (a
     # list as the embedding model) ran as the provider id "remote:[1]".
     reads = []
-    monkeypatch.setattr(cli, "read_question_file", lambda path: reads.append(path) or read_question_file(path))
+    monkeypatch.setattr(corpus, "read_question_file", lambda path: reads.append(path) or read_question_file(path))
     path = workspace / "config.json"
     path.write_text(json.dumps({"mode": "standard_rag", key: spec}), encoding="utf-8")
     out = workspace / "bad_provider_run.jsonl"
@@ -1223,3 +1228,29 @@ def test_interrupted_run_is_one_error_line_and_resumes(tmp_path, monkeypatch, ca
         return header["config_hash"], rows
 
     assert without_timing(work / "cut.jsonl") == without_timing(work / "whole.jsonl")
+
+
+REPORTED_ERRORS = [cli.CliError, corpus.CorpusError, embed_index.EmbedIndexError, GatewayError, PipelineError,
+                   EvaluationError]
+
+
+def test_the_error_base_covers_exactly_the_errors_main_reports():
+    assert set(AnchorRagError.__subclasses__()) == set(REPORTED_ERRORS)
+    # Each keeps its builtin base, so callers catching ValueError or RuntimeError still catch it.
+    assert [next(b for b in error.__mro__ if b.__module__ == "builtins").__name__ for error in REPORTED_ERRORS] == [
+        "RuntimeError", "ValueError", "ValueError", "RuntimeError", "RuntimeError", "ValueError"]
+
+
+@pytest.mark.parametrize("error", [*REPORTED_ERRORS, OSError, PromptParseError, ValueError, KeyError])
+def test_main_reports_only_the_package_errors_and_oserror(tmp_path, monkeypatch, capsys, error):
+    def failing(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_inspect", failing)
+    argv = ["inspect", "--traces", str(tmp_path / "traces.jsonl"), "--question-id", "q"]
+    if error in (*REPORTED_ERRORS, OSError):
+        assert main(argv) == 1
+        assert error_lines(capsys) == ["error: boom"]
+    else:
+        with pytest.raises(error):
+            main(argv)

@@ -26,13 +26,12 @@ from anchor_rag.embed_index import (
     HashingEmbedder,
     Index,
     RemoteEmbedder,
-    RetrievalHit,
     build_index,
     embed,
     retrieve_for_queries,
     triple_query,
 )
-from anchor_rag.prompt_kit import ReasoningTriple
+from anchor_rag.traces import ReasoningTriple, RetrievalHit
 
 WORDS = (
     "river stone castle meadow falcon ember harbor lantern cedar summit "

@@ -16,7 +16,7 @@ from anchor_rag.evaluation import (
     token_f1,
     transitions,
 )
-from anchor_rag.pipeline import PipelineTrace
+from anchor_rag.traces import PipelineTrace
 
 
 def make_trace(qid, payload=0, dataset="2wiki", gate="ungated", saved=0, mode="full"):

@@ -1,6 +1,8 @@
 """The package's runtime dependencies are numpy and requests: every other
 module it imports is in the standard library or in the package itself, and
-only the HTTP clients load requests."""
+only the HTTP clients load requests. The trace model and the scoring import
+only the standard library, so the commands that only read traces load
+neither numpy nor the retrieval stack."""
 
 import ast
 import json
@@ -81,3 +83,52 @@ def test_local_commands_never_load_the_http_stack(tmp_path, bannan_docs, golden_
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {"local": [], "after_openai": True}
+
+
+def test_trace_model_and_scoring_import_only_the_stdlib_and_the_trace_model():
+    for name in ("traces.py", "evaluation.py"):
+        imports = set(imported_modules(PACKAGE / name))
+        assert "json" in imports, name  # the scan sees the file's imports
+        assert {m for m in imports if m.split(".")[0] not in sys.stdlib_module_names} <= {"anchor_rag.traces"}, name
+
+
+# The four commands that only read traces, in one fresh process.
+TRACE_COMMANDS = """
+import json, sys
+from anchor_rag.cli import main
+
+traces, out_dir = sys.argv[1:3]
+for argv in (
+    ["report", "--traces", traces, "--out-dir", out_dir],
+    ["eval", "--traces", traces],
+    ["transitions", "--traces", traces],
+    ["inspect", "--traces", traces, "--question-id", "bannan-conference"],
+):
+    assert main(argv) == 0, argv
+heavy = ("numpy", "anchor_rag.corpus", "anchor_rag.embed_index", "anchor_rag.llm_gateway", "anchor_rag.pipeline",
+         "anchor_rag.prompt_kit")
+print(json.dumps([name for name in heavy if name in sys.modules]))
+"""
+
+
+def test_trace_commands_never_load_numpy_or_the_retrieval_stack(tmp_path, bannan_docs, golden_questions):
+    from anchor_rag.cli import main
+
+    q = golden_questions["bannan-conference"]
+    data = tmp_path / "hotpot.json"
+    data.write_text(json.dumps([{"_id": q.question_id, "question": q.question, "answer": q.gold_answer,
+                                 "context": [[d.title, [d.text]] for d in bannan_docs]}]), encoding="utf-8")
+    work, traces = tmp_path / "work", str(tmp_path / "work" / "traces.jsonl")
+    for argv in (
+        ["ingest", "--data", str(data), "--format", "hotpotqa", "--out-dir", str(work)],
+        ["build-index", "--chunks", str(work / "chunks.jsonl"), "--out", str(work / "index.bin")],
+        ["run", "--questions", str(work / "questions.jsonl"), "--index", str(work / "index.bin"),
+         "--chunks", str(work / "chunks.jsonl"), "--mode", "full", "--provider", "scripted",
+         "--fixtures", str(Path(__file__).parent / "data" / "scripted_fixtures.jsonl"), "--out", traces],
+    ):
+        assert main(argv) == 0, argv
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", TRACE_COMMANDS, traces, str(work / "report")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

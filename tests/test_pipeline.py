@@ -11,16 +11,17 @@ from anchor_rag import pipeline
 from anchor_rag.corpus import Document, QAItem, build_corpus
 from anchor_rag.embed_index import EmbedIndexError, HashingEmbedder, Index
 from anchor_rag.llm_gateway import ScriptedProvider
-from anchor_rag.pipeline import (
-    Pipeline,
+from anchor_rag.pipeline import Pipeline
+from anchor_rag.traces import (
     PipelineError,
     PipelineTrace,
+    ReasoningTriple,
+    RetrievalHit,
     RunConfig,
     StageTokenLimits,
     decide_gate,
     read_trace_file,
 )
-from anchor_rag.prompt_kit import ReasoningTriple
 
 DATA = Path(__file__).parent / "data"
 
@@ -551,6 +552,8 @@ def snapshot_trace_file(tmp_path, drop: str = "", **changes):
     ``drop`` and with ``changes``."""
     rows = [json.loads(line) for line in (DATA / "trace_snapshot.jsonl").read_text(encoding="utf-8").splitlines()]
     header, line = [r for r in rows if r["case"] == "fixtures/full" and r.get("question_id") in (None, "bannan-conference")]
+    # The snapshot blanks its stage times; a trace file holds numbers there.
+    line["stage_ms"] = dict.fromkeys(line["stage_ms"], 1.5)
     full = PipelineTrace.from_json_dict(line)
     line = {**{k: v for k, v in line.items() if k != drop}, **changes}
     path = tmp_path / "traces.jsonl"
@@ -598,6 +601,38 @@ def test_trace_line_with_a_field_of_the_wrong_type_is_refused(tmp_path, name, va
     with pytest.raises(PipelineError) as err:
         read_trace_file(path)
     assert str(err.value) == f"{path}: line 2 is not a valid trace: trace {name} must be {expected}"
+
+
+@pytest.mark.parametrize(
+    "name, value, expected",
+    [
+        ("hits", [{"chunk_id": 7, "score": "high", "query_index": None}], "hit chunk_id must be str, got int 7"),
+        ("hits", [{"chunk_id": "doc01:0", "score": "high", "query_index": 0}],
+         "hit score must be float, got str 'high'"),
+        ("hits", [{"chunk_id": "doc01:0", "score": 0.5, "query_index": None}],
+         "hit query_index must be int, got NoneType None"),
+        ("usage", {"system1": {"prompt_tokens": "12", "completion_tokens": 3}},
+         "usage system1 prompt_tokens must be int, got str '12'"),
+        ("usage", {"system2": {"prompt_tokens": 12, "completion_tokens": True}},
+         "usage system2 completion_tokens must be int, got bool True"),
+        ("stage_ms", {"system1": "fast"}, "stage_ms system1 must be float, got str 'fast'"),
+        ("stage_ms", {"retrieval": None}, "stage_ms retrieval must be float, got NoneType None"),
+    ],
+    ids=["hit_chunk_id_int", "hit_score_str", "hit_query_index_null", "usage_prompt_tokens_str",
+         "usage_completion_tokens_bool", "stage_ms_str", "stage_ms_null"],
+)
+def test_trace_line_with_a_nested_field_of_the_wrong_type_is_refused(tmp_path, name, value, expected):
+    path, _ = snapshot_trace_file(tmp_path, **{name: value})
+    with pytest.raises(PipelineError) as err:
+        read_trace_file(path)
+    assert str(err.value) == f"{path}: line 2 is not a valid trace: trace {expected}"
+
+
+def test_trace_line_nested_numbers_may_be_integers(tmp_path):
+    hits = [{"chunk_id": "doc01:0", "score": 1, "query_index": 0}]
+    path, full = snapshot_trace_file(tmp_path, hits=hits, stage_ms={"system1": 3})
+    _, (trace,) = read_trace_file(path)
+    assert trace == dataclasses.replace(full, hits=[RetrievalHit("doc01:0", 1, 0)], stage_ms={"system1": 3})
 
 
 @pytest.mark.parametrize("value", [None, 1, 0.25])

@@ -8,7 +8,6 @@ from anchor_rag import prompt_kit
 from anchor_rag.corpus import Chunk, QAItem
 from anchor_rag.prompt_kit import (
     PromptParseError,
-    ReasoningTriple,
     format_documents,
     parse_answer,
     parse_final,
@@ -19,6 +18,7 @@ from anchor_rag.prompt_kit import (
     render_triple,
     render_triplegen,
 )
+from anchor_rag.traces import ReasoningTriple
 
 
 def make_question(text="What is the capital of France?", qid="q1"):

@@ -34,8 +34,9 @@ from anchor_rag.cli import main as cli_main
 from anchor_rag.corpus import Document, QAItem, build_corpus, read_question_file
 from anchor_rag.embed_index import EmbedIndexError, HashingEmbedder, Index, build_index
 from anchor_rag.llm_gateway import ScriptedProvider
-from anchor_rag.pipeline import MODES, Pipeline, RunConfig, read_trace_file
+from anchor_rag.pipeline import Pipeline
 from anchor_rag.prompt_kit import PromptParseError
+from anchor_rag.traces import MODES, RunConfig, read_trace_file
 
 DATA = Path(__file__).parent / "data"
 SNAPSHOT = DATA / "trace_snapshot.jsonl"
