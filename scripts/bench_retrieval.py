@@ -14,6 +14,10 @@ Timings, each a median over repeated calls after a warm-up:
   divided by the block's size;
 - ``retrieve_for_queries`` with 4 queries (one question's triples) over the
   same index;
+- the triple modes' retrieval of one block of questions, per question: one
+  ``embed`` call and one ``Index._top_k`` call for max(1, 2**15 // N)
+  questions of 4 queries each, as ``Pipeline.run_dataset`` blocks them,
+  divided by the block's size;
 - ``HashingEmbedder.embed_batch`` per chunk, for chunks of 80 and 400 tokens,
   and of one build-sized batch of 3,000 80-token chunks (the chunk count of
   the ``short_docs_full`` benchmark workload);
@@ -70,7 +74,7 @@ QUERIES_PER_QUESTION = 4
 CHUNK_TOKENS = (80, 400)
 DOCUMENT_TOKENS = 3000
 TOKENIZER_REPEATS = 200
-# Scores per standard_rag retrieval block, as in Pipeline.run_dataset.
+# Questions per retrieval block: 2**15 // N, as in Pipeline.run_dataset.
 QUESTION_BLOCK_SCORES = 1 << 15
 BUILD_CHUNK_TOKENS = 80
 BUILD_TEXTS = 3000
@@ -143,11 +147,16 @@ def bench_index(n: int, queries: list[str]) -> dict:
     groups = [queries[i : i + QUERIES_PER_QUESTION] for i in range(0, len(queries), QUERIES_PER_QUESTION)]
     groups = [g for g in groups if len(g) == QUERIES_PER_QUESTION]
     retrieve = [timed_ms(retrieve_for_queries, index, g, k_per_query=K) for g in groups]
+    texts = size * QUERIES_PER_QUESTION
+    triple_blocks = [[queries[(i * texts + j) % len(queries)] for j in range(texts)] for i in range(len(groups))]
+    retrieve_block(triple_blocks[0])
+    per_triple_question = [timed_ms(retrieve_block, b) / size for b in triple_blocks]
     return {
         "matrix_bytes": held,
         "search": summary(search),
         "standard_rag_block_per_question": {"questions": size, **summary(per_question)},
         "retrieve_4_queries": summary(retrieve),
+        "triple_block_per_question": {"questions": size, "queries": texts, **summary(per_triple_question)},
     }
 
 

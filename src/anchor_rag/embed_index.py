@@ -537,9 +537,9 @@ class Index:
         module docstring), rescores them in float64 and sorts them by
         (-score, chunk id), so a row's score and rank depend only on that
         row and its query. This is the only selection path: ``search``,
-        ``retrieve_for_queries`` and the standard-RAG baseline's block of
-        questions (``Pipeline.retrieve_questions``) all go through it, and a
-        tracer can time all retrieval by patching this one method.
+        ``retrieve_for_queries`` and the pipeline's blocks of questions
+        (``Pipeline.retrieve_block``) all go through it, and a tracer can
+        time all retrieval by patching this one method.
         """
         queries = np.asarray(vectors, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.dim:

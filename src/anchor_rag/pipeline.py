@@ -9,14 +9,16 @@ complete :class:`PipelineTrace` and a question never aborts a run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from anchor_rag.corpus import DEFAULT_TOKENIZER, Chunk, QAItem
-from anchor_rag.embed_index import EmbedIndexError, Index, embed, retrieve_for_queries, triple_query
+from anchor_rag.embed_index import EmbedIndexError, Index, embed, triple_query
 from anchor_rag.llm_gateway import (
     ChatProvider,
     ChatRequest,
@@ -53,10 +55,16 @@ from anchor_rag.traces import (
     read_trace_file,
 )
 
-# Float32 scores per standard_rag retrieval block: ``run_dataset`` embeds
-# and selects max(1, _QUESTION_BLOCK_SCORES // len(index)) questions at a
-# time, so a block's score matrix stays at or under 128 KiB, and from
-# 32,768 rows up a block is one question, as a lone search is.
+# Float32 scores per retrieval block of one query a question: ``run_dataset``
+# embeds and selects max(1, _QUESTION_BLOCK_SCORES // len(index)) questions
+# at a time. A standard_rag question is one query, so its block's score
+# matrix stays at or under 128 KiB; a question of the other modes has one
+# query per triple, about 4, so about 512 KiB at 4 triples. Only the
+# triple-generation reply bounds a question's triples: a triple takes
+# several tokens of ``limits.triple_gen`` (256 by default), so a block of
+# questions that parse many of them grows to a few MB at most (32 triples a
+# question make 8 times the scores of 4). From 32,768 rows up a block is one
+# question, as a lone search is.
 _QUESTION_BLOCK_SCORES = 1 << 15
 
 
@@ -149,58 +157,47 @@ class Pipeline:
                 trace.flags["triples_malformed"] = malformed_count
 
     def gather_evidence(self, q: QAItem, trace: PipelineTrace) -> None:
-        """Retrieve top-k per triple and record the union on the trace.
+        """Triple-anchored retrieval for one question: the one-question case
+        of :meth:`retrieve_block`."""
+        self.retrieve_block([q], [trace])
 
-        The trace's triples are the queries (triple-anchored retrieval), or
-        the raw question, flagged, when no triple survived parsing. A failed
-        retrieval records its error and still records its queries and time,
-        with no hits.
+    def retrieve_block(self, items: Sequence[QAItem], traces: Sequence[PipelineTrace]) -> None:
+        """Retrieve the evidence of a block of questions onto their traces.
+
+        A question's queries are its trace's triples (triple-anchored
+        retrieval), or the raw question when it has none: always in
+        ``standard_rag``, and in the other modes when no triple survived
+        parsing, flagged ``fallback_question_query``. The block's queries
+        are embedded in one ``embed`` call (one ``/embeddings`` round trip
+        for a remote embedder) and selected by one ``Index._top_k`` call,
+        whose hits depend only on the row and the query, so each question
+        gets exactly the hits and union ``retrieve_for_queries`` gives its
+        queries alone. Each trace's retrieval time is its share of the
+        block's. A failed retrieval records its error on every question of
+        the block, each with its queries and no hits.
         """
-        queries = [triple_query(t) for t in trace.triples] or [q.question]
+        queries = [[triple_query(t) for t in trace.triples] or [q.question] for q, trace in zip(items, traces)]
         started = time.perf_counter()
         try:
-            chunk_ids, hits = retrieve_for_queries(self.index, queries, k_per_query=self.config.k_per_triple)
-        except EmbedIndexError as exc:
-            trace.errors.append(f"retrieval: {exc}")
-            chunk_ids, hits = [], []
-        self._record_evidence(trace, queries, chunk_ids, hits, (time.perf_counter() - started) * 1000.0)
-        if not trace.triples:
-            trace.flags["fallback_question_query"] = True
-
-    def retrieve_questions(self, items: Sequence[QAItem]) -> list[PipelineTrace]:
-        """The standard-RAG baseline's retrieval for a block of questions: a
-        new trace per question, holding its top k for the raw question.
-
-        All questions are embedded in one ``embed`` call (one ``/embeddings``
-        round trip for a remote embedder) and selected by one
-        ``Index._top_k`` call, whose hits depend only on the row and the
-        query, so each question gets exactly the hits ``Index.search`` gives
-        it alone. Each trace's retrieval time is its share of the block's.
-        A failed retrieval records its error on every question of the block,
-        each with its query and no hits.
-        """
-        traces = [self._new_trace(q) for q in items]
-        started = time.perf_counter()
-        try:
-            vectors = embed([q.question for q in items], self.index.provider)
-            ranked = self.index._top_k(vectors, self.config.k_per_triple)
+            vectors = embed([text for texts in queries for text in texts], self.index.provider)
+            ranked = iter(self.index._top_k(vectors, self.config.k_per_triple))
         except EmbedIndexError as exc:
             for trace in traces:
                 trace.errors.append(f"retrieval: {exc}")
-            ranked = [[] for _ in items]
+            ranked = itertools.repeat([])
         share_ms = (time.perf_counter() - started) * 1000.0 / len(items)
-        for q, trace, pairs in zip(items, traces, ranked):
-            hits = [RetrievalHit(chunk_id=cid, score=score, query_index=0) for cid, score in pairs]
-            self._record_evidence(trace, [q.question], [cid for cid, _ in pairs], hits, share_ms)
-        return traces
-
-    def _record_evidence(
-        self, trace: PipelineTrace, queries: list[str], chunk_ids: list[str], hits: list[RetrievalHit], ms: float
-    ) -> None:
-        trace.stage_ms["retrieval"] = ms
-        trace.retrieval_queries = queries
-        trace.retrieved_chunks, trace.hits = chunk_ids, hits
-        trace.payload_tokens = sum(c.token_count for c in self._chunks(trace))
+        for trace, texts in zip(traces, queries):
+            trace.hits = [
+                RetrievalHit(chunk_id=cid, score=score, query_index=qi)
+                for qi, pairs in enumerate(itertools.islice(ranked, len(texts)))
+                for cid, score in pairs
+            ]
+            trace.stage_ms["retrieval"] = share_ms
+            trace.retrieval_queries = texts
+            trace.retrieved_chunks = list(dict.fromkeys(hit.chunk_id for hit in trace.hits))
+            trace.payload_tokens = sum(c.token_count for c in self._chunks(trace))
+            if not trace.triples and self.config.mode != "standard_rag":
+                trace.flags["fallback_question_query"] = True
 
     def _system2_prompt(self, q: QAItem, trace: PipelineTrace, include_anchor: bool = True) -> RenderedPrompt:
         return render_system2(q, trace.hypothesis, trace.triples, self._chunks(trace), include_anchor=include_anchor)
@@ -236,7 +233,7 @@ class Pipeline:
 
     def answer_standard_rag(self, q: QAItem, trace: PipelineTrace) -> None:
         """Baseline: answer directly over the chunks that
-        :meth:`retrieve_questions` recorded on ``trace`` for the raw question."""
+        :meth:`retrieve_block` recorded on ``trace`` for the raw question."""
         if not trace.retrieved_chunks:  # the retrieval failed
             return
         prompt = render_standard_rag(q, self._chunks(trace))
@@ -262,37 +259,48 @@ class Pipeline:
     def run_question(self, q: QAItem, retrieved: PipelineTrace | None = None) -> PipelineTrace:
         """Run one question under the configured mode; never raises per-question.
 
-        In ``standard_rag`` mode the question's retrieval is the block-of-one
-        case of :meth:`retrieve_questions`, unless ``retrieved`` is the trace
-        a block's call already returned for it (as ``run_dataset`` passes).
+        The question's retrieval is the one-question case of
+        :meth:`retrieve_block`, unless ``retrieved`` is its trace with the
+        first stages run and a block's retrieval recorded (as
+        ``run_dataset`` passes): then only the answering stages run.
         """
         cfg = self.config
+        if retrieved is not None:
+            trace = retrieved
+        else:
+            trace = self._first_stages(q)
+            if cfg.mode == "system1_only":
+                return trace
+            self.gather_evidence(q, trace)
+
         if cfg.mode == "standard_rag":
-            trace = retrieved if retrieved is not None else self.retrieve_questions([q])[0]
             self.answer_standard_rag(q, trace)
-            return trace
-
-        trace = self._new_trace(q)
-        self.answer_system1(q, trace)
-        if cfg.mode == "system1_only":
-            trace.final_answer = trace.system1_answer
-            return trace
-        if cfg.mode == "threshold_gated":
-            trace.gate_decision = decide_gate(trace.confidence, cfg.confidence_threshold)
-
-        self.generate_triples(q, trace)
-        self.gather_evidence(q, trace)
-
-        if trace.gate_decision == "complete":
+        elif trace.gate_decision == "complete":
             # Confident enough: keep the fast answer and only render (never
             # send) the deliberate prompt, recording the input tokens saved.
             trace.final_answer = trace.system1_answer
             if trace.retrieved_chunks:
                 prompt = self._system2_prompt(q, trace)
                 trace.saved_input_tokens = sum(map(DEFAULT_TOKENIZER.count, (prompt.system_text, prompt.user_text)))
-            return trace
+        else:
+            self.answer_system2(q, trace, include_anchor=cfg.mode != "no_initial_reasoning")
+        return trace
 
-        self.answer_system2(q, trace, include_anchor=cfg.mode != "no_initial_reasoning")
+    def _first_stages(self, q: QAItem) -> PipelineTrace:
+        """A new trace for ``q`` holding the stages before retrieval: the fast
+        answer, the gate decision and the triples (none in ``standard_rag``;
+        in ``system1_only`` the fast answer is final)."""
+        cfg = self.config
+        trace = self._new_trace(q)
+        if cfg.mode == "standard_rag":
+            return trace
+        self.answer_system1(q, trace)
+        if cfg.mode == "system1_only":
+            trace.final_answer = trace.system1_answer
+            return trace
+        if cfg.mode == "threshold_gated":
+            trace.gate_decision = decide_gate(trace.confidence, cfg.confidence_threshold)
+        self.generate_triples(q, trace)
         return trace
 
     # --- dataset runs ---------------------------------------------------------
@@ -310,17 +318,25 @@ class Pipeline:
         exactly the remaining ids. Resume refuses a trace file written under
         a different config.
 
-        In ``standard_rag`` mode the questions still to run are retrieved in
-        blocks of max(1, 2**15 // len(index)), each by one
-        :meth:`retrieve_questions` call on the calling thread; at
-        concurrency > 1 the pool answers one block's questions while the
-        next block is retrieved. A block of one (from 2**15 rows up) is
-        retrieved by :meth:`run_question` on the worker that answers it,
-        so retrievals still run ``concurrency`` at a time. Traces are written in id order and equal
-        those of one :meth:`run_question` per question, apart from
-        ``stage_ms``: a question's ``retrieval`` time is its share of its
-        block's, and a block whose retrieval fails records the error on
-        each of its questions.
+        In every mode with an index, the questions still to run are
+        retrieved in blocks of max(1, 2**15 // len(index)): each block's
+        first stages run per question, then one :meth:`retrieve_block` call
+        on the calling thread retrieves the whole block, then its answering
+        stages run per question. At concurrency > 1 a worker runs each
+        question's first stages and its answering stages, and the first
+        stages of the next ceil(concurrency / block size) blocks are sent to
+        the pool before a block is retrieved, so ``concurrency`` model calls
+        stay in flight across block edges. A block of one (from 2**15 rows
+        up) is run by :meth:`run_question` on the worker that answers it,
+        so retrievals still run ``concurrency`` at a time. Traces are
+        written in id order, each as soon as it and every earlier one are
+        finished, and equal those of one :meth:`run_question` per question,
+        apart from ``stage_ms``: a question's ``retrieval`` time is its
+        share of its block's, and a block whose retrieval fails records the
+        error on each of its questions. So an interrupt loses the calls
+        made for the unfinished questions of up to one block (at concurrency
+        > 1 also for the questions whose first stages run ahead), which
+        ``resume`` redoes.
         """
         ordered = sorted(items, key=lambda q: q.question_id)
         if len({q.question_id for q in ordered}) != len(ordered):
@@ -328,6 +344,8 @@ class Pipeline:
         existing: list[PipelineTrace] = []
         writer = None
         path = Path(trace_path) if trace_path is not None else None
+        # The pool starts threads only when work is submitted to it.
+        pool = ThreadPoolExecutor(max_workers=self.config.concurrency)
         try:
             if path is not None:
                 if resume and path.exists():
@@ -345,26 +363,68 @@ class Pipeline:
             done = {t.question_id for t in existing}
             todo = [q for q in ordered if q.question_id not in done]
             fresh: list[PipelineTrace] = []
-            args: list[Iterable] = [todo]
-            size = max(1, _QUESTION_BLOCK_SCORES // len(self.index)) if self.config.mode == "standard_rag" else 1
-            if size > 1:
-                # Retrieved lazily, block by block: the pool answers one
-                # block while the next is retrieved, and the serial path
-                # retrieves a block only when it reaches it. A block of one
-                # is retrieved by run_question, on the worker that answers it.
-                args.append(
-                    t for s in range(0, len(todo), size) for t in self.retrieve_questions(todo[s : s + size])
-                )
-            # The pool starts threads only when work is submitted to it.
-            with ThreadPoolExecutor(max_workers=self.config.concurrency) as pool:
-                parallel = self.config.concurrency > 1 and len(todo) > 1
-                for trace in (pool.map if parallel else map)(self.run_question, *args):
-                    fresh.append(trace)
-                    if writer:
-                        writer.write(json.dumps(trace.to_json_dict(), ensure_ascii=False) + "\n")
-                        writer.flush()
+            parallel = self.config.concurrency > 1 and len(todo) > 1
+            size = 1 if self.config.mode == "system1_only" else max(1, _QUESTION_BLOCK_SCORES // len(self.index))
+            if size == 1:
+                traces = (pool.map if parallel else map)(self.run_question, todo)
+            elif parallel:
+                traces = self._overlapped_blocks(pool, todo, size)
+            else:
+                traces = self._blocks(todo, size)
+            for trace in traces:
+                fresh.append(trace)
+                if writer:
+                    writer.write(json.dumps(trace.to_json_dict(), ensure_ascii=False) + "\n")
+                    writer.flush()
         finally:
+            # After an interrupt or an error, queued questions never start;
+            # the calls already running end first.
+            pool.shutdown(cancel_futures=True)
             if writer:
                 writer.close()
         return sorted(existing + fresh, key=lambda t: t.question_id)
 
+    def _blocks(self, todo: list[QAItem], size: int) -> Iterator[PipelineTrace]:
+        """Each trace of ``todo`` in order, run one block of ``size`` at a time."""
+        for start in range(0, len(todo), size):
+            block = todo[start : start + size]
+            traces = [self._first_stages(q) for q in block]
+            self.retrieve_block(block, traces)
+            yield from map(self.run_question, block, traces)
+
+    def _overlapped_blocks(self, pool: ThreadPoolExecutor, todo: list[QAItem], size: int) -> Iterator[PipelineTrace]:
+        """Each trace of ``todo`` in order, with blocks of ``size`` retrieved
+        on this thread and every model call made on ``pool``.
+
+        Before a block is retrieved, the first stages of the next
+        ceil(concurrency / size) blocks are queued: at least ``concurrency``
+        questions, so the workers stay busy while this thread waits for the
+        block and retrieves it. A trace is yielded as soon as it and every
+        earlier one are finished.
+        """
+        blocks = (todo[s : s + size] for s in range(0, len(todo), size))
+        ahead = -(-self.config.concurrency // size)
+        queued: deque[tuple[list[QAItem], list[Future]]] = deque()  # blocks whose first stages are queued
+        answers: deque[Future] = deque()  # answering stages, in question order
+
+        def finished() -> Iterator[PipelineTrace]:
+            while answers and answers[0].done():
+                yield answers.popleft().result()
+
+        while True:
+            for block in itertools.islice(blocks, ahead + 1 - len(queued)):
+                queued.append((block, [pool.submit(self._first_stages, q) for q in block]))
+            if not queued:
+                break
+            block, firsts = queued.popleft()
+            pending = [f for f in firsts if not f.done()]
+            while pending:
+                wait(pending + list(itertools.islice(answers, 1)), return_when=FIRST_COMPLETED)
+                yield from finished()
+                pending = [f for f in pending if not f.done()]
+            traces = [f.result() for f in firsts]
+            self.retrieve_block(block, traces)
+            answers.extend(pool.submit(self.run_question, q, trace) for q, trace in zip(block, traces))
+            yield from finished()
+        while answers:
+            yield answers.popleft().result()

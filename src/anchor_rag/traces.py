@@ -12,7 +12,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TextIO, get_args, get_type_hints
+from typing import TextIO, get_args, get_origin, get_type_hints
 
 MODES = ("full", "system1_only", "no_initial_reasoning", "threshold_gated", "standard_rag")
 QUERY_STYLES = ("space",)
@@ -33,8 +33,16 @@ class PipelineError(AnchorRagError, RuntimeError):
 
 def check_type(what: str, value: object, hint: object, error: type) -> None:
     """Raise ``error`` when ``value`` does not match the annotation ``hint``
-    (an int is accepted for a float; a bool never is)."""
+    (an int is accepted for a float; a bool never is). For ``list[T]`` and
+    ``dict[str, T]`` each item is checked too, named by its index or key."""
     if type(value) is hint:
+        return
+    origin = get_origin(hint)
+    if origin in (list, dict):
+        check_type(what, value, origin, error)
+        items = value.items() if origin is dict else enumerate(value)
+        for key, item in items:
+            check_type(f"{what} {key}" if origin is dict else f"{what}[{key}]", item, get_args(hint)[-1], error)
         return
     allowed = get_args(hint) or (hint,)
     accepted = allowed + (int,) if float in allowed else allowed
@@ -215,27 +223,31 @@ class PipelineTrace:
 
         A missing field takes its dataclass default, so a line written
         before a field with a default was added still loads; a missing field
-        without a default, or a str, int or float field (also in a hit, a
-        usage or a stage time) of another JSON type, raises TypeError.
+        without a default, or a field of another JSON type than its
+        annotation (a str, int or float, a list of strings, a dict of
+        flags or stage times, or a field of a triple, a hit or a usage)
+        raises TypeError.
         """
         fields = {name: data[name] for name in cls.__dataclass_fields__ if name in data}
-        fields["triples"] = [ReasoningTriple(subject=s, predicate=p, object=o) for s, p, o in data.get("triples", ())]
+        triples = data.get("triples", ())
+        for i, triple in enumerate(triples):
+            for name, value in zip(("subject", "predicate", "object"), triple):
+                check_type(f"trace triples[{i}] {name}", value, str, TypeError)
+        fields["triples"] = [ReasoningTriple(subject=s, predicate=p, object=o) for s, p, o in triples]
         fields["hits"] = [RetrievalHit(**h) for h in data.get("hits", ())]
         fields["usage"] = {stage: StageUsage(**u) for stage, u in data.get("usage", {}).items()}
         trace = cls(**fields)
-        _check_field_types(trace, "trace", _TRACE_SCALARS, TypeError)
+        _check_field_types(trace, "trace", _TRACE_CHECKED, TypeError)
         for hit in trace.hits:
             _check_field_types(hit, "trace hit", _HIT_TYPES, TypeError)
         for stage, usage in trace.usage.items():
             _check_field_types(usage, f"trace usage {stage}", _USAGE_TYPES, TypeError)
-        for stage, ms in trace.stage_ms.items():
-            check_type(f"trace stage_ms {stage}", ms, float, TypeError)
         return trace
 
 
-# The trace fields that hold one JSON string, number or null, and the
-# fields of the records a trace nests.
-_TRACE_SCALARS = {k: t for k, t in get_type_hints(PipelineTrace).items() if t in (str, int, float | None)}
+# The trace fields checked against their annotations once a trace is built
+# (every field but the records it nests), and the fields of those records.
+_TRACE_CHECKED = {k: t for k, t in get_type_hints(PipelineTrace).items() if k not in ("triples", "hits", "usage")}
 _HIT_TYPES = get_type_hints(RetrievalHit)
 _USAGE_TYPES = get_type_hints(StageUsage)
 

@@ -584,8 +584,11 @@ def test_report_rejects_header_without_config_mode(workspace, capsys, header):
         ("hits", [{"chunk_id": 7, "score": "high", "query_index": None}], "trace hit chunk_id must be str, got int 7"),
         ("usage", {"system1": {"prompt_tokens": "12", "completion_tokens": 3}},
          "trace usage system1 prompt_tokens must be int, got str '12'"),
+        ("triples", [[1, "p", "o"]], "trace triples[0] subject must be str, got int 1"),
+        ("retrieved_chunks", [5], "trace retrieved_chunks[0] must be str, got int 5"),
     ],
-    ids=["final_answer_int", "payload_tokens_str", "hit_chunk_id_int", "usage_prompt_tokens_str"],
+    ids=["final_answer_int", "payload_tokens_str", "hit_chunk_id_int", "usage_prompt_tokens_str", "triple_subject_int",
+         "retrieved_chunk_int"],
 )
 @pytest.mark.parametrize("command", ["report", "eval", "transitions", "run --resume"])
 def test_trace_line_of_the_wrong_type_is_one_error_line(workspace, capsys, command, name, value, expected):
@@ -1109,6 +1112,27 @@ def test_remote_standard_rag_run_posts_one_embeddings_request_per_block(workspac
     assert all(t.errors == [] and t.final_answer == "Paris" and len(t.hits) == 5 for t in traces)
 
 
+def test_remote_full_run_posts_one_embeddings_request_per_block(workspace, loopback, monkeypatch):
+    rc, index = build_remote_index(workspace, loopback)
+    assert rc == 0
+    loopback.routes["/chat/completions"] = lambda payload: chat_reply(ALL_STAGES)
+    rows = len(read_chunk_manifest(workspace / "chunks.jsonl")[0])
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", 3 * rows)  # blocks of three questions
+    questions = workspace / "seven.jsonl"
+    write_question_file([QAItem(f"q{i}", f"Which conference, take {i}?", "Pac-12") for i in range(7)], questions)
+    seen_before = len(loopback.seen)
+    out = workspace / "full_run.jsonl"
+    rc = main(["run", "--questions", str(questions), "--index", str(index), "--chunks", str(workspace / "chunks.jsonl"),
+               "--mode", "full", "--provider", "openai", "--endpoint", loopback.url, "--model", "chat",
+               "--embedder", "remote", "--concurrency", "2", "--out", str(out)])
+    assert rc == 0
+    posted = [p["input"] for path, p in loopback.seen[seen_before:] if path.endswith("/embeddings")]
+    assert [len(texts) for texts in posted] == [6, 6, 2]  # two triples a question, one request per block
+    _, traces = read_trace_file(out)
+    assert [t.question_id for t in traces] == [f"q{i}" for i in range(7)]
+    assert all(t.errors == [] and t.final_answer == "Pac-12" and len(t.hits) == 10 for t in traces)
+
+
 def test_remote_run_index_provider_id_not_utf8_is_one_error_line(workspace, loopback, capsys):
     # No embedding model is named, so run reads it from the index header.
     rc, index = build_remote_index(workspace, loopback)
@@ -1182,8 +1206,10 @@ def _interrupt_workspace(tmp_path, n):
     return work, fixture_path
 
 
-@pytest.mark.parametrize("concurrency", [1, 2])
-def test_interrupted_run_is_one_error_line_and_resumes(tmp_path, monkeypatch, capsys, concurrency):
+def _interrupted_run(tmp_path, monkeypatch, capsys, concurrency, interrupt_at=8):
+    """Run six questions whole, then again with model call ``interrupt_at``
+    interrupted. Returns the ``run`` command, the work directory, the
+    question id of every call made and the traces the cut run wrote."""
     work, fixtures = _interrupt_workspace(tmp_path, 6)
 
     def run(out, *extra):
@@ -1194,7 +1220,7 @@ def test_interrupted_run_is_one_error_line_and_resumes(tmp_path, monkeypatch, ca
     assert run(work / "whole.jsonl") == 0
     capsys.readouterr()
 
-    calls, lock, interrupt_at = [], threading.Lock(), 8
+    calls, lock = [], threading.Lock()
     original = ScriptedProvider.complete
 
     def interrupting(self, request):
@@ -1212,12 +1238,11 @@ def test_interrupted_run_is_one_error_line_and_resumes(tmp_path, monkeypatch, ca
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: interrupted"]
     _, done = read_trace_file(work / "cut.jsonl")
-    assert len(done) < 6
-    if concurrency == 1:
-        assert len(calls) == interrupt_at  # no question starts after the interrupt
-        assert [t.question_id for t in done] == ["q0", "q1"]
-
     monkeypatch.setattr(ScriptedProvider, "complete", original)
+    return run, work, calls, done
+
+
+def _resumed_equals_whole(run, work):
     assert run(work / "cut.jsonl", "--resume") == 0
 
     def without_timing(path):
@@ -1228,6 +1253,28 @@ def test_interrupted_run_is_one_error_line_and_resumes(tmp_path, monkeypatch, ca
         return header["config_hash"], rows
 
     assert without_timing(work / "cut.jsonl") == without_timing(work / "whole.jsonl")
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_interrupted_run_is_one_error_line_and_resumes(tmp_path, monkeypatch, capsys, concurrency):
+    # Blocks of two questions (the index has one chunk per question): at
+    # concurrency 1, calls 1-6 finish q0 and q1, and call 8 is q2's triple call.
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", 2 * 6)
+    run, work, calls, done = _interrupted_run(tmp_path, monkeypatch, capsys, concurrency)
+    assert len(done) < 6
+    if concurrency == 1:
+        assert len(calls) == 8  # no question starts after the interrupt
+        assert [t.question_id for t in done] == ["q0", "q1"]
+    _resumed_equals_whole(run, work)
+
+
+def test_interrupt_loses_the_unfinished_block(tmp_path, monkeypatch, capsys):
+    # At the default block size the six questions are one block: call 8 is
+    # q3's triple call, before any trace of the block is finished.
+    run, work, calls, done = _interrupted_run(tmp_path, monkeypatch, capsys, 1)
+    assert calls == ["q0", "q0", "q1", "q1", "q2", "q2", "q3", "q3"]
+    assert done == []
+    _resumed_equals_whole(run, work)
 
 
 REPORTED_ERRORS = [cli.CliError, corpus.CorpusError, embed_index.EmbedIndexError, GatewayError, PipelineError,

@@ -932,6 +932,9 @@ def test_bench_retrieval_script_smoke(tmp_path):
     assert run["hashing_embed_per_chunk"]["400_tokens"]["median_ms"] > 0
     block = run["index"]["50"]["standard_rag_block_per_question"]
     assert block["questions"] == 2**15 // 50 and block["samples"] == 4 and block["median_ms"] > 0
+    triples = run["index"]["50"]["triple_block_per_question"]
+    assert triples["questions"] == 2**15 // 50 and triples["queries"] == 4 * triples["questions"]
+    assert triples["samples"] == 1 and triples["median_ms"] > 0
     assert run["hashing_embed_build_batch"]["texts"] == 3000
     assert run["hashing_embed_build_batch"]["samples"] == 1 and run["hashing_embed_build_batch"]["median_ms"] > 0
     assert run["index"]["50"]["matrix_bytes"] == 50 * 256 * 4

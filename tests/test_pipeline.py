@@ -9,7 +9,7 @@ import pytest
 
 from anchor_rag import pipeline
 from anchor_rag.corpus import Document, QAItem, build_corpus
-from anchor_rag.embed_index import EmbedIndexError, HashingEmbedder, Index
+from anchor_rag.embed_index import EmbedIndexError, HashingEmbedder, Index, retrieve_for_queries
 from anchor_rag.llm_gateway import ScriptedProvider
 from anchor_rag.pipeline import Pipeline
 from anchor_rag.traces import (
@@ -617,9 +617,19 @@ def test_trace_line_with_a_field_of_the_wrong_type_is_refused(tmp_path, name, va
          "usage system2 completion_tokens must be int, got bool True"),
         ("stage_ms", {"system1": "fast"}, "stage_ms system1 must be float, got str 'fast'"),
         ("stage_ms", {"retrieval": None}, "stage_ms retrieval must be float, got NoneType None"),
+        ("stage_ms", [1.5], "stage_ms must be dict, got list [1.5]"),
+        ("retrieved_chunks", [5], "retrieved_chunks[0] must be str, got int 5"),
+        ("retrieval_queries", "a query", "retrieval_queries must be list, got str 'a query'"),
+        ("errors", ["system1: down", None], "errors[1] must be str, got NoneType None"),
+        ("flags", {"x": "y"}, "flags x must be int or bool, got str 'y'"),
+        ("flags", ["system1_empty"], "flags must be dict, got list ['system1_empty']"),
+        ("triples", [[1, "p", "o"]], "triples[0] subject must be str, got int 1"),
+        ("triples", [["s", "p", "o"], ["s", ["p"], "o"]], "triples[1] predicate must be str, got list ['p']"),
     ],
     ids=["hit_chunk_id_int", "hit_score_str", "hit_query_index_null", "usage_prompt_tokens_str",
-         "usage_completion_tokens_bool", "stage_ms_str", "stage_ms_null"],
+         "usage_completion_tokens_bool", "stage_ms_str", "stage_ms_null", "stage_ms_list", "retrieved_chunk_int",
+         "retrieval_queries_str", "error_null", "flag_str", "flags_list", "triple_subject_int",
+         "triple_predicate_list"],
 )
 def test_trace_line_with_a_nested_field_of_the_wrong_type_is_refused(tmp_path, name, value, expected):
     path, _ = snapshot_trace_file(tmp_path, **{name: value})
@@ -853,3 +863,156 @@ def test_failed_block_retrieval_stays_in_its_block(monkeypatch):
         else:
             assert trace.errors == [] and trace.final_answer == f"answer {trace.question_id}"
             assert len(trace.hits) == 5
+
+
+# --- triple-anchored retrieval in blocks ------------------------------------------
+
+TRIPLE_MODES = ["full", "threshold_gated", "no_initial_reasoning"]
+NO_TRIPLES = "q04"  # its triple reply parses to no triple
+
+
+def triple_provider(items):
+    """Replies to every stage of ``items``: a fast answer that is confident
+    for every other question, 1-4 triples of world words (none for
+    ``NO_TRIPLES``) and a final answer with and without the anchor."""
+    rng = np.random.default_rng(5)
+    provider = ScriptedProvider()
+    for i, q in enumerate(items):
+        qid = q.question_id
+        logprobs = [["<answer>", -0.001], ["guess", -0.5 if i % 2 else -4.0], ["</answer>", -0.001]]
+        provider.add("system1", qid, "<answer>guess</answer>", logprobs)
+        triples = "".join(f"<triple>{s} | {p} | {o}</triple>" for s, p, o in rng.choice(WORLD_WORDS, (1 + i % 4, 3)))
+        provider.add("triple_gen", qid, "<output>no triples</output>" if qid == NO_TRIPLES else triples)
+        provider.add("system2", qid, f"<final_answer>answer {qid}</final_answer>")
+        provider.add("system2_noanchor", qid, f"<final_answer>plain {qid}</final_answer>")
+    return RecordingProvider(provider)
+
+
+def triple_pipeline(provider, index, chunks, mode, **cfg):
+    config = RunConfig(mode=mode, confidence_threshold=0.05 if mode == "threshold_gated" else None, **cfg)
+    return Pipeline(provider, config, index=index, chunks=chunks)
+
+
+def query_batches(traces, size):
+    """The texts ``embed`` gets per block of ``size`` questions."""
+    return [sum(len(t.retrieval_queries) for t in traces[s : s + size]) for s in range(0, len(traces), size)]
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+@pytest.mark.parametrize("mode", TRIPLE_MODES)
+@pytest.mark.parametrize(
+    "budget, k, size",
+    [(ROWS, 5, 1), (3 * ROWS, 5, 3), (4 * ROWS, ROWS, 4), (3 * ROWS, ROWS + 7, 3)],
+    ids=["block_of_one", "ragged_last_block", "k_is_len_index", "k_above_len_index"],
+)
+def test_triple_block_run_equals_a_run_question_loop(tmp_path, monkeypatch, mode, concurrency, budget, k, size):
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", budget)
+    index, chunks, items = tied_world()
+    loop = [triple_pipeline(triple_provider(items), index, chunks, mode, k_per_triple=k).run_question(q) for q in items]
+    assert index.provider.batches == query_batches(loop, 1)
+    index.provider.batches.clear()
+    path = tmp_path / "traces.jsonl"
+    pipe = triple_pipeline(triple_provider(items), index, chunks, mode, k_per_triple=k, concurrency=concurrency)
+    blocked = pipe.run_dataset(items, trace_path=path)
+    # One embed call per block; blocks of one are retrieved by the workers, in any order.
+    assert sorted(index.provider.batches) == sorted(query_batches(loop, size))
+    assert without_timing(blocked) == without_timing(loop)
+    assert without_timing(read_trace_file(path)[1]) == without_timing(loop)
+    assert [list(t.stage_ms) for t in blocked] == [list(t.stage_ms) for t in loop]
+    assert any(len({h.score for h in t.hits}) < len(t.hits) for t in blocked)  # ties to break
+    for trace in blocked:
+        union, hits = retrieve_for_queries(index, trace.retrieval_queries, k_per_query=k)
+        assert (trace.retrieved_chunks, trace.hits) == (union, hits)
+        assert trace.errors == []
+    (fallback,) = [t for t in blocked if t.flags.get("fallback_question_query")]
+    assert fallback.question_id == NO_TRIPLES and fallback.retrieval_queries == [fallback.question]
+    assert len({len(t.retrieval_queries) for t in blocked}) == 4  # 1-4 queries a question
+    if mode == "threshold_gated":
+        assert {t.gate_decision for t in blocked} == {"complete", "continue"}
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+@pytest.mark.parametrize("mode", TRIPLE_MODES)
+def test_failed_triple_block_retrieval_stays_in_its_block(monkeypatch, mode, concurrency):
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", 3 * ROWS)
+    index, chunks, items = tied_world()
+    loop = [triple_pipeline(triple_provider(items), index, chunks, mode).run_question(q) for q in items]
+    index, chunks, items = tied_world(fail_on=(2,))
+    provider = triple_provider(items)
+    traces = triple_pipeline(provider, index, chunks, mode, concurrency=concurrency).run_dataset(items)
+    assert index.provider.batches == query_batches(loop, 3)
+    failed = {"q03", "q04", "q05"}
+    for trace, alone in zip(traces, loop):
+        if trace.question_id in failed:
+            assert trace.errors[0] == "retrieval: embedding request failed: endpoint down"
+            assert trace.hits == [] and trace.retrieved_chunks == [] and trace.payload_tokens == 0
+            assert trace.retrieval_queries == alone.retrieval_queries
+            assert "system2" not in trace.usage  # no evidence, so the deliberate pass is never sent
+        else:
+            assert without_timing([trace]) == without_timing([alone])
+    assert not {r.question_id for r in provider.requests if r.stage_tag.startswith("system2")} & failed
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+@pytest.mark.parametrize("mode", TRIPLE_MODES)
+def test_triple_block_run_resumed_after_an_interrupt_equals_a_whole_run(tmp_path, monkeypatch, mode, concurrency):
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", 3 * ROWS)
+    index, chunks, items = tied_world()
+    whole = tmp_path / "whole.jsonl"
+    triple_pipeline(triple_provider(items), index, chunks, mode, concurrency=concurrency).run_dataset(
+        items, trace_path=whole
+    )
+
+    interrupting = triple_provider(items)
+    answer, lock = interrupting.complete, threading.Lock()
+
+    def complete(request):
+        with lock:
+            if request.question_id == "q05" and request.stage_tag == "triple_gen":
+                raise KeyboardInterrupt
+        return answer(request)
+
+    interrupting.complete = complete
+    cut = tmp_path / "cut.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        triple_pipeline(interrupting, index, chunks, mode, concurrency=concurrency).run_dataset(items, trace_path=cut)
+    written = [t.question_id for t in read_trace_file(cut)[1]]
+    assert written == ["q00", "q01", "q02"][: len(written)]  # none of the interrupted block
+    if concurrency == 1:
+        assert written == ["q00", "q01", "q02"]
+
+    triple_pipeline(triple_provider(items), index, chunks, mode, concurrency=concurrency).run_dataset(
+        items, trace_path=cut, resume=True
+    )
+    assert trace_lines_without_timing(cut) == trace_lines_without_timing(whole)
+
+
+@pytest.mark.parametrize("concurrency, questions", [(4, 12), (8, 24)])
+@pytest.mark.parametrize("mode", ["full", "no_initial_reasoning"])
+def test_triple_blocks_keep_concurrency_calls_in_flight(monkeypatch, mode, concurrency, questions):
+    # Blocks of two: the first stages of at least `concurrency` questions
+    # beyond a block must be running while it is retrieved and answered, or
+    # fewer than `concurrency` calls are in flight at a block edge (already
+    # at the first at concurrency 8 if only the next block were queued).
+    # The first two thirds of the calls, across many block edges, go
+    # `concurrency` at a time; the last blocks leave too little work to
+    # fill every worker.
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", 2 * ROWS)
+    index, chunks, items = tied_world()
+    items += [QAItem(question_id=f"q{i:02d}", question=f"extra question {i}", gold_answer="x") for i in range(10, questions)]
+    provider = triple_provider(items)
+    answer, lock, calls = provider.complete, threading.Lock(), []
+    in_flight = threading.Barrier(concurrency, timeout=10)
+
+    def complete(request):
+        with lock:
+            calls.append(request.stage_tag)
+            paired = len(calls) <= 2 * questions
+        if paired:
+            in_flight.wait()  # breaks unless `concurrency` calls are in flight at once
+        return answer(request)
+
+    provider.complete = complete
+    traces = triple_pipeline(provider, index, chunks, mode, concurrency=concurrency).run_dataset(items)
+    assert len(calls) == 3 * questions and index.provider.batches == query_batches(traces, 2)
+    assert all(t.errors == [] for t in traces)
