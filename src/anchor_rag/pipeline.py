@@ -13,9 +13,9 @@ import itertools
 import json
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ThreadPoolExecutor, wait
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from anchor_rag.corpus import DEFAULT_TOKENIZER, Chunk, QAItem
 from anchor_rag.embed_index import EmbedIndexError, Index, embed, triple_query
@@ -174,8 +174,11 @@ class Pipeline:
         gets exactly the hits and union ``retrieve_for_queries`` gives its
         queries alone. Each trace's retrieval time is its share of the
         block's. A failed retrieval records its error on every question of
-        the block, each with its queries and no hits.
+        the block, each with its queries and no hits. ``system1_only``
+        retrieves nothing.
         """
+        if self.config.mode == "system1_only":
+            return
         queries = [[triple_query(t) for t in trace.triples] or [q.question] for q, trace in zip(items, traces)]
         started = time.perf_counter()
         try:
@@ -262,17 +265,15 @@ class Pipeline:
         The question's retrieval is the one-question case of
         :meth:`retrieve_block`, unless ``retrieved`` is its trace with the
         first stages run and a block's retrieval recorded (as
-        ``run_dataset`` passes): then only the answering stages run.
+        ``run_dataset`` passes): then only the answering stages run, none in
+        ``system1_only``.
         """
         cfg = self.config
-        if retrieved is not None:
-            trace = retrieved
-        else:
-            trace = self._first_stages(q)
-            if cfg.mode == "system1_only":
-                return trace
+        trace = retrieved if retrieved is not None else self._first_stages(q)
+        if cfg.mode == "system1_only":
+            return trace
+        if retrieved is None:
             self.gather_evidence(q, trace)
-
         if cfg.mode == "standard_rag":
             self.answer_standard_rag(q, trace)
         elif trace.gate_decision == "complete":
@@ -318,25 +319,31 @@ class Pipeline:
         exactly the remaining ids. Resume refuses a trace file written under
         a different config.
 
-        In every mode with an index, the questions still to run are
-        retrieved in blocks of max(1, 2**15 // len(index)): each block's
-        first stages run per question, then one :meth:`retrieve_block` call
-        on the calling thread retrieves the whole block, then its answering
-        stages run per question. At concurrency > 1 a worker runs each
-        question's first stages and its answering stages, and the first
-        stages of the next ceil(concurrency / block size) blocks are sent to
-        the pool before a block is retrieved, so ``concurrency`` model calls
-        stay in flight across block edges. A block of one (from 2**15 rows
-        up) is run by :meth:`run_question` on the worker that answers it,
-        so retrievals still run ``concurrency`` at a time. Traces are
-        written in id order, each as soon as it and every earlier one are
-        finished, and equal those of one :meth:`run_question` per question,
-        apart from ``stage_ms``: a question's ``retrieval`` time is its
-        share of its block's, and a block whose retrieval fails records the
-        error on each of its questions. So an interrupt loses the calls
-        made for the unfinished questions of up to one block (at concurrency
-        > 1 also for the questions whose first stages run ahead), which
-        ``resume`` redoes.
+        The questions still to run go in blocks of max(1, 2**15 //
+        len(index)), of one in ``system1_only``. Each block runs each
+        question's first stages (:meth:`_first_stages`), then one
+        :meth:`retrieve_block` call for the whole block, then each
+        question's answering stages (:meth:`run_question`). At concurrency 1
+        every stage runs on the calling thread, one block after another. At
+        concurrency > 1 every stage runs on the pool, blocks are retrieved
+        in order, and the first stages of the next ceil((concurrency - 1) /
+        block size) blocks are queued ahead of the oldest block whose
+        retrieval has not finished, so ``concurrency`` calls stay in flight
+        across block edges. Traces are written in id order, each as soon as
+        it and every earlier one are finished, and equal those of one
+        :meth:`run_question` per question, apart from ``stage_ms``: a
+        question's ``retrieval`` time is its share of its block's, and a
+        block whose retrieval fails records the error on each of its
+        questions.
+
+        So an interrupt loses the calls made for the questions not yet
+        written. At concurrency 1 those are the interrupted question's and,
+        before its block is retrieved, the first stages of its block's
+        earlier questions. At concurrency > 1 they are also the calls of
+        every later question already started: the first stages queued
+        ahead and the questions finished after the first unfinished one.
+        Calls already running end first; queued ones never start.
+        ``resume`` redoes them all.
         """
         ordered = sorted(items, key=lambda q: q.question_id)
         if len({q.question_id for q in ordered}) != len(ordered):
@@ -344,8 +351,8 @@ class Pipeline:
         existing: list[PipelineTrace] = []
         writer = None
         path = Path(trace_path) if trace_path is not None else None
-        # The pool starts threads only when work is submitted to it.
-        pool = ThreadPoolExecutor(max_workers=self.config.concurrency)
+        # A thread pool starts its threads only when work is submitted to it.
+        pool = ThreadPoolExecutor(self.config.concurrency) if self.config.concurrency > 1 else _Inline()
         try:
             if path is not None:
                 if resume and path.exists():
@@ -363,15 +370,8 @@ class Pipeline:
             done = {t.question_id for t in existing}
             todo = [q for q in ordered if q.question_id not in done]
             fresh: list[PipelineTrace] = []
-            parallel = self.config.concurrency > 1 and len(todo) > 1
             size = 1 if self.config.mode == "system1_only" else max(1, _QUESTION_BLOCK_SCORES // len(self.index))
-            if size == 1:
-                traces = (pool.map if parallel else map)(self.run_question, todo)
-            elif parallel:
-                traces = self._overlapped_blocks(pool, todo, size)
-            else:
-                traces = self._blocks(todo, size)
-            for trace in traces:
+            for trace in self._run_blocks(pool, todo, size):
                 fresh.append(trace)
                 if writer:
                     writer.write(json.dumps(trace.to_json_dict(), ensure_ascii=False) + "\n")
@@ -384,47 +384,56 @@ class Pipeline:
                 writer.close()
         return sorted(existing + fresh, key=lambda t: t.question_id)
 
-    def _blocks(self, todo: list[QAItem], size: int) -> Iterator[PipelineTrace]:
-        """Each trace of ``todo`` in order, run one block of ``size`` at a time."""
-        for start in range(0, len(todo), size):
-            block = todo[start : start + size]
-            traces = [self._first_stages(q) for q in block]
-            self.retrieve_block(block, traces)
-            yield from map(self.run_question, block, traces)
-
-    def _overlapped_blocks(self, pool: ThreadPoolExecutor, todo: list[QAItem], size: int) -> Iterator[PipelineTrace]:
-        """Each trace of ``todo`` in order, with blocks of ``size`` retrieved
-        on this thread and every model call made on ``pool``.
-
-        Before a block is retrieved, the first stages of the next
-        ceil(concurrency / size) blocks are queued: at least ``concurrency``
-        questions, so the workers stay busy while this thread waits for the
-        block and retrieves it. A trace is yielded as soon as it and every
-        earlier one are finished.
-        """
+    def _run_blocks(self, pool: Executor, todo: list[QAItem], size: int) -> Iterator[PipelineTrace]:
+        """Each trace of ``todo`` in order, run in blocks of ``size`` on
+        ``pool`` as :meth:`run_dataset` describes. Each pass makes one step:
+        queue first stages ahead, retrieve the oldest block whose first
+        stages are done, answer the oldest retrieved block, yield the next
+        finished trace, or wait for one of these to become possible."""
         blocks = (todo[s : s + size] for s in range(0, len(todo), size))
-        ahead = -(-self.config.concurrency // size)
-        queued: deque[tuple[list[QAItem], list[Future]]] = deque()  # blocks whose first stages are queued
-        answers: deque[Future] = deque()  # answering stages, in question order
-
-        def finished() -> Iterator[PipelineTrace]:
-            while answers and answers[0].done():
-                yield answers.popleft().result()
-
+        ahead = -(-(self.config.concurrency - 1) // size)
+        firsts: deque[tuple[list[QAItem], list[Future]]] = deque()  # first stages submitted
+        retrievals: deque[tuple[list[QAItem], list[PipelineTrace], Future]] = deque()  # retrieval submitted
+        answers: deque[Future] = deque()  # answering stages submitted, in question order
         while True:
-            for block in itertools.islice(blocks, ahead + 1 - len(queued)):
-                queued.append((block, [pool.submit(self._first_stages, q) for q in block]))
-            if not queued:
-                break
-            block, firsts = queued.popleft()
-            pending = [f for f in firsts if not f.done()]
-            while pending:
-                wait(pending + list(itertools.islice(answers, 1)), return_when=FIRST_COMPLETED)
-                yield from finished()
-                pending = [f for f in pending if not f.done()]
-            traces = [f.result() for f in firsts]
-            self.retrieve_block(block, traces)
-            answers.extend(pool.submit(self.run_question, q, trace) for q, trace in zip(block, traces))
-            yield from finished()
-        while answers:
-            yield answers.popleft().result()
+            for block in itertools.islice(blocks, ahead + 1 - len(firsts) - len(retrievals)):
+                firsts.append((block, [pool.submit(self._first_stages, q) for q in block]))
+            if firsts and all(f.done() for f in firsts[0][1]):
+                block, calls = firsts.popleft()
+                traces = [f.result() for f in calls]
+                retrievals.append((block, traces, pool.submit(self.retrieve_block, block, traces)))
+            elif retrievals and retrievals[0][2].done():
+                block, traces, call = retrievals.popleft()
+                call.result()
+                for q, trace in zip(block, traces):
+                    answers.append(pool.submit(self.run_question, q, trace))
+                    while answers and answers[0].done():
+                        yield answers.popleft().result()
+            elif answers and answers[0].done():
+                yield answers.popleft().result()
+            elif firsts or retrievals or answers:
+                heads = [f for f in firsts[0][1] if not f.done()] if firsts else []
+                heads += [r[2] for r in itertools.islice(retrievals, 1)] + list(itertools.islice(answers, 1))
+                wait(heads, return_when=FIRST_COMPLETED)
+            else:
+                return
+
+
+class _Done(NamedTuple):
+    """A call :class:`_Inline` has already made, read like a finished future."""
+
+    value: object
+
+    def done(self) -> bool:
+        return True
+
+    def result(self) -> object:
+        return self.value
+
+
+class _Inline(Executor):
+    """Makes each submitted call at once on the calling thread: the pool of
+    a run at concurrency 1, with no thread handoff and no real future."""
+
+    def submit(self, fn, /, *args):  # type: ignore[override]
+        return _Done(fn(*args))

@@ -225,17 +225,24 @@ class PipelineTrace:
         before a field with a default was added still loads; a missing field
         without a default, or a field of another JSON type than its
         annotation (a str, int or float, a list of strings, a dict of
-        flags or stage times, or a field of a triple, a hit or a usage)
-        raises TypeError.
+        flags or stage times, or a field of a triple, a hit or a usage), or
+        a triple, hit or usage of another shape, raises TypeError naming the
+        field.
         """
         fields = {name: data[name] for name in cls.__dataclass_fields__ if name in data}
-        triples = data.get("triples", ())
+        triples, hits, usage = data.get("triples", []), data.get("hits", []), data.get("usage", {})
+        check_type("trace triples", triples, list, TypeError)
         for i, triple in enumerate(triples):
+            check_type(f"trace triples[{i}]", triple, list, TypeError)
+            if len(triple) != 3:
+                raise TypeError(f"trace triples[{i}] must be [subject, predicate, object], got {triple!r}")
             for name, value in zip(("subject", "predicate", "object"), triple):
                 check_type(f"trace triples[{i}] {name}", value, str, TypeError)
         fields["triples"] = [ReasoningTriple(subject=s, predicate=p, object=o) for s, p, o in triples]
-        fields["hits"] = [RetrievalHit(**h) for h in data.get("hits", ())]
-        fields["usage"] = {stage: StageUsage(**u) for stage, u in data.get("usage", {}).items()}
+        check_type("trace hits", hits, list, TypeError)
+        fields["hits"] = [_record(RetrievalHit, h, f"trace hits[{i}]") for i, h in enumerate(hits)]
+        check_type("trace usage", usage, dict, TypeError)
+        fields["usage"] = {stage: _record(StageUsage, u, f"trace usage {stage}") for stage, u in usage.items()}
         trace = cls(**fields)
         _check_field_types(trace, "trace", _TRACE_CHECKED, TypeError)
         for hit in trace.hits:
@@ -243,6 +250,15 @@ class PipelineTrace:
         for stage, usage in trace.usage.items():
             _check_field_types(usage, f"trace usage {stage}", _USAGE_TYPES, TypeError)
         return trace
+
+
+def _record(cls: type, value: object, what: str):
+    """``cls(**value)`` for a record nested in a trace line; a value that is
+    not an object with exactly the fields of ``cls`` raises TypeError."""
+    check_type(what, value, dict, TypeError)
+    if value.keys() != cls.__dataclass_fields__.keys():
+        raise TypeError(f"{what} must have the keys {', '.join(cls.__dataclass_fields__)}, got {', '.join(value)}")
+    return cls(**value)
 
 
 # The trace fields checked against their annotations once a trace is built

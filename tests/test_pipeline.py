@@ -13,6 +13,7 @@ from anchor_rag.embed_index import EmbedIndexError, HashingEmbedder, Index, retr
 from anchor_rag.llm_gateway import ScriptedProvider
 from anchor_rag.pipeline import Pipeline
 from anchor_rag.traces import (
+    MODES,
     PipelineError,
     PipelineTrace,
     ReasoningTriple,
@@ -625,11 +626,23 @@ def test_trace_line_with_a_field_of_the_wrong_type_is_refused(tmp_path, name, va
         ("flags", ["system1_empty"], "flags must be dict, got list ['system1_empty']"),
         ("triples", [[1, "p", "o"]], "triples[0] subject must be str, got int 1"),
         ("triples", [["s", "p", "o"], ["s", ["p"], "o"]], "triples[1] predicate must be str, got list ['p']"),
+        ("triples", [["a", "b"]], "triples[0] must be [subject, predicate, object], got ['a', 'b']"),
+        ("triples", 5, "triples must be list, got int 5"),
+        ("triples", ["s p o"], "triples[0] must be list, got str 's p o'"),
+        ("hits", [5], "hits[0] must be dict, got int 5"),
+        ("hits", {"chunk_id": "doc01:0"}, "hits must be list, got dict {'chunk_id': 'doc01:0'}"),
+        ("hits", [{"chunk_id": "doc01:0", "score": 0.5}],
+         "hits[0] must have the keys chunk_id, score, query_index, got chunk_id, score"),
+        ("hits", [{"chunk_id": "doc01:0", "score": 0.5, "query_index": 0, "rank": 1}],
+         "hits[0] must have the keys chunk_id, score, query_index, got chunk_id, score, query_index, rank"),
+        ("usage", [], "usage must be dict, got list []"),
+        ("usage", {"system1": [12, 3]}, "usage system1 must be dict, got list [12, 3]"),
     ],
     ids=["hit_chunk_id_int", "hit_score_str", "hit_query_index_null", "usage_prompt_tokens_str",
          "usage_completion_tokens_bool", "stage_ms_str", "stage_ms_null", "stage_ms_list", "retrieved_chunk_int",
          "retrieval_queries_str", "error_null", "flag_str", "flags_list", "triple_subject_int",
-         "triple_predicate_list"],
+         "triple_predicate_list", "triple_of_two", "triples_int", "triple_str", "hit_int", "hits_dict",
+         "hit_without_query_index", "hit_extra_key", "usage_list", "usage_stage_list"],
 )
 def test_trace_line_with_a_nested_field_of_the_wrong_type_is_refused(tmp_path, name, value, expected):
     path, _ = snapshot_trace_file(tmp_path, **{name: value})
@@ -662,21 +675,31 @@ def test_run_dataset_resume_rejects_other_config(tmp_path, scripted_provider, ba
         other.run_dataset(items, trace_path=path, resume=True)
 
 
-def test_run_dataset_concurrent(tmp_path, bannan_index, bannan_chunks):
-    confidences = {f"q{i:02d}": -2.0 for i in range(8)}
+@pytest.mark.parametrize("mode", MODES)
+def test_run_dataset_concurrent(tmp_path, monkeypatch, bannan_index, bannan_chunks, mode):
+    # Blocks of three (of one in system1_only), so concurrency 4 runs
+    # across block edges.
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", 3 * len(bannan_index))
+    confidences = {f"q{i:02d}": -2.0 if i % 2 else -4.0 for i in range(8)}
     items = threshold_items(confidences)
     provider = threshold_provider(confidences)
-    pipe = Pipeline(
-        provider,
-        RunConfig(mode="threshold_gated", confidence_threshold=0.05, concurrency=4),
-        index=bannan_index,
-        chunks=bannan_chunks,
-    )
-    path = tmp_path / "traces.jsonl"
-    traces = pipe.run_dataset(items, trace_path=path)
-    assert [t.question_id for t in traces] == sorted(confidences)
-    _, loaded = read_trace_file(path)
-    assert [t.question_id for t in loaded] == sorted(confidences)
+    for qid in confidences:
+        provider.add("system2_noanchor", qid, "<final_answer>Pac-12</final_answer>")
+        provider.add("standard_rag", qid, "<output><answer>Pac-12 Conference</answer></output>")
+    runs = []
+    for concurrency in (1, 4):
+        config = RunConfig(
+            mode=mode, confidence_threshold=0.05 if mode == "threshold_gated" else None, concurrency=concurrency
+        )
+        path = tmp_path / f"traces_{concurrency}.jsonl"
+        traces = Pipeline(provider, config, index=bannan_index, chunks=bannan_chunks).run_dataset(items, trace_path=path)
+        assert [t.question_id for t in traces] == sorted(confidences)
+        assert all(t.errors == [] for t in traces)
+        runs.append((without_timing(traces), trace_lines_without_timing(path)[1:]))
+    assert runs[0] == runs[1]
+    assert [row["question_id"] for row in runs[1][1]] == sorted(confidences)
+    if mode == "threshold_gated":
+        assert {row["gate_decision"] for row in runs[1][1]} == {"complete", "continue"}
 
 
 def test_read_trace_file_rejects_other_schema(tmp_path):
@@ -803,8 +826,9 @@ def test_blocks_are_answered_concurrently(monkeypatch, budget, batches):
 
 
 def test_blocks_of_one_are_retrieved_concurrently(monkeypatch):
-    # A block of one is retrieved on the worker that answers it, so a remote
-    # embedder still sees `concurrency` requests at once.
+    # Retrievals run on the workers, and a block is retrieved as soon as its
+    # first stages are done, so with blocks of one a remote embedder still
+    # sees `concurrency` requests at once.
     monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", ROWS)
     index, chunks, items = tied_world()
     embed_batch = index.provider.embed_batch
@@ -863,6 +887,38 @@ def test_failed_block_retrieval_stays_in_its_block(monkeypatch):
         else:
             assert trace.errors == [] and trace.final_answer == f"answer {trace.question_id}"
             assert len(trace.hits) == 5
+
+
+class ThreadRecorder:
+    """Wraps a chat provider or an embedder and keeps the thread of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.provider_id = inner.provider_id
+        self.threads = []
+
+    def complete(self, request):
+        self.threads.append(threading.current_thread())
+        return self.inner.complete(request)
+
+    def embed_batch(self, texts):
+        self.threads.append(threading.current_thread())
+        return self.inner.embed_batch(texts)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_run_at_concurrency_one_calls_on_the_calling_thread(monkeypatch, mode):
+    # A handoff to a worker thread per call costs a fast run a large share
+    # of its throughput, so concurrency 1 makes every call inline.
+    monkeypatch.setattr(pipeline, "_QUESTION_BLOCK_SCORES", 3 * ROWS)
+    index, chunks, items = tied_world()
+    chat = ThreadRecorder(answering_provider(items) if mode == "standard_rag" else triple_provider(items))
+    index.provider = ThreadRecorder(index.provider)
+    traces = triple_pipeline(chat, index, chunks, mode).run_dataset(items)
+    assert all(t.errors == [] for t in traces)
+    assert len(chat.threads) >= len(items)
+    assert len(index.provider.threads) == (0 if mode == "system1_only" else 4)
+    assert set(chat.threads + index.provider.threads) == {threading.current_thread()}
 
 
 # --- triple-anchored retrieval in blocks ------------------------------------------
