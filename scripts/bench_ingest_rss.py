@@ -26,6 +26,10 @@ step and after each step, and times each step with `time.perf_counter`:
   a chunk manifest of about 50k chunks (the `remote_gated_c2` generator with
   794 records of 63 paragraphs), ingested once beforehand; three repeats.
 
+`--embed-latency-ms` sets the stub's latency per `/embeddings` request in
+the two remote cases (default: the workload's 20 ms), and `--cases` runs
+only the cases named (a workload's `_report` case runs with it).
+
 The medians (`ru_maxrss_mb_median` or `vm_hwm_mb_median`, and
 `wall_s_median`) and every sample are stored under `--label` in `runs` of
 the output file, next to the runs already there. `--src` picks the source
@@ -33,6 +37,8 @@ tree to measure, so two commits can be measured back to back:
 
     python3 scripts/bench_ingest_rss.py --src /path/to/parent/src --label parent --out BENCH_ingest.json
     python3 scripts/bench_ingest_rss.py --label change --out BENCH_ingest.json
+    python3 scripts/bench_ingest_rss.py --cases remote_gated_c2 remote_build_index_50k --embed-latency-ms 200 \
+        --label "change, 200 ms" --out BENCH_ingest.json
 """
 
 import argparse
@@ -64,6 +70,7 @@ SEED = 7
 REPEATS = 5
 REPEATS_50K = 3
 RECORDS_50K = 794  # 794 records x 63 one-chunk paragraphs = 50,022 chunks
+CASES = ("startup", "short_docs_full", "long_docs_standard_rag", "remote_gated_c2", "remote_build_index_50k")
 
 
 def maxrss_mb() -> float:
@@ -186,8 +193,8 @@ def measure_workload(w, tmp: Path, env: dict) -> dict:
     return {"settings": {"seed": SEED, "repeats": REPEATS, "data_file_mb": round(data_mb, 2)}, **result}
 
 
-def measure_remote_build_index_50k(tmp: Path, env: dict) -> dict:
-    w = dataclasses.replace(WORKLOADS["remote_gated_c2"], name="remote_build_index_50k", records=RECORDS_50K)
+def measure_remote_build_index_50k(w, tmp: Path, env: dict) -> dict:
+    w = dataclasses.replace(w, name="remote_build_index_50k", records=RECORDS_50K)
     inputs, ingested = tmp / w.name / "inputs", tmp / w.name / "ingested"
     plan = generate_apart(w, inputs)
     stub, endpoint = start_stub(inputs)
@@ -214,6 +221,9 @@ def main() -> int:
     parser.add_argument("--src", default=str(REPO / "src"), help="source tree holding the anchor_rag package")
     parser.add_argument("--label", default="current", help="key of this run under 'runs' in the output file")
     parser.add_argument("--out", default="BENCH_ingest.json")
+    parser.add_argument("--cases", nargs="+", choices=CASES, default=CASES, help="the cases to run (default: all)")
+    parser.add_argument("--embed-latency-ms", type=float, default=None,
+                        help="the stub's latency per /embeddings request (default: the workload's)")
     parser.add_argument("--pass-dir", default=None, help=argparse.SUPPRESS)  # set in the child process
     args = parser.parse_args()
 
@@ -225,18 +235,27 @@ def main() -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))  # gen.py reads the prompts of the measured tree
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()), PYTHONHASHSEED="0", OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    cases = {"startup": measure_fresh(env, "import", STARTUP)}
+    workloads = dict(WORKLOADS)
+    if args.embed_latency_ms is not None:
+        remote = workloads["remote_gated_c2"]
+        workloads["remote_gated_c2"] = dataclasses.replace(
+            remote, latency_s={**remote.latency_s, "embeddings": args.embed_latency_ms / 1e3})
+    cases = {"startup": measure_fresh(env, "import", STARTUP)} if "startup" in args.cases else {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("short_docs_full", "long_docs_standard_rag", "remote_gated_c2"):
-            cases[name] = measure_workload(WORKLOADS[name], Path(tmp), env)
+            if name not in args.cases:
+                continue
+            cases[name] = measure_workload(workloads[name], Path(tmp), env)
             work = Path(tmp) / name
             traces = str(work / "pass0" / "traces.jsonl")
             cases[f"{name}_report"] = measure_fresh(env, "report", REPORT, "--traces", traces,
                                                     "--out-dir", str(work / "report"))
-        cases["remote_build_index_50k"] = measure_remote_build_index_50k(Path(tmp), env)
+        if "remote_build_index_50k" in args.cases:
+            cases["remote_build_index_50k"] = measure_remote_build_index_50k(workloads["remote_gated_c2"], Path(tmp), env)
 
+    embed_latency_s = workloads["remote_gated_c2"].latency_s["embeddings"]
     run = {"machine": {"cores": os.cpu_count(), "arch": platform.machine(), "python": platform.python_version()},
-           **cases}
+           "stub_embed_latency_ms": round(embed_latency_s * 1e3, 3), **cases}
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     doc.setdefault("runs", {})[args.label] = run

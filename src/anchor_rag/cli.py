@@ -109,10 +109,11 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     from anchor_rag.corpus import read_chunk_texts
     from anchor_rag.embed_index import index_texts
 
-    ids, texts = read_chunk_texts(args.chunks)
+    # Built first, so a bad embedder setting fails before the manifest is parsed.
     provider = build_embed_provider(
         {"kind": args.embedder, "dim": args.dim, "base_url": args.endpoint, "model": args.model}
     )
+    ids, texts = read_chunk_texts(args.chunks)
     index = index_texts(ids, texts, provider)
     index.save(args.out)
     print(f"indexed {len(index)} chunks (dim={index.dim}, provider={index.provider_id}) -> {args.out}")

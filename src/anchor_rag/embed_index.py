@@ -28,12 +28,13 @@ deterministic hashing embedder (character n-grams feature-hashed into a
 fixed dimension) used for tests and offline runs. The HTTP embedder posts
 through ``llm_gateway``'s client and retry helper, as the chat provider
 does; a failure left after the retries, or a malformed reply, is an
-:class:`EmbedIndexError`. After the first batch, which goes alone, it
-keeps two requests in flight on two fetch threads while the calling thread
-decodes each reply, in batch order, into its rows of one preallocated
-float32 result. So embedding a corpus holds the result plus one decoded
-reply and two reply bodies. Each reply is checked on its own: one row per
-input, indexed ``0..n-1``, all of the index's dim.
+:class:`EmbedIndexError`. After the first batch, which goes alone, two
+fetch threads keep two requests in flight: the endpoint serves the next
+two batches while the calling thread decodes each reply, in batch order,
+into its rows of one preallocated float32 result. So embedding a corpus
+holds the result plus one decoded reply and up to three reply bodies.
+Each reply is checked on its own: one row per input, indexed ``0..n-1``,
+all of the index's dim.
 :func:`embed` checks that a provider returns one unit row per text.
 
 The hashing embedder works on blocks of texts, with a fixed number of numpy
@@ -53,6 +54,7 @@ bit: rows match the scalar ``hashing-v1`` definition exactly.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import queue
@@ -270,28 +272,31 @@ class HashingEmbedder:
         np.divide(v, np.sqrt(squares)[:, None], out=out)
 
 
-# Requests RemoteEmbedder keeps in flight while it decodes. On the perfbench
-# stub (20 ms a request, 128 rows of dim 256 a reply, 2 cores), a build-index
-# of 2,016 chunks took 0.79 s one request at a time, 0.50 s with 2 in flight
-# and 0.45 s with 4, but 4 raised its peak RSS by about 4 MB over 2.
+# Requests RemoteEmbedder keeps in flight while it decodes a reply. On the
+# perfbench stub (20 ms a request, 128 rows of dim 256 a reply, 2 cores),
+# embedding 2,016 chunks took 0.67-0.68 s with 1 in flight, 0.41-0.44 s with
+# 2 and 0.32-0.36 s with 4 (scripts/embed_timeline.py, two alternated rounds
+# of five); build-index read peak RSS 53.3, 55.2-55.7 and 56.5 MB. Each more
+# request holds one more reply body and a fetch thread's malloc arena.
 _IN_FLIGHT = 2
 
 
 class RemoteEmbedder:
     """OpenAI-compatible ``/embeddings`` endpoint client: one retried post
-    per batch of ``batch_size`` texts, with the next post in flight while
-    the calling thread decodes the last reply.
+    per batch of ``batch_size`` texts, with the next two posts in flight
+    while the calling thread decodes each reply.
 
     The first batch is posted alone, and its reply is decoded and checked
     before any other request goes out: it sets ``dim`` when that was not
     given, and the float32 result is allocated then. So a misbehaving
     endpoint costs one request. One batch left after it is posted inline
-    too. Two or more are posted by ``_IN_FLIGHT`` fetch threads, each
-    request sent before the wait on the one before it. A fetch thread only
-    returns a reply's body as bytes: decoding stays on the calling thread,
-    in batch order, because ``json.loads`` holds the GIL for the whole
-    decode and would hold back the other thread's post. So at most one
-    decoded reply and two bodies are alive at once.
+    too. Two or more are posted by ``_IN_FLIGHT`` fetch threads: once reply
+    i's body has arrived, batches i+1 and i+2 are out before it is decoded.
+    A fetch thread only returns a reply's body as bytes: decoding stays on
+    the calling thread, in batch order, because ``json.loads`` holds the
+    GIL for the whole decode and would hold back the other thread's post.
+    So at most one decoded reply and three bodies (the one being decoded
+    and the two in flight) are alive at once.
 
     Each reply is decoded to a float64 block, checked (exactly one row per
     input, ``index`` values ``0..n-1``, numeric rows of one length equal to
@@ -300,9 +305,11 @@ class RemoteEmbedder:
     result is bit-identical to normalizing every row at once.
 
     Once a batch fails, or the call is interrupted, no queued request and no
-    retry starts, and the call returns without waiting on a request still
-    in flight. The fetch threads are daemons, so interpreter exit does not
-    wait on them either; each closes its session when it ends.
+    retry starts, and the call returns without waiting on the requests
+    still in flight: up to one after a failed post, up to two after a
+    malformed reply or an interrupt. The fetch threads are daemons, so
+    interpreter exit does not wait on them either; each closes its session
+    when it ends.
     """
 
     def __init__(
@@ -354,8 +361,8 @@ class RemoteEmbedder:
         """Each batch's reply body, in batch order. The first is posted when
         the caller asks for it, so the caller has checked it before the rest
         are posted; a lone second batch is posted inline too. Otherwise the
-        rest go to the fetch threads, each submitted before the wait on the
-        one before it. Closing the generator stops the fetch threads."""
+        rest go to the fetch threads, ``_IN_FLIGHT`` outstanding whenever a
+        body is handed over. Closing the generator stops the fetch threads."""
         if len(batches) < 3:
             for batch in batches:
                 yield self._post(batch)
@@ -367,28 +374,32 @@ class RemoteEmbedder:
         replies: deque[queue.SimpleQueue] = deque()
         rest = iter(batches[1:])
 
-        def submit() -> bool:
-            batch = next(rest, None)
-            if batch is None:
-                return False
-            replies.append(queue.SimpleQueue())
-            jobs.put((batch, replies[-1]))
-            # Wait until a fetch thread has the job: a decode holds the GIL
-            # throughout, so a request not yet sent when the caller starts
-            # decoding would wait for the decode to end.
-            started.get()
-            return True
+        def fill() -> None:
+            """Submit batches until ``_IN_FLIGHT`` are outstanding."""
+            for batch in itertools.islice(rest, _IN_FLIGHT - len(replies)):
+                replies.append(queue.SimpleQueue())
+                jobs.put((batch, replies[-1]))
+                # Wait until a fetch thread has the job: a decode holds the
+                # GIL throughout, so a request not yet sent when the caller
+                # starts decoding would wait for the decode to end.
+                started.get()
+
+        def take() -> bytes:
+            """The oldest reply's body, once the requests after it are out:
+            the endpoint serves the next ``_IN_FLIGHT`` batches while this
+            one is decoded. A failed reply raises before anything more is
+            sent. The body is returned, not held in a local of the loop, so
+            the generator keeps no reference to it during the decode."""
+            body = _body(replies.popleft().get())
+            fill()
+            return body
 
         for _ in range(_IN_FLIGHT):
             threading.Thread(target=self._fetch, args=(jobs, started, stop), daemon=True).start()
         try:
-            while True:
-                # The next requests go out before the wait on this one.
-                while len(replies) < _IN_FLIGHT and submit():
-                    pass
-                if not replies:
-                    return
-                yield _body(replies.popleft().get())
+            fill()
+            while replies:
+                yield take()
         finally:
             stop.set()
             for _ in range(_IN_FLIGHT):
@@ -440,7 +451,8 @@ def _body(reply: bytes | Exception) -> bytes:
 def _decode_embeddings(body: dict, n: int) -> np.ndarray:
     """The float64 rows of one ``/embeddings`` reply to ``n`` inputs, in
     input order. The reply must hold exactly one row per input, with
-    ``index`` values ``0..n-1``, each a list of numbers of one length."""
+    ``index`` values ``0..n-1`` (JSON integers), each a list of numbers of
+    one length."""
     try:
         data = sorted(body["data"], key=lambda row: row["index"])
         indices = [row["index"] for row in data]
@@ -449,7 +461,8 @@ def _decode_embeddings(body: dict, n: int) -> np.ndarray:
         raise EmbedIndexError(f"malformed embeddings reply: {exc!r}") from exc
     if len(data) != n:
         raise EmbedIndexError(f"provider returned {len(data)} rows for {n} texts in one /embeddings reply")
-    if indices != list(range(n)):
+    # JSON true and false compare equal to 1 and 0, and 1.0 to 1: only ints count.
+    if indices != list(range(n)) or any(type(i) is not int for i in indices):
         raise EmbedIndexError(f"/embeddings reply rows are not indexed 0..{n - 1}")
     try:
         block = np.asarray(embeddings, dtype=np.float64)

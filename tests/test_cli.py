@@ -921,6 +921,24 @@ def test_build_index_bad_dim_is_one_error_line(workspace, capsys, embedder, dim,
 
 
 @pytest.mark.parametrize(
+    "flags, expected",
+    [(["--embedder", "remote", "--model", "m"], "remote embedder needs base_url and model"),
+     (["--embedder", "remote", "--endpoint", "http://127.0.0.1:9/v1"], "remote embedder needs base_url and model"),
+     (["--dim", "1"], "embedding dim must be >= 2")],
+    ids=["no_endpoint", "no_model", "dim_one"],
+)
+def test_build_index_checks_the_embedder_before_reading_the_manifest(workspace, capsys, monkeypatch, flags, expected):
+    def unread(path):
+        raise AssertionError("the manifest was read")
+
+    monkeypatch.setattr(corpus, "read_chunk_texts", unread)
+    out = workspace / "unread_index.bin"
+    assert main(["build-index", "--chunks", str(workspace / "chunks.jsonl"), "--out", str(out), *flags]) == 1
+    assert error_lines(capsys) == [f"error: {expected}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "dim, expected",
     [("abc", "str 'abc'"), (2.7, "float 2.7"), (True, "bool True"), (0, None)],
     ids=["dim_str", "dim_float", "dim_bool", "dim_zero"],
@@ -1006,7 +1024,8 @@ def test_build_index_cut_off_embeddings_reply_is_one_error_line(workspace, loopb
 
 def test_build_index_interrupted_during_overlapped_requests(tmp_path, loopback, monkeypatch, capsys):
     # 768 chunks: six /embeddings batches of 128. The interrupt comes from
-    # the decode of batch 3 while the server holds batch 4 for 3 s.
+    # the decode of batch 2 while the server holds batch 3 for 3 s and batch
+    # 4, the other request in flight during that decode, has gone out.
     chunks = [Chunk(chunk_id=f"c{i:04d}", doc_id=f"d{i:04d}", start_token=0, end_token=3, text=f"chunk number {i}",
                     token_count=3, tokenizer_id="wordpunct-v1", title=f"Doc {i}") for i in range(768)]
     manifest = tmp_path / "chunks.jsonl"
@@ -1041,7 +1060,8 @@ def test_build_index_interrupted_during_overlapped_requests(tmp_path, loopback, 
         time.sleep(0.02)
     assert threading.active_count() == threads
     assert stalled in {payload["input"][0] for _, payload in loopback.seen}
-    assert len(loopback.seen) == 4  # nothing after the batch in flight
+    # Batches 0-4 were posted, each once; batch 5 never was.
+    assert sorted(payload["input"][0] for _, payload in loopback.seen) == sorted(c.text for c in chunks[:5 * 128:128])
 
 
 @pytest.mark.parametrize(

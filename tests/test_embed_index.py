@@ -690,9 +690,11 @@ def test_remote_embedder_retries_server_errors_and_rate_limits(loopback, monkeyp
         {"data": []},
         {"data": [{"index": 0, "embedding": [1.0, 0.0]}]},
         {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 0, "embedding": [0.0, 1.0]}]},
+        {"data": [{"index": False, "embedding": [1.0, 0.0]}, {"index": True, "embedding": [0.0, 1.0]}]},
+        {"data": [{"index": 0.0, "embedding": [1.0, 0.0]}, {"index": 1.0, "embedding": [0.0, 1.0]}]},
     ],
     ids=["empty_object", "not_json", "no_embedding", "no_index", "not_numeric", "ragged", "no_rows", "too_few_rows",
-         "repeated_index"],
+         "repeated_index", "bool_index", "float_index"],
 )
 def test_remote_embedder_malformed_reply_is_embed_index_error(loopback, body):
     loopback.routes["/embeddings"] = lambda payload: reply(body=body)
@@ -779,6 +781,41 @@ def test_remote_embedder_overlapped_rows_equal_the_sequential_path(loopback):
     firsts = [payload["input"][0] for _, payload in loopback.seen[:6]]
     assert firsts[0] == texts[0] and sorted(firsts) == sorted(texts[::2])
     assert provider.embed_batch([]).shape == (0, 7)
+
+
+def test_remote_embedder_serves_two_batches_while_a_reply_is_decoded(loopback, monkeypatch):
+    # Eight batches of 2. While reply i (i >= 1) is decoded, batch i + 2 must
+    # reach the endpoint; nothing beyond it may. Reply 0 is decoded alone.
+    texts = [f"text {i}" for i in range(16)]
+    firsts = texts[::2]
+    arrived = {first: threading.Event() for first in firsts}
+
+    def route(payload):
+        arrived[payload["input"][0]].set()
+        return embeddings_reply(payload)
+
+    loopback.routes["/embeddings"] = route
+    caller, original = threading.get_ident(), embed_index._decode_embeddings
+    decodes = []  # per reply: (on the calling thread, batch i + 2 came in time, batches seen beyond it)
+
+    def decode(body, n):
+        i = len(decodes)
+        came = arrived[firsts[i + 2]].wait(1.0) if 1 <= i < len(firsts) - 2 else True
+        block = original(body, n)
+        ahead = firsts[i + 3 :] if i else firsts[1:]
+        decodes.append((threading.get_ident() == caller, came, [f for f in ahead if arrived[f].is_set()]))
+        return block
+
+    monkeypatch.setattr(embed_index, "_decode_embeddings", decode)
+    overlapped = RemoteEmbedder(base_url=loopback.url, model="m", batch_size=2).embed_batch(texts)
+    assert decodes == [(True, True, [])] * len(firsts)
+    # Each batch posted once; nothing after the last.
+    assert sorted(payload["input"][0] for _, payload in loopback.seen) == sorted(firsts)
+    sequential = np.concatenate([
+        RemoteEmbedder(base_url=loopback.url, model="m", batch_size=2).embed_batch(texts[i : i + 2])
+        for i in range(0, 16, 2)
+    ])
+    assert overlapped.tobytes() == sequential.tobytes()
 
 
 def test_remote_embedder_posts_nothing_more_after_a_bad_first_reply(loopback):
