@@ -3,11 +3,14 @@
 
 `startup` is a fresh `python3 -c "import anchor_rag.cli"`, five repeats,
 each timed from start to exit and reading its own peak RSS (`VmHWM`) and
-module count after the import. `<workload>_report` is the same for a fresh
-process that imports the CLI and runs `report` over the traces of the
-workload's first pass. These two read `VmHWM`, not `ru_maxrss`: Linux
-starts a child's `ru_maxrss` at the peak of the process that started it,
-and this one is at about 35 MB once the generator has loaded numpy.
+module count after the import. `startup_http` is the same for a fresh
+process that imports the CLI and builds both HTTP providers (the OpenAI
+chat provider and the remote embedder, which send no request when built).
+`<workload>_report` is the same for a fresh process that imports the CLI
+and runs `report` over the traces of the workload's first pass. These
+three read `VmHWM`, not `ru_maxrss`: Linux starts a child's `ru_maxrss` at
+the peak of the process that started it, and this one is at about 35 MB
+once the generator has loaded numpy.
 
 The four other cases run on inputs that `perfbench/gen.py` generates for
 seed 7. Every repeat is a fresh process that runs the case's CLI steps
@@ -70,7 +73,8 @@ SEED = 7
 REPEATS = 5
 REPEATS_50K = 3
 RECORDS_50K = 794  # 794 records x 63 one-chunk paragraphs = 50,022 chunks
-CASES = ("startup", "short_docs_full", "long_docs_standard_rag", "remote_gated_c2", "remote_build_index_50k")
+CASES = ("startup", "startup_http", "short_docs_full", "long_docs_standard_rag", "remote_gated_c2",
+         "remote_build_index_50k")
 
 
 def maxrss_mb() -> float:
@@ -148,6 +152,12 @@ def repeat(steps_for, root: Path, repeats: int, env: dict) -> dict:
 _USAGE = ("print(next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:')), "
           "len(sys.modules))")
 STARTUP = "import sys, anchor_rag.cli; " + _USAGE
+# The CLI imported and both HTTP providers built, as `run` builds them for a
+# remote workload; nothing listens on the discard port, and nothing is sent.
+STARTUP_HTTP = ("import sys, anchor_rag.cli\n"
+                "spec = {'kind': 'openai', 'base_url': 'http://127.0.0.1:9/v1', 'model': 'm'}\n"
+                "anchor_rag.cli.build_chat_provider(spec)\n"
+                "anchor_rag.cli.build_embed_provider({**spec, 'kind': 'remote'})\n" + _USAGE)
 # The CLI's `report` with the arguments given, its tables discarded.
 REPORT = ("import contextlib, io, sys, anchor_rag.cli\n"
           "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -241,6 +251,8 @@ def main() -> int:
         workloads["remote_gated_c2"] = dataclasses.replace(
             remote, latency_s={**remote.latency_s, "embeddings": args.embed_latency_ms / 1e3})
     cases = {"startup": measure_fresh(env, "import", STARTUP)} if "startup" in args.cases else {}
+    if "startup_http" in args.cases:
+        cases["startup_http"] = measure_fresh(env, "import_and_build", STARTUP_HTTP)
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("short_docs_full", "long_docs_standard_rag", "remote_gated_c2"):
             if name not in args.cases:

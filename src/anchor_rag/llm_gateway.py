@@ -7,9 +7,10 @@ keeps runs deterministic regardless of prompt wording tweaks. The gateway
 computes the direct-answer confidence as the mean per-token probability.
 
 Every HTTP call in the package, chat and embeddings alike, goes through
-:class:`HttpClient`, and every retry through :func:`with_retries`. Only
-:class:`HttpClient` imports ``requests``, when it is built, so a process
-that builds no HTTP provider never loads the HTTP stack.
+:class:`HttpClient`, and every retry through :func:`with_retries`. The
+client is the standard library's ``http.client``, imported only when an
+:class:`HttpClient` is built, so a process that builds no HTTP provider
+never loads the HTTP stack.
 
 The retry policy is the two constants ``RETRIES`` and ``BACKOFF_S`` and
 nothing else: a connection error, HTTP 429 or 5xx is retried up to
@@ -24,8 +25,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence, TypeVar
@@ -158,52 +161,88 @@ class ScriptedProvider:
 
 
 class HttpClient:
-    """JSON over HTTP to one base URL, with a kept-alive ``requests.Session``
-    per thread (sessions are not documented as thread-safe) and the proxy and
-    CA-bundle variables read once, by requests' rules (``.netrc`` is not read).
+    """JSON over HTTP/1.1 to one base URL, on the standard library's
+    ``http.client``, with one kept-alive connection per thread.
 
-    :meth:`post_bytes` returns a reply's body and raises
-    :class:`TransportError` for a connection error, 429 or 5xx, and
-    :class:`GatewayError` for any other 4xx. :meth:`json_object` decodes a
-    body and raises :class:`GatewayError` unless it is a JSON object.
-    :meth:`post` is the two in turn."""
+    The base URL must be ``http://`` or ``https://`` with a host, or the
+    client is refused when it is built. The proxy and CA-bundle variables are
+    read once, then: ``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and
+    ``NO_PROXY`` (either case) by ``urllib.request``'s rules, where a proxy
+    must be ``http://`` and an ``https`` endpoint is reached through it by
+    ``CONNECT``; and the CA bundle ``REQUESTS_CA_BUNDLE``, else
+    ``CURL_CA_BUNDLE``, else the system trust store, loaded on the first
+    ``https`` connection. Redirects are not followed and replies are not
+    compressed (``Accept-Encoding: identity``).
+
+    :meth:`post_bytes` returns a 2xx reply's body and raises
+    :class:`TransportError` for a connection error, a cut-off or stalled
+    body, 429 or 5xx, and :class:`GatewayError` for any other status or an
+    unusable CA bundle. :meth:`json_object` decodes a body and raises
+    :class:`GatewayError` unless it is a JSON object. :meth:`post` is the two
+    in turn."""
 
     def __init__(self, base_url: str, api_key: str | None, timeout_s: float):
-        import requests  # loaded here, on the calling thread, before any fetch thread starts
+        # Loaded here, on the calling thread, before any fetch thread starts;
+        # urllib.request loads http.client.
+        import base64
+        import urllib.parse
+        import urllib.request
 
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
-        self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
-        with requests.Session() as probe:
-            env = probe.merge_environment_settings(self.base_url, {}, None, None, None)
-        self._env = {"proxies": env["proxies"], "verify": env["verify"]}
+        url = urllib.parse.urlsplit(self.base_url)
+        host, port = _host_port(url, f"endpoint {base_url!r}")
+        self._https = url.scheme == "https"
+        self._headers = {"Content-Type": "application/json", "Accept-Encoding": "identity"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        self._address, self._target, self._tunnel = (host, port), url.path, None
+        proxies = urllib.request.getproxies_environment()
+        if not urllib.request.proxy_bypass_environment(url.netloc.rpartition("@")[2], proxies):
+            proxy = proxies.get(url.scheme) or proxies.get("all")
+            if proxy:
+                proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+                if proxy_url.scheme != "http":
+                    raise GatewayError(f"{url.scheme} proxy: only http:// proxies are supported")
+                self._address = _host_port(proxy_url, f"{url.scheme} proxy")
+                proxy_headers = {}
+                if proxy_url.username is not None:
+                    user, password = proxy_url.username, proxy_url.password or ""
+                    login = f"{urllib.parse.unquote(user)}:{urllib.parse.unquote(password)}"
+                    proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(login.encode()).decode()
+                if self._https:
+                    self._tunnel = (host, port, proxy_headers)
+                else:  # the proxy takes the whole URL
+                    self._target = self.base_url
+                    self._headers.update(proxy_headers)
+        self._ca_bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+        self._ssl_context = None
         self._local = threading.local()
 
     def post(self, path: str, payload: dict) -> dict:
         return self.json_object(path, self.post_bytes(path, payload))
 
     def post_bytes(self, path: str, payload: dict) -> bytes:
-        import requests  # already loaded by __init__
+        import http.client  # already loaded by __init__
 
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-            session.trust_env = False
         url = self.base_url + path
+        conn = self._connection()
         try:
-            resp = session.post(url, json=payload, headers=self._headers, timeout=self.timeout_s, stream=True,
-                                **self._env)
-            if resp.status_code < 400:
-                # One read of the whole body; ``resp.content`` would join it
-                # from 10 KiB chunks and hold it twice while joining.
-                return b"".join(resp.iter_content(None))
-            message = f"{url}: HTTP {resp.status_code}: {resp.text[:200]}"
-        except requests.RequestException as exc:
-            raise TransportError(f"POST {url} failed: {exc}") from exc
-        except OSError as exc:  # a local setting requests cannot use, such as a missing CA bundle
-            raise GatewayError(f"POST {url} failed: {exc}") from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransportError(message, _retry_after(resp.headers.get("Retry-After")))
+            conn.request("POST", self._target + path, json.dumps(payload).encode(), self._headers)
+            with conn.getresponse() as resp:
+                body = resp.read()
+        except BaseException as exc:
+            conn.close()  # left mid-exchange, it cannot carry another request
+            if isinstance(exc, (OSError, http.client.HTTPException)):
+                raise TransportError(f"POST {url} failed: {exc}") from exc
+            raise
+        if 200 <= resp.status < 300:
+            return body
+        message = f"{url}: HTTP {resp.status}: {body[:200].decode('utf-8', 'replace')}"
+        if resp.status == 429 or resp.status >= 500:
+            raise TransportError(message, _retry_after(resp.getheader("Retry-After")))
+        if 300 <= resp.status < 400:
+            message += f" (redirect to {resp.getheader('Location')} not followed)"
         raise GatewayError(message)
 
     def json_object(self, path: str, raw: bytes) -> dict:
@@ -218,13 +257,71 @@ class HttpClient:
         return body
 
     def close_session(self) -> None:
-        """Close and drop the calling thread's session, if it has one. (urllib3
-        2.x closes pooled connections when their pool is collected, not on
-        ``Session.close``; dropping the last reference collects it.)"""
-        session = getattr(self._local, "session", None)
-        if session is not None:
-            del self._local.session
-            session.close()
+        """Close and drop the calling thread's connection, if it has one."""
+        kept = getattr(self._local, "kept", None)
+        if kept is not None:
+            del self._local.kept
+            kept.conn.close()
+
+    def _connection(self):
+        """The calling thread's connection, made on its first request. One
+        the server has closed (or written to) while it sat idle is closed
+        here; ``http.client`` reconnects it for the request."""
+        import http.client
+        import select
+
+        kept = getattr(self._local, "kept", None)
+        if kept is None:
+            if self._https:
+                conn = http.client.HTTPSConnection(*self._address, timeout=self.timeout_s, context=self._context())
+                if self._tunnel is not None:
+                    conn.set_tunnel(*self._tunnel)
+            else:
+                conn = http.client.HTTPConnection(*self._address, timeout=self.timeout_s)
+            kept = self._local.kept = _KeptConnection(conn)
+        elif kept.conn.sock is not None and select.select([kept.conn.sock], [], [], 0)[0]:
+            kept.conn.close()
+        return kept.conn
+
+    def _context(self):
+        """The TLS context of every ``https`` connection, made once. (Two
+        threads may both make it; either one serves.)"""
+        if self._ssl_context is None:
+            import ssl
+
+            bundle = self._ca_bundle
+            directory = bundle is not None and os.path.isdir(bundle)
+            try:
+                self._ssl_context = ssl.create_default_context(cafile=None if directory else bundle,
+                                                               capath=bundle if directory else None)
+            except OSError as exc:  # ssl.SSLError is an OSError too
+                raise GatewayError(f"CA bundle {bundle}: {exc}") from exc
+        return self._ssl_context
+
+
+class _KeptConnection:
+    """A thread's connection in :class:`HttpClient`'s thread-locals. Once the
+    locals drop it (its thread ends, or the client is collected), a
+    ``weakref.finalize`` closes the connection: that runs before the
+    collector finalizes anything, so the socket is closed even when the
+    client dies in a reference cycle."""
+
+    __slots__ = ("conn", "__weakref__")
+
+    def __init__(self, conn):
+        self.conn = conn
+        weakref.finalize(self, conn.close)
+
+
+def _host_port(url, shown: str) -> tuple[str, int]:
+    """The host and port of a split ``http://`` or ``https://`` URL;
+    :class:`GatewayError`, naming it as ``shown``, for anything else."""
+    try:
+        if url.scheme in ("http", "https") and url.hostname:
+            return url.hostname, url.port or (443 if url.scheme == "https" else 80)
+    except ValueError:  # a port that is not a number in 0-65535
+        pass
+    raise GatewayError(f"{shown} is not an http:// or https:// URL with a host")
 
 
 def _retry_after(value: str | None) -> float | None:
@@ -252,6 +349,7 @@ class OpenAIChatProvider:
         self.model = model
         self.provider_id = f"openai:{model}"
         self._http = HttpClient(base_url, api_key, timeout_s)
+        self._logprobs_rejected = False  # set once the endpoint refuses a logprob request
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         payload = {
@@ -263,14 +361,15 @@ class OpenAIChatProvider:
             "max_tokens": request.max_new_tokens,
             "temperature": request.temperature,
         }
-        if request.want_logprobs:
+        if request.want_logprobs and not self._logprobs_rejected:
             payload["logprobs"] = True
         try:
             body = self._http.post("/chat/completions", payload)
         except GatewayError as exc:
-            if isinstance(exc, TransportError) or not request.want_logprobs or "logprob" not in str(exc).lower():
+            if isinstance(exc, TransportError) or "logprobs" not in payload or "logprob" not in str(exc).lower():
                 raise
-            # Endpoint rejects logprob requests: degrade to text-only.
+            # The endpoint rejects logprob requests: text only, for this call and every later one.
+            self._logprobs_rejected = True
             del payload["logprobs"]
             body = self._http.post("/chat/completions", payload)
         try:

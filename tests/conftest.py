@@ -81,15 +81,16 @@ class LoopbackEndpoint:
     queued there; otherwise ``routes`` answers it: ``<answer>Paris</answer>``
     for chat, hashing-embedder rows for embeddings. A reply may set its own
     ``Content-Length``; one larger than its body closes the connection after
-    the body. ``seen`` lists every (path, payload), ``auth`` every
-    Authorization header (None when absent) and ``connections`` counts TCP
-    connections.
+    the body. ``seen`` lists every (path, payload), ``headers`` every
+    request's headers, ``auth`` every Authorization header (None when absent)
+    and ``connections`` counts TCP connections.
     """
 
     def __init__(self):
         self.queued: dict[str, list] = {"/chat/completions": [], "/embeddings": []}
         self.routes = {"/chat/completions": lambda payload: chat_reply(), "/embeddings": embeddings_reply}
         self.seen: list[tuple[str, dict]] = []
+        self.headers: list[dict[str, str]] = []
         self.auth: list[str | None] = []
         self.connections = 0
         stub = self
@@ -105,6 +106,7 @@ class LoopbackEndpoint:
             def do_POST(self):  # noqa: N802 (stdlib naming)
                 payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 stub.seen.append((self.path, payload))
+                stub.headers.append(dict(self.headers))
                 stub.auth.append(self.headers.get("Authorization"))
                 suffix = next(s for s in stub.routes if self.path.endswith(s))
                 queue = stub.queued[suffix]

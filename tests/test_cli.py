@@ -924,8 +924,10 @@ def test_build_index_bad_dim_is_one_error_line(workspace, capsys, embedder, dim,
     "flags, expected",
     [(["--embedder", "remote", "--model", "m"], "remote embedder needs base_url and model"),
      (["--embedder", "remote", "--endpoint", "http://127.0.0.1:9/v1"], "remote embedder needs base_url and model"),
-     (["--dim", "1"], "embedding dim must be >= 2")],
-    ids=["no_endpoint", "no_model", "dim_one"],
+     (["--dim", "1"], "embedding dim must be >= 2"),
+     (["--embedder", "remote", "--endpoint", "localhost:8000/v1", "--model", "m"],
+      "endpoint 'localhost:8000/v1' is not an http:// or https:// URL with a host")],
+    ids=["no_endpoint", "no_model", "dim_one", "endpoint_without_scheme"],
 )
 def test_build_index_checks_the_embedder_before_reading_the_manifest(workspace, capsys, monkeypatch, flags, expected):
     def unread(path):
@@ -1004,6 +1006,17 @@ def build_remote_index(workspace, loopback):
     rc = main(["build-index", "--chunks", str(workspace / "chunks.jsonl"), "--out", str(out),
                "--embedder", "remote", "--endpoint", loopback.url, "--model", "emb"])
     return rc, out
+
+
+@pytest.mark.parametrize("endpoint", ["localhost:8000/v1", "ftp://127.0.0.1:9/v1", "http:///v1"])
+def test_run_refuses_a_malformed_endpoint_before_any_question(workspace, capsys, no_sleep, endpoint):
+    out = workspace / "bad_endpoint.jsonl"
+    argv = ["run", "--questions", str(workspace / "questions.jsonl"), "--index", str(workspace / "index.bin"),
+            "--chunks", str(workspace / "chunks.jsonl"), "--mode", "full", "--provider", "openai",
+            "--endpoint", endpoint, "--model", "m", "--out", str(out)]
+    assert main(argv) == 1
+    assert error_lines(capsys) == [f"error: endpoint {endpoint!r} is not an http:// or https:// URL with a host"]
+    assert not out.exists() and no_sleep == []
 
 
 def test_build_index_survives_a_flaky_embedder(workspace, loopback, no_sleep):

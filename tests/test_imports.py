@@ -1,8 +1,8 @@
-"""The package's runtime dependencies are numpy and requests: every other
-module it imports is in the standard library or in the package itself, and
-only the HTTP clients load requests. The trace model and the scoring import
-only the standard library, so the commands that only read traces load
-neither numpy nor the retrieval stack."""
+"""The package's one runtime dependency is numpy: every other module it
+imports is in the standard library or in the package itself, and only the
+HTTP clients load the standard library's HTTP stack (``http.client``). The
+trace model and the scoring import only the standard library, so the
+commands that only read traces load neither numpy nor the retrieval stack."""
 
 import ast
 import json
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import anchor_rag
 
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "requests", "anchor_rag"}
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "anchor_rag"}
 PACKAGE = Path(anchor_rag.__file__).parent
 
 
@@ -27,20 +27,21 @@ def imported_modules(path: Path):
             yield node.module
 
 
-def test_package_imports_only_the_stdlib_numpy_and_requests():
+def test_package_imports_only_the_stdlib_and_numpy():
     sources = sorted(PACKAGE.rglob("*.py"))
     imports = {(path.relative_to(PACKAGE).as_posix(), name) for path in sources for name in imported_modules(path)}
     top_level = {name.split(".")[0] for _, name in imports}
     # The scan sees the package's files and their imports, or the check below would pass on nothing.
-    assert {"numpy", "requests", "anchor_rag", "json"} <= top_level
+    assert {"numpy", "anchor_rag", "json", "http"} <= top_level
     assert sorted((path, name) for path, name in imports if name.split(".")[0] not in ALLOWED) == []
 
 
 def test_import_check_flags_a_third_party_module(tmp_path):
     path = tmp_path / "module.py"
-    path.write_text("import os\nimport yaml.loader\nfrom pandas import DataFrame\nfrom . import sibling\n",
-                    encoding="utf-8")
-    assert [name for name in imported_modules(path) if name.split(".")[0] not in ALLOWED] == ["yaml.loader", "pandas"]
+    path.write_text("import os\nimport yaml.loader\nfrom pandas import DataFrame\nfrom . import sibling\n"
+                    "import requests\n", encoding="utf-8")
+    assert [name for name in imported_modules(path) if name.split(".")[0] not in ALLOWED] == ["yaml.loader", "pandas",
+                                                                                               "requests"]
 
 
 # Every local command in one fresh process, then an HTTP chat provider built.
@@ -63,10 +64,10 @@ for argv in (
     ["inspect", "--traces", traces, "--question-id", "bannan-conference"],
 ):
     assert main(argv) == 0, argv
-local = [name for name in ("requests", "urllib3", "email.utils") if name in sys.modules]
+local = [name for name in ("http.client", "urllib.request", "email.utils") if name in sys.modules]
 from anchor_rag.llm_gateway import OpenAIChatProvider
 OpenAIChatProvider("http://127.0.0.1:9/v1", "m")
-print(json.dumps({"local": local, "after_openai": "requests" in sys.modules}))
+print(json.dumps({"local": local, "after_openai": "http.client" in sys.modules}))
 """
 
 
