@@ -5,9 +5,11 @@ Generates the ``remote_gated_c2`` inputs for ``--seed``, ingests them,
 starts ``perfbench/stub.py`` with the workload's latencies (the embedding
 latency set by ``--embed-latency-ms``) and embeds every chunk text with
 ``RemoteEmbedder.embed_batch`` ``--repeats`` times, each in a fresh
-process. Each batch's request (``HttpClient.post_bytes``, on whichever
-thread posts it) and decode (``HttpClient.json_object`` to the end of
-``_decode_embeddings``, on the calling thread) are timed, and per repeat:
+process. Each batch's request (from ``HttpClient.send`` to the end of the
+call that reads its reply, or ``HttpClient.post_bytes`` on a tree with no
+``send``, on whichever thread makes it) and decode (``HttpClient.json_object``
+to the end of ``_decode_embeddings``, on the calling thread) are timed, and
+per repeat:
 
 - ``wall_ms``: the whole ``embed_batch`` call;
 - ``decode_ms``: the decodes summed, and ``decode_limit_ms``, the first
@@ -45,10 +47,22 @@ def timeline(endpoint: str, chunks: Path) -> dict:
 
     _, texts = read_chunk_texts(chunks)
     posts, decodes = [], []
-    post_bytes, json_object = llm_gateway.HttpClient.post_bytes, llm_gateway.HttpClient.json_object
-    decode = embed_index._decode_embeddings
+    client = llm_gateway.HttpClient
+    send, post_bytes = getattr(client, "send", None), client.post_bytes
+    json_object, decode = client.json_object, embed_index._decode_embeddings
 
-    def timed_post(self, path, payload):
+    def timed_send(self, path, payload):
+        started = time.perf_counter()
+        receive = send(self, path, payload)
+
+        def timed_receive():
+            try:
+                return receive()
+            finally:
+                posts.append((started, time.perf_counter()))
+        return timed_receive
+
+    def timed_post(self, path, payload):  # on a tree with no HttpClient.send
         started = time.perf_counter()
         try:
             return post_bytes(self, path, payload)
@@ -65,7 +79,11 @@ def timeline(endpoint: str, chunks: Path) -> dict:
         finally:
             decodes[-1].append(time.perf_counter())
 
-    llm_gateway.HttpClient.post_bytes, llm_gateway.HttpClient.json_object = timed_post, timed_json
+    if send is None:
+        client.post_bytes = timed_post
+    else:  # post_bytes sends through it too
+        client.send = timed_send
+    client.json_object = timed_json
     embed_index._decode_embeddings = timed_decode
     provider = embed_index.RemoteEmbedder(base_url=endpoint, model="stub-embed", batch_size=128)
     started = time.perf_counter()

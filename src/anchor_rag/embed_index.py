@@ -28,13 +28,13 @@ deterministic hashing embedder (character n-grams feature-hashed into a
 fixed dimension) used for tests and offline runs. The HTTP embedder posts
 through ``llm_gateway``'s client and retry helper, as the chat provider
 does; a failure left after the retries, or a malformed reply, is an
-:class:`EmbedIndexError`. After the first batch, which goes alone, two
-fetch threads keep two requests in flight: the endpoint serves the next
-two batches while the calling thread decodes each reply, in batch order,
-into its rows of one preallocated float32 result. So embedding a corpus
-holds the result plus one decoded reply and up to three reply bodies.
-Each reply is checked on its own: one row per input, indexed ``0..n-1``,
-all of the index's dim.
+:class:`EmbedIndexError`. After the first batch, which goes alone, the
+calling thread sends each batch two ahead on one of two kept connections:
+the endpoint serves the next two batches while it decodes each reply, in
+batch order, into its rows of one preallocated float32 result. So
+embedding a corpus holds the result plus one decoded reply and one reply
+body, and starts no thread. Each reply is checked on its own: one row per
+input, indexed ``0..n-1``, all of the index's dim.
 :func:`embed` checks that a provider returns one unit row per text.
 
 The hashing embedder works on blocks of texts, with a fixed number of numpy
@@ -57,10 +57,8 @@ import contextlib
 import itertools
 import json
 import os
-import queue
 import re
 import struct
-import threading
 from collections import deque
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Protocol, Sequence
@@ -272,31 +270,32 @@ class HashingEmbedder:
         np.divide(v, np.sqrt(squares)[:, None], out=out)
 
 
-# Requests RemoteEmbedder keeps in flight while it decodes a reply. On the
-# perfbench stub (20 ms a request, 128 rows of dim 256 a reply, 2 cores),
-# embedding 2,016 chunks took 0.67-0.68 s with 1 in flight, 0.41-0.44 s with
-# 2 and 0.32-0.36 s with 4 (scripts/embed_timeline.py, two alternated rounds
-# of five); build-index read peak RSS 53.3, 55.2-55.7 and 56.5 MB. Each more
-# request holds one more reply body and a fetch thread's malloc arena.
+# Requests RemoteEmbedder keeps at the endpoint while it decodes a reply,
+# and so kept connections per thread. On the perfbench stub (20 ms a
+# request, 128 rows of dim 256 a reply, 2 cores), embedding 2,016 chunks
+# took 408-411 ms with 1, 274-326 ms with 2 and 266-327 ms with 4
+# (scripts/embed_timeline.py, two alternated rounds of five), of which the
+# first request and the decodes alone take 211-277 ms; build-index took
+# 0.46, 0.33-0.34 and 0.31-0.32 s, at peak RSS 46.2, 46.2 and 45.7 MB.
+# Past 2 the decode, not the endpoint, is the limit at that latency.
 _IN_FLIGHT = 2
 
 
 class RemoteEmbedder:
     """OpenAI-compatible ``/embeddings`` endpoint client: one retried post
-    per batch of ``batch_size`` texts, with the next two posts in flight
-    while the calling thread decodes each reply.
+    per batch of ``batch_size`` texts, with the next two batches sent ahead
+    while the calling thread decodes each reply. It starts no thread.
 
     The first batch is posted alone, and its reply is decoded and checked
     before any other request goes out: it sets ``dim`` when that was not
     given, and the float32 result is allocated then. So a misbehaving
-    endpoint costs one request. One batch left after it is posted inline
-    too. Two or more are posted by ``_IN_FLIGHT`` fetch threads: once reply
-    i's body has arrived, batches i+1 and i+2 are out before it is decoded.
-    A fetch thread only returns a reply's body as bytes: decoding stays on
-    the calling thread, in batch order, because ``json.loads`` holds the
-    GIL for the whole decode and would hold back the other thread's post.
-    So at most one decoded reply and three bodies (the one being decoded
-    and the two in flight) are alive at once.
+    endpoint costs one request. After it, the embedder holds ``_IN_FLIGHT``
+    clients, and so the calling thread holds as many kept connections:
+    batch j goes on client (j - 1) mod ``_IN_FLIGHT``. Batches 1 and 2 are
+    sent together; once reply i's body is read, batch i + 2 is sent on the
+    connection it freed, and only then is reply i decoded. So the endpoint
+    serves two batches while each reply is decoded, in batch order, and at
+    most one decoded reply and one body are alive at once.
 
     Each reply is decoded to a float64 block, checked (exactly one row per
     input, ``index`` values ``0..n-1``, numeric rows of one length equal to
@@ -304,12 +303,11 @@ class RemoteEmbedder:
     rows of the result. A row is normalized in float64 on its own, so the
     result is bit-identical to normalizing every row at once.
 
-    Once a batch fails, or the call is interrupted, no queued request and no
-    retry starts, and the call returns without waiting on the requests
-    still in flight: up to one after a failed post, up to two after a
-    malformed reply or an interrupt. The fetch threads are daemons, so
-    interpreter exit does not wait on them either; each closes its session
-    when it ends.
+    A batch sent ahead is read as the first attempt of its retries; a retry
+    posts it again on the same client. Once a batch fails, or the call is
+    interrupted, nothing more is sent or retried, and every connection
+    whose reply was not read is closed without waiting for it: up to one
+    after a failed post, up to two after a malformed reply or an interrupt.
     """
 
     def __init__(
@@ -327,7 +325,7 @@ class RemoteEmbedder:
         self.dim = dim or 0  # discovered from the first response when unset
         self.batch_size = batch_size
         self.provider_id = f"remote:{model}"
-        self._http = HttpClient(base_url, api_key, timeout_s)
+        self._clients = [HttpClient(base_url, api_key, timeout_s) for _ in range(_IN_FLIGHT)]
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         batches = [list(texts[i : i + self.batch_size]) for i in range(0, len(texts), self.batch_size)]
@@ -337,7 +335,7 @@ class RemoteEmbedder:
             for batch in batches:
                 raw = next(bodies)
                 try:
-                    reply = self._http.json_object("/embeddings", raw)
+                    reply = self._clients[0].json_object("/embeddings", raw)
                 except GatewayError as exc:
                     raise EmbedIndexError(f"embedding request failed: {exc}") from exc
                 del raw  # each body is dropped as soon as it is parsed
@@ -360,92 +358,48 @@ class RemoteEmbedder:
     def _bodies(self, batches: list[list[str]]) -> Iterator[bytes]:
         """Each batch's reply body, in batch order. The first is posted when
         the caller asks for it, so the caller has checked it before the rest
-        are posted; a lone second batch is posted inline too. Otherwise the
-        rest go to the fetch threads, ``_IN_FLIGHT`` outstanding whenever a
-        body is handed over. Closing the generator stops the fetch threads."""
-        if len(batches) < 3:
-            for batch in batches:
-                yield self._post(batch)
-            return
-        yield self._post(batches[0])
-        stop = threading.Event()
-        jobs: queue.SimpleQueue = queue.SimpleQueue()  # (batch, its reply queue), then None per thread
-        started: queue.SimpleQueue = queue.SimpleQueue()  # one item per job a fetch thread has taken
-        replies: deque[queue.SimpleQueue] = deque()
-        rest = iter(batches[1:])
+        are sent. Each later body is read, the batch ``_IN_FLIGHT`` after it
+        is sent on its client, and then the body is handed over. Closing the
+        generator closes every connection whose reply was not read."""
+        yield self._post(*self._send(self._clients[0], batches[0]))
+        ahead: deque = deque()  # _send's (client, payload, receive) per batch sent and not read
 
-        def fill() -> None:
-            """Submit batches until ``_IN_FLIGHT`` are outstanding."""
-            for batch in itertools.islice(rest, _IN_FLIGHT - len(replies)):
-                replies.append(queue.SimpleQueue())
-                jobs.put((batch, replies[-1]))
-                # Wait until a fetch thread has the job: a decode holds the
-                # GIL throughout, so a request not yet sent when the caller
-                # starts decoding would wait for the decode to end.
-                started.get()
+        def send(j: int) -> None:
+            if j < len(batches):
+                ahead.append(self._send(self._clients[(j - 1) % _IN_FLIGHT], batches[j]))
 
-        def take() -> bytes:
-            """The oldest reply's body, once the requests after it are out:
-            the endpoint serves the next ``_IN_FLIGHT`` batches while this
-            one is decoded. A failed reply raises before anything more is
-            sent. The body is returned, not held in a local of the loop, so
-            the generator keeps no reference to it during the decode."""
-            body = _body(replies.popleft().get())
-            fill()
+        def take(i: int) -> bytes:
+            """Reply i's body, once batch i + ``_IN_FLIGHT`` is sent. The body
+            is returned, not held in a local of the loop, so the generator
+            keeps no reference to it during the decode."""
+            body = self._post(*ahead.popleft())
+            send(i + _IN_FLIGHT)
             return body
 
-        for _ in range(_IN_FLIGHT):
-            threading.Thread(target=self._fetch, args=(jobs, started, stop), daemon=True).start()
         try:
-            fill()
-            while replies:
-                yield take()
+            for j in range(1, 1 + _IN_FLIGHT):
+                send(j)
+            for i in range(1, len(batches)):
+                yield take(i)
         finally:
-            stop.set()
-            for _ in range(_IN_FLIGHT):
-                jobs.put(None)
+            for client, _, _ in ahead:
+                client.close_session()
 
-    def _fetch(self, jobs: queue.SimpleQueue, started: queue.SimpleQueue, stop: threading.Event) -> None:
-        """A fetch thread: post each job's batch and put its body, or the
-        error, on the job's reply queue, until a None job or ``stop``."""
-
-        def sleep(seconds: float) -> None:  # the wait before a retry, cut short by ``stop``
-            if stop.wait(seconds):
-                raise EmbedIndexError("embedding call stopped before a retry")
-
-        try:
-            for batch, reply in iter(jobs.get, None):
-                if stop.is_set():
-                    break
-                started.put(None)
-                try:
-                    reply.put(self._post(batch, sleep))
-                except Exception as exc:
-                    reply.put(exc)
-                    # The error's traceback holds this frame: without the
-                    # del, the cycle through ``reply`` would keep the session
-                    # and its connection open until the cycle is collected.
-                    del reply
-        finally:
-            self._http.close_session()
-
-    def _post(self, batch: list[str], sleep: Callable[[float], None] | None = None) -> bytes:
-        """The reply body to one batch, after ``with_retries``."""
+    def _send(self, client: HttpClient, batch: list[str]) -> tuple[HttpClient, dict, Callable[[], bytes]]:
+        """Send one batch on ``client``: the client, the payload and the call
+        that reads the reply."""
         payload = {"model": self.model, "input": batch}
+        return client, payload, client.send("/embeddings", payload)
+
+    def _post(self, client: HttpClient, payload: dict, receive: Callable[[], bytes]) -> bytes:
+        """The reply body to a batch sent on ``client``, after
+        ``with_retries``: ``receive`` is the first attempt, and each retry
+        posts ``payload`` again."""
+        attempts = itertools.chain([receive], itertools.repeat(lambda: client.post_bytes("/embeddings", payload)))
         try:
-            return with_retries(lambda: self._http.post_bytes("/embeddings", payload), sleep=sleep)
+            return with_retries(lambda: next(attempts)())
         except GatewayError as exc:
             raise EmbedIndexError(f"embedding request failed: {exc}") from exc
-
-
-def _body(reply: bytes | Exception) -> bytes:
-    """A fetch thread's reply: the body, or the error it raised, raised here."""
-    if isinstance(reply, Exception):
-        try:
-            raise reply
-        finally:
-            del reply  # as in ``_fetch``: no cycle through this frame
-    return reply
 
 
 def _decode_embeddings(body: dict, n: int) -> np.ndarray:

@@ -22,6 +22,7 @@ readable one of at most a day, else after ``BACKOFF_S``·2^(n-1). Any other
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -177,12 +178,14 @@ class HttpClient:
     :meth:`post_bytes` returns a 2xx reply's body and raises
     :class:`TransportError` for a connection error, a cut-off or stalled
     body, 429 or 5xx, and :class:`GatewayError` for any other status or an
-    unusable CA bundle. :meth:`json_object` decodes a body and raises
-    :class:`GatewayError` unless it is a JSON object. :meth:`post` is the two
-    in turn."""
+    unusable CA bundle. It is :meth:`send` and its reply read at once; a
+    caller that holds two clients can send on both before it reads either,
+    and so keep two requests at the endpoint from one thread.
+    :meth:`json_object` decodes a body and raises :class:`GatewayError`
+    unless it is a JSON object. :meth:`post` is the two in turn."""
 
     def __init__(self, base_url: str, api_key: str | None, timeout_s: float):
-        # Loaded here, on the calling thread, before any fetch thread starts;
+        # Loaded here, when the client is built, not on its first request;
         # urllib.request loads http.client.
         import base64
         import urllib.parse
@@ -223,27 +226,39 @@ class HttpClient:
         return self.json_object(path, self.post_bytes(path, payload))
 
     def post_bytes(self, path: str, payload: dict) -> bytes:
-        import http.client  # already loaded by __init__
+        return self.send(path, payload)()
 
+    def send(self, path: str, payload: dict) -> Callable[[], bytes]:
+        """Write a POST of ``payload`` to ``path`` on the calling thread's
+        connection, and return the call that reads its reply by
+        :meth:`post_bytes`'s rules. A request that could not be written is
+        raised by that call too, so a retry takes the send and the read as
+        one attempt. The connection can carry no other request until the
+        reply is read."""
         url = self.base_url + path
         conn = self._connection()
+        failure = None
         try:
-            conn.request("POST", self._target + path, json.dumps(payload).encode(), self._headers)
-            with conn.getresponse() as resp:
+            with _exchange(conn, url):
+                conn.request("POST", self._target + path, json.dumps(payload).encode(), self._headers)
+        except TransportError as exc:
+            failure = exc
+
+        def receive() -> bytes:
+            if failure is not None:
+                raise failure
+            with _exchange(conn, url), conn.getresponse() as resp:
                 body = resp.read()
-        except BaseException as exc:
-            conn.close()  # left mid-exchange, it cannot carry another request
-            if isinstance(exc, (OSError, http.client.HTTPException)):
-                raise TransportError(f"POST {url} failed: {exc}") from exc
-            raise
-        if 200 <= resp.status < 300:
-            return body
-        message = f"{url}: HTTP {resp.status}: {body[:200].decode('utf-8', 'replace')}"
-        if resp.status == 429 or resp.status >= 500:
-            raise TransportError(message, _retry_after(resp.getheader("Retry-After")))
-        if 300 <= resp.status < 400:
-            message += f" (redirect to {resp.getheader('Location')} not followed)"
-        raise GatewayError(message)
+            if 200 <= resp.status < 300:
+                return body
+            message = f"{url}: HTTP {resp.status}: {body[:200].decode('utf-8', 'replace')}"
+            if resp.status == 429 or resp.status >= 500:
+                raise TransportError(message, _retry_after(resp.getheader("Retry-After")))
+            if 300 <= resp.status < 400:
+                message += f" (redirect to {resp.getheader('Location')} not followed)"
+            raise GatewayError(message)
+
+        return receive
 
     def json_object(self, path: str, raw: bytes) -> dict:
         """The JSON object in the body ``raw`` of a reply from ``path``."""
@@ -311,6 +326,22 @@ class _KeptConnection:
     def __init__(self, conn):
         self.conn = conn
         weakref.finalize(self, conn.close)
+
+
+@contextlib.contextmanager
+def _exchange(conn, url: str):
+    """Close ``conn`` if its exchange fails, as it cannot carry another
+    request then, and raise a connection or protocol error as a
+    :class:`TransportError`."""
+    import http.client  # already loaded by HttpClient.__init__
+
+    try:
+        yield
+    except BaseException as exc:
+        conn.close()
+        if isinstance(exc, (OSError, http.client.HTTPException)):
+            raise TransportError(f"POST {url} failed: {exc}") from exc
+        raise
 
 
 def _host_port(url, shown: str) -> tuple[str, int]:

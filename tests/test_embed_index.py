@@ -853,7 +853,7 @@ def test_remote_embedder_stops_after_a_failed_batch_without_waiting(loopback):
 
 def test_remote_embedder_starts_no_retry_after_a_failed_batch(loopback):
     # Batch 2 is refused while batch 3, in flight beside it, is asked to come
-    # back in 30 s: the fetch thread drops that retry instead of waiting.
+    # back in 30 s: that reply is never read, so no retry waits for it.
     texts = [f"t{i}" for i in range(12)]
 
     def route(payload):
@@ -886,7 +886,7 @@ def test_remote_embedder_overlapped_rows_under_frequent_thread_switches(loopback
     assert sorted(payload["input"][0] for _, payload in loopback.seen) == sorted(texts[::2])
 
 
-def test_remote_embedder_retries_a_cut_off_reply_on_a_fetch_thread(loopback):
+def test_remote_embedder_retries_a_cut_off_reply_sent_ahead(loopback):
     texts = [f"t{i}" for i in range(12)]
     cut_once = [texts[6]]
 
@@ -900,6 +900,72 @@ def test_remote_embedder_retries_a_cut_off_reply_on_a_fetch_thread(loopback):
     vectors = embed(texts, RemoteEmbedder(base_url=loopback.url, model="m", batch_size=2))
     assert vectors.tobytes() == HashingEmbedder(dim=16).embed_batch(texts).tobytes()
     assert [payload["input"][0] for _, payload in loopback.seen].count(texts[6]) == 2
+
+
+def test_remote_embedder_starts_no_thread(loopback, monkeypatch):
+    # Six batches of 2. The first call opens both connections, so the
+    # loopback server starts no handler thread during the second either.
+    # Threads are compared by identity, not counted: a server thread of an
+    # earlier test may end during the call.
+    texts = [f"text {i}" for i in range(12)]
+    provider = RemoteEmbedder(base_url=loopback.url, model="m", batch_size=2)
+    provider.embed_batch(texts)
+    started, original = [], embed_index._decode_embeddings
+
+    def decode(body, n):
+        started.append(set(threading.enumerate()) - before)
+        return original(body, n)
+
+    monkeypatch.setattr(embed_index, "_decode_embeddings", decode)
+    before = set(threading.enumerate())
+    vectors = provider.embed_batch(texts)
+    assert started == [set()] * 6
+    assert vectors.tobytes() == HashingEmbedder(dim=16).embed_batch(texts).tobytes()
+
+
+@pytest.mark.parametrize("failure", ["refused", "interrupted"])
+def test_remote_embedder_closes_unread_connections_after_a_failure(loopback, monkeypatch, failure):
+    # Six batches of 2. Batch 3 is refused, or the decode of batch 2 is
+    # interrupted, while batch 4 is held for 1 s the first time. A connection
+    # left with that reply unread could not carry the next call's request:
+    # http.client would refuse to send it, and the batch would cost a retry.
+    texts = [f"t{i}" for i in range(12)]
+    firsts = texts[::2]
+    held, napped = [firsts[4]], []
+
+    def route(payload):
+        first = payload["input"][0]
+        if first == firsts[3] and failure == "refused":
+            return reply(400, {"error": "bad input"})
+        if first in held:
+            held.clear()
+            threading.Event().wait(1.0)
+        return embeddings_reply(payload)
+
+    decoded, original = [], embed_index._decode_embeddings
+
+    def decode(body, n):
+        decoded.append(n)
+        if len(decoded) == 3 and failure == "interrupted":
+            raise KeyboardInterrupt
+        return original(body, n)
+
+    loopback.routes["/embeddings"] = route
+    monkeypatch.setattr(embed_index, "_decode_embeddings", decode)
+    provider = RemoteEmbedder(base_url=loopback.url, model="m", batch_size=2)
+    with pytest.raises(EmbedIndexError if failure == "refused" else KeyboardInterrupt):
+        provider.embed_batch(texts)
+    deadline = time.monotonic() + 5.0  # batch 4 went out just before the failure
+    while len(loopback.seen) < 5 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert sorted(payload["input"][0] for _, payload in loopback.seen) == firsts[:5]
+    loopback.routes["/embeddings"] = embeddings_reply
+    monkeypatch.setattr(time, "sleep", napped.append)
+    seen = len(loopback.seen)
+    vectors = provider.embed_batch(texts)
+    assert vectors.tobytes() == HashingEmbedder(dim=16).embed_batch(texts).tobytes()
+    assert sorted(payload["input"][0] for _, payload in loopback.seen[seen:]) == sorted(firsts)
+    assert napped == []
 
 
 def test_remote_embedder_cut_off_reply_is_retried_then_an_error(loopback, monkeypatch):
