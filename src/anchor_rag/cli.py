@@ -37,7 +37,6 @@ def build_embed_provider(spec: dict):
 
     kind = spec.get("kind", "hashing")
     dim = spec.get("dim")
-    check_type("config embed_provider dim", dim, int | None, CliError)
     if kind == "hashing":
         return HashingEmbedder(dim=256 if dim is None else dim)
     if kind == "remote":
@@ -121,8 +120,8 @@ def cmd_build_index(args: argparse.Namespace) -> int:
 
 
 # `run` flags that override a config entry: flag name -> config key.
-_RUN_FLAGS = {"mode": "mode", "tau": "confidence_threshold", "k": "k_per_triple", "seed": "seed",
-              "concurrency": "concurrency", "max_failure_rate": "max_failure_rate"}
+_RUN_FLAGS = {"mode": "mode", "tau": "confidence_threshold", "k": "k_per_triple", "concurrency": "concurrency",
+              "max_failure_rate": "max_failure_rate"}
 _CHAT_FLAGS = {"provider": "kind", "fixtures": "fixtures", "endpoint": "base_url", "model": "model"}
 
 
@@ -150,11 +149,16 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.dim is not None:
         embed["dim"] = args.dim
     base["embed_provider"] = embed
-    # Provider settings of the wrong JSON type are refused before any client
-    # is built or any input is read.
-    for key in ("chat_provider", "embed_provider"):
+    # Provider settings that are not in the README's table, or of the wrong
+    # JSON type, are refused before any client is built or any input is read:
+    # a misspelled `api_key_env` would send the default variable's key.
+    for key, own in (("chat_provider", "fixtures"), ("embed_provider", "dim")):
+        unknown = set(base[key]) - {"kind", "base_url", "model", "api_key_env", own}
+        if unknown:
+            raise CliError(f"unknown config {key} keys: {sorted(unknown)}")
         for name in ("kind", "fixtures", "base_url", "model", "api_key_env"):
             check_type(f"config {key} {name}", base[key].get(name, ""), str, CliError)
+    check_type("config embed_provider dim", embed.get("dim"), int | None, CliError)
     return RunConfig.from_dict(base)
 
 
@@ -302,7 +306,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=list(MODES), default=None)
     p.add_argument("--tau", type=float, default=None, help="confidence threshold for threshold_gated")
     p.add_argument("--k", type=int, default=None, help="chunks retrieved per triple")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--concurrency", type=int, default=None)
     p.add_argument("--max-failure-rate", type=float, default=None)
     p.add_argument("--provider", choices=["scripted", "openai"], default=None)

@@ -485,13 +485,35 @@ class Index:
     def search(self, query: str, k: int = 5) -> list[RetrievalHit]:
         """Top-k by exact cosine; ties broken by ascending chunk id.
 
-        The query is embedded, and its hits are the one-query case of
-        :meth:`_top_k`, so the result and its scores are those of a float64
-        search over every row.
+        The one-query case of :meth:`retrieve`, so the result and its scores
+        are those of a float64 search over every row.
         """
-        _check_query(query, k)
-        (ranked,) = self._top_k(embed([query], self.provider), k)
-        return [RetrievalHit(chunk_id=cid, score=score, query_index=0) for cid, score in ranked]
+        ((_, hits),) = self.retrieve([[query]], k)
+        return hits
+
+    def retrieve(self, query_lists: Sequence[Sequence[str]], k: int) -> list[tuple[list[str], list[RetrievalHit]]]:
+        """Each list's top-k hits per query and their de-duplicated union of
+        chunk ids, with ``query_index`` counted within the list.
+
+        Every query of every list is embedded in one ``embed`` call (one
+        ``/embeddings`` round trip for a remote provider) and selected by
+        one :meth:`_top_k` call, whose hits depend only on the row and the
+        query, so a list gets exactly the hits it would get alone. Union
+        order is first occurrence: query order, then rank within a query.
+        """
+        texts = [query for queries in query_lists for query in queries]
+        for query in texts:
+            _check_query(query, k)
+        ranked = iter(self._top_k(embed(texts, self.provider), k))
+        out = []
+        for queries in query_lists:
+            hits = [
+                RetrievalHit(chunk_id=cid, score=score, query_index=qi)
+                for qi, pairs in enumerate(itertools.islice(ranked, len(queries)))
+                for cid, score in pairs
+            ]
+            out.append((list(dict.fromkeys(hit.chunk_id for hit in hits)), hits))
+        return out
 
     def _top_k(self, vectors: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
         """Each query's top k as ranked ``(chunk_id, score)`` pairs, for an
@@ -503,10 +525,11 @@ class Index:
         Each query keeps the rows within its own candidate margin (see the
         module docstring), rescores them in float64 and sorts them by
         (-score, chunk id), so a row's score and rank depend only on that
-        row and its query. This is the only selection path: ``search``,
+        row and its query. This is the only selection path: its one caller
+        is :meth:`retrieve`, through which ``search``,
         ``retrieve_for_queries`` and the pipeline's blocks of questions
-        (``Pipeline.retrieve_block``) all go through it, and a tracer can
-        time all retrieval by patching this one method.
+        (``Pipeline.retrieve_block``) all go, and a tracer can time all
+        retrieval by patching this one method.
         """
         queries = np.asarray(vectors, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
@@ -679,28 +702,17 @@ def index_texts(ids: Sequence[str], texts: Sequence[str], provider: EmbeddingPro
 
 
 def triple_query(triple: ReasoningTriple) -> str:
-    """Render a triple as a retrieval query: its fields joined by single spaces,
-    predicates verbatim (the ``space`` query style, the only one)."""
+    """Render a triple as a retrieval query: its fields joined by single
+    spaces, predicates verbatim."""
     return f"{triple.subject} {triple.predicate} {triple.object}"
 
 
 def retrieve_for_queries(index: Index, queries: Sequence[str], k_per_query: int = 5) -> tuple[list[str], list[RetrievalHit]]:
-    """Per-query top-k plus the de-duplicated union of chunk ids.
-
-    All queries are embedded in one ``embed`` call (one ``/embeddings``
-    round trip for a remote provider) and scored together by one
-    ``Index._top_k`` call; each query's hits are those ``Index.search``
-    gives it alone. Union order is first occurrence: query order, then rank
-    order within a query. The full hit lists are returned for tracing.
+    """Per-query top-k plus the de-duplicated union of chunk ids: the
+    one-list case of :meth:`Index.retrieve`, so each query's hits are those
+    ``Index.search`` gives it alone. The full hit lists are returned for
+    tracing.
     """
     if not queries:
         raise EmbedIndexError("no queries to retrieve for")
-    for query in queries:
-        _check_query(query, k_per_query)
-    vectors = embed(queries, index.provider)
-    hits = [
-        RetrievalHit(chunk_id=cid, score=score, query_index=qi)
-        for qi, ranked in enumerate(index._top_k(vectors, k_per_query))
-        for cid, score in ranked
-    ]
-    return list(dict.fromkeys(hit.chunk_id for hit in hits)), hits
+    return index.retrieve([queries], k_per_query)[0]

@@ -10,7 +10,6 @@ complete :class:`PipelineTrace` and a question never aborts a run.
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ThreadPoolExecutor, wait
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 from anchor_rag.corpus import DEFAULT_TOKENIZER, Chunk, QAItem
-from anchor_rag.embed_index import EmbedIndexError, Index, embed, triple_query
+from anchor_rag.embed_index import EmbedIndexError, Index, triple_query
 from anchor_rag.llm_gateway import (
     ChatProvider,
     ChatRequest,
@@ -43,16 +42,14 @@ from anchor_rag.prompt_kit import (
 from anchor_rag.traces import (
     PipelineError,
     PipelineTrace,
-    RetrievalHit,
     RunConfig,
     StageUsage,
-    _append_after,
-    _scan_trace_file,
-    _trace_header,
     decide_gate,
+    open_trace_file,
     # Unused here: perfbench's tracer patches pipeline.read_trace_file, and
     # the acceptance suite imports it from here.
     read_trace_file,
+    write_trace,
 )
 
 # Float32 scores per retrieval block of one query a question: ``run_dataset``
@@ -168,36 +165,30 @@ class Pipeline:
         retrieval), or the raw question when it has none: always in
         ``standard_rag``, and in the other modes when no triple survived
         parsing, flagged ``fallback_question_query``. The block's queries
-        are embedded in one ``embed`` call (one ``/embeddings`` round trip
-        for a remote embedder) and selected by one ``Index._top_k`` call,
-        whose hits depend only on the row and the query, so each question
-        gets exactly the hits and union ``retrieve_for_queries`` gives its
-        queries alone. Each trace's retrieval time is its share of the
-        block's. A failed retrieval records its error on every question of
-        the block, each with its queries and no hits. ``system1_only``
-        retrieves nothing.
+        go to one :meth:`Index.retrieve` call (one ``/embeddings`` round
+        trip for a remote embedder), whose hits depend only on the row and
+        the query, so each question gets exactly the hits and union
+        ``retrieve_for_queries`` gives its queries alone. Each trace's
+        retrieval time is its share of the block's. A failed retrieval
+        records its error on every question of the block, each with its
+        queries and no hits. ``system1_only`` retrieves nothing.
         """
         if self.config.mode == "system1_only":
             return
         queries = [[triple_query(t) for t in trace.triples] or [q.question] for q, trace in zip(items, traces)]
         started = time.perf_counter()
         try:
-            vectors = embed([text for texts in queries for text in texts], self.index.provider)
-            ranked = iter(self.index._top_k(vectors, self.config.k_per_triple))
+            retrieved = self.index.retrieve(queries, self.config.k_per_triple)
         except EmbedIndexError as exc:
             for trace in traces:
                 trace.errors.append(f"retrieval: {exc}")
-            ranked = itertools.repeat([])
+            retrieved = [([], []) for _ in traces]
         share_ms = (time.perf_counter() - started) * 1000.0 / len(items)
-        for trace, texts in zip(traces, queries):
-            trace.hits = [
-                RetrievalHit(chunk_id=cid, score=score, query_index=qi)
-                for qi, pairs in enumerate(itertools.islice(ranked, len(texts)))
-                for cid, score in pairs
-            ]
+        for trace, texts, (union, hits) in zip(traces, queries, retrieved):
+            trace.hits = hits
             trace.stage_ms["retrieval"] = share_ms
             trace.retrieval_queries = texts
-            trace.retrieved_chunks = list(dict.fromkeys(hit.chunk_id for hit in trace.hits))
+            trace.retrieved_chunks = union
             trace.payload_tokens = sum(c.token_count for c in self._chunks(trace))
             if not trace.triples and self.config.mode != "standard_rag":
                 trace.flags["fallback_question_query"] = True
@@ -316,8 +307,11 @@ class Pipeline:
 
         Questions are processed in ascending question-id order, so an
         interrupted run leaves a sorted prefix and ``resume=True`` picks up
-        exactly the remaining ids. Resume refuses a trace file written under
-        a different config.
+        exactly the remaining ids. The file is opened by
+        :func:`~anchor_rag.traces.open_trace_file`, which refuses to resume
+        a file written under a different config, and each trace is appended
+        by :func:`~anchor_rag.traces.write_trace`; with no ``trace_path``
+        nothing is written.
 
         The questions still to run go in blocks of max(1, 2**15 //
         len(index)), of one in ``system1_only``. Each block runs each
@@ -350,23 +344,11 @@ class Pipeline:
             raise PipelineError("duplicate question ids in run set")
         existing: list[PipelineTrace] = []
         writer = None
-        path = Path(trace_path) if trace_path is not None else None
         # A thread pool starts its threads only when work is submitted to it.
         pool = ThreadPoolExecutor(self.config.concurrency) if self.config.concurrency > 1 else _Inline()
         try:
-            if path is not None:
-                if resume and path.exists():
-                    header, existing, end = _scan_trace_file(path)
-                    if header.get("config_hash") != self.config.config_hash():
-                        raise PipelineError(
-                            f"{path} was written under a different config; refusing to resume"
-                        )
-                    writer = _append_after(path, end)
-                else:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    writer = path.open("w", encoding="utf-8")
-                    writer.write(json.dumps(_trace_header(self.config)) + "\n")
-                    writer.flush()
+            if trace_path is not None:
+                existing, writer = open_trace_file(trace_path, self.config, resume)
             done = {t.question_id for t in existing}
             todo = [q for q in ordered if q.question_id not in done]
             fresh: list[PipelineTrace] = []
@@ -374,8 +356,7 @@ class Pipeline:
             for trace in self._run_blocks(pool, todo, size):
                 fresh.append(trace)
                 if writer:
-                    writer.write(json.dumps(trace.to_json_dict(), ensure_ascii=False) + "\n")
-                    writer.flush()
+                    write_trace(writer, trace)
         finally:
             # After an interrupt or an error, queued questions never start;
             # the calls already running end first.

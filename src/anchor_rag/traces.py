@@ -1,7 +1,8 @@
-"""The trace model: run settings, per-question traces and the trace-file
-schema (a header line with the run config and its hash, then one
-:class:`PipelineTrace` per line). Stdlib only, so the commands that only
-read traces never load numpy or the retrieval stack.
+"""The trace model: run settings, per-question traces and the trace file
+(a header line with the run config and its hash, then one
+:class:`PipelineTrace` per line), which only this module opens. Stdlib
+only, so the commands that only read traces never load numpy or the
+retrieval stack.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from pathlib import Path
 from typing import TextIO, get_args, get_origin, get_type_hints
 
 MODES = ("full", "system1_only", "no_initial_reasoning", "threshold_gated", "standard_rag")
-QUERY_STYLES = ("space",)
 
 EMPTY_HYPOTHESIS_SENTINEL = "unknown"
 TRACE_SCHEMA_VERSION = 1
@@ -88,10 +88,8 @@ class RunConfig:
     mode: str = "full"
     k_per_triple: int = 5
     confidence_threshold: float | None = None
-    seed: int = 0
     temperature: float = 0.0
     limits: StageTokenLimits = field(default_factory=StageTokenLimits)
-    query_style: str = "space"
     concurrency: int = 1
     max_failure_rate: float = 0.2
     chat_provider: dict = field(default_factory=dict)
@@ -103,8 +101,6 @@ class RunConfig:
             raise PipelineError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.k_per_triple < 1:
             raise PipelineError("k_per_triple must be >= 1")
-        if self.query_style not in QUERY_STYLES:
-            raise PipelineError(f"unknown query style {self.query_style!r}; expected one of {QUERY_STYLES}")
         for name in ("temperature", "confidence_threshold"):
             value = getattr(self, name)
             if value is not None and not 0 <= value < math.inf:  # also refuses NaN
@@ -271,15 +267,6 @@ _USAGE_TYPES = get_type_hints(StageUsage)
 # --- trace file I/O -----------------------------------------------------------
 
 
-def _trace_header(config: RunConfig) -> dict:
-    return {
-        "kind": "trace_file",
-        "schema_version": TRACE_SCHEMA_VERSION,
-        "config": config.to_dict(),
-        "config_hash": config.config_hash(),
-    }
-
-
 def read_trace_file(path: str | Path) -> tuple[dict, list[PipelineTrace]]:
     header, traces, _ = _scan_trace_file(path)
     return header, traces
@@ -330,12 +317,29 @@ def _scan_trace_file(path: str | Path) -> tuple[dict, list[PipelineTrace], int]:
     return header, traces, end
 
 
-def _append_after(path: Path, end: int) -> TextIO:
-    """Open a trace file for appending after its first ``end`` bytes.
+def open_trace_file(path: str | Path, config: RunConfig, resume: bool) -> tuple[list[PipelineTrace], TextIO]:
+    """Open a run's trace file for :func:`write_trace`: the traces it
+    already holds and the writer.
 
-    Whatever follows them (a torn last line) is cut off, and the kept part
-    is ended with a newline, so the next trace starts on a line of its own.
+    A new run, or a resume with no file yet, writes a new file that holds
+    only the header line of ``config``, and has no traces. A resume reads
+    the file and appends after its last whole line: a torn last line is cut
+    off, and a kept part that does not end its line is ended, so the next
+    trace starts on a line of its own. A file whose ``config_hash`` is not
+    ``config``'s is refused with a :class:`PipelineError` and left as it is.
     """
+    path = Path(path)
+    if not (resume and path.exists()):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        header = {"kind": "trace_file", "schema_version": TRACE_SCHEMA_VERSION, "config": config.to_dict(),
+                  "config_hash": config.config_hash()}
+        writer = path.open("w", encoding="utf-8")
+        writer.write(json.dumps(header) + "\n")
+        writer.flush()
+        return [], writer
+    header, traces, end = _scan_trace_file(path)
+    if header.get("config_hash") != config.config_hash():
+        raise PipelineError(f"{path} was written under a different config; refusing to resume")
     with path.open("r+b") as fh:
         fh.truncate(end)
         fh.seek(end - 1)
@@ -343,4 +347,11 @@ def _append_after(path: Path, end: int) -> TextIO:
     writer = path.open("a", encoding="utf-8")
     if not ends_line:
         writer.write("\n")
-    return writer
+    return traces, writer
+
+
+def write_trace(writer: TextIO, trace: PipelineTrace) -> None:
+    """Append ``trace`` as one line to a file opened by
+    :func:`open_trace_file`, flushed, so an interrupt leaves whole lines."""
+    writer.write(json.dumps(trace.to_json_dict(), ensure_ascii=False) + "\n")
+    writer.flush()

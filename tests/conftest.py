@@ -111,12 +111,17 @@ class LoopbackEndpoint:
                 suffix = next(s for s in stub.routes if self.path.endswith(s))
                 queue = stub.queued[suffix]
                 status, headers, raw = queue.pop(0) if queue else stub.routes[suffix](payload)
-                self.send_response(status)
                 headers = {"Content-Length": str(len(raw)), **headers}
-                for key, value in headers.items():
-                    self.send_header(key, value)
-                self.end_headers()
-                self.wfile.write(raw)
+                try:
+                    self.send_response(status)
+                    for key, value in headers.items():
+                        self.send_header(key, value)
+                    self.end_headers()
+                    self.wfile.write(raw)
+                except (BrokenPipeError, ConnectionResetError):
+                    # The client closed the connection without reading the reply.
+                    self.close_connection = True
+                    return
                 self.close_connection = self.close_connection or int(headers["Content-Length"]) > len(raw)
 
             def log_message(self, *args):

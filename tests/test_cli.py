@@ -170,6 +170,49 @@ def test_run_resume_appends_to_traces_written_without_a_defaulted_field(workspac
     assert (loaded.flags, loaded.saved_input_tokens, loaded.usage) == ({}, 0, {})
 
 
+def test_run_resume_refuses_a_header_with_seed_and_query_style(workspace, capsys):
+    # The header as written while the config still held `seed` and
+    # `query_style`: its hash cannot match a config without them.
+    import hashlib
+
+    rc, trace_path = run_full(workspace)
+    assert rc == 0
+    header, *lines = trace_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    config = {}
+    for key, value in json.loads(header)["config"].items():
+        config[key] = value
+        if key == "confidence_threshold":
+            config["seed"] = 0
+        elif key == "limits":
+            config["query_style"] = "space"
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()[:16]
+    old = {"kind": "trace_file", "schema_version": 1, "config": config, "config_hash": digest}
+    trace_path.write_text(json.dumps(old) + "\n" + "".join(lines), encoding="utf-8")
+    before = trace_path.read_bytes()
+    capsys.readouterr()
+
+    rc, _ = run_full(workspace, extra=("--resume",))
+    assert rc == 1
+    assert error_lines(capsys) == [f"error: {trace_path} was written under a different config; refusing to resume"]
+    assert trace_path.read_bytes() == before
+    assert main(["report", "--traces", str(trace_path), "--out-dir", str(workspace / "report")]) == 0
+    assert main(["inspect", "--traces", str(trace_path), "--question-id", "bannan-conference"]) == 0
+    assert '"final_answer": "Pac-12 Conference"' in capsys.readouterr().out
+
+
+def test_run_seed_flag_and_key_are_gone(workspace, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_full(workspace, "seeded.jsonl", extra=("--seed", "1"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    path = workspace / "config.json"
+    path.write_text(json.dumps({"seed": 0}), encoding="utf-8")
+    rc, out = run_full(workspace, "seeded.jsonl", extra=("--config", str(path)))
+    assert rc == 1
+    assert error_lines(capsys) == ["error: unknown config keys: ['seed']"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("keep", [0, 3, 10, 30, 60, 3000, -1])
 def test_run_truncated_index_is_one_error_line(workspace, capsys, keep):
     raw = (workspace / "index.bin").read_bytes()
@@ -844,7 +887,47 @@ def test_run_provider_setting_of_wrong_type_is_one_error_line(workspace, capsys,
     assert reads == [] and not out.exists()
 
 
-def test_run_unknown_query_style_fails_before_any_question(workspace, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "key, spec, unknown",
+    [
+        ("embed_provider", {"dimm": 64}, ["dimm"]),
+        ("embed_provider", {"kind": "hashing", "fixtures": "f.jsonl"}, ["fixtures"]),
+        ("chat_provider", {"fixture": "x"}, ["fixture"]),
+        ("chat_provider", {"kind": "openai", "base_url": "http://127.0.0.1:9/v1", "model": "m",
+                           "api_key_var": "MY_KEY", "dim": 8}, ["api_key_var", "dim"]),
+    ],
+    ids=["embed_dimm", "embed_fixtures", "chat_fixture", "chat_api_key_var_and_dim"],
+)
+def test_run_unknown_provider_key_is_one_error_line(workspace, capsys, monkeypatch, key, spec, unknown):
+    # These used to pass unchanged: a misspelled api_key_env sent the key of
+    # the default variable instead.
+    reads = []
+    monkeypatch.setattr(corpus, "read_question_file", lambda path: reads.append(path) or read_question_file(path))
+    path = workspace / "config.json"
+    path.write_text(json.dumps({key: spec}), encoding="utf-8")
+    rc, out = run_full(workspace, "unknown_provider_key.jsonl", extra=("--config", str(path)))
+    assert rc == 1
+    assert error_lines(capsys) == [f"error: unknown config {key} keys: {unknown}"]
+    assert reads == [] and not out.exists()
+
+
+def test_run_embed_dim_of_wrong_type_is_refused_before_any_input_in_every_mode(workspace, capsys, monkeypatch):
+    # It was checked only when the embedder was built: after the question
+    # file was read, and never in system1_only, whose header then held it.
+    reads = []
+    monkeypatch.setattr(corpus, "read_question_file", lambda path: reads.append(path) or read_question_file(path))
+    path = workspace / "config.json"
+    path.write_text(json.dumps({"embed_provider": {"dim": "abc"}}), encoding="utf-8")
+    out = workspace / "bad_dim_run.jsonl"
+    rc = main(["run", "--questions", str(workspace / "questions.jsonl"), "--mode", "system1_only",
+               "--provider", "scripted", "--fixtures", str(DATA / "scripted_fixtures.jsonl"),
+               "--out", str(out), "--config", str(path)])
+    assert rc == 1
+    assert error_lines(capsys) == ["error: config embed_provider dim must be int or null, got str 'abc'"]
+    assert reads == [] and not out.exists()
+
+
+def test_run_query_style_key_is_unknown_and_fails_before_any_question(workspace, capsys, monkeypatch):
     calls = []
     original = ScriptedProvider.complete
 
@@ -857,7 +940,7 @@ def test_run_unknown_query_style_fails_before_any_question(workspace, capsys, mo
     path.write_text(json.dumps({"query_style": "bogus"}), encoding="utf-8")
     rc, out = run_full(workspace, "bad_style_run.jsonl", extra=("--config", str(path)))
     assert rc == 1
-    assert error_lines(capsys) == ["error: unknown query style 'bogus'; expected one of ('space',)"]
+    assert error_lines(capsys) == ["error: unknown config keys: ['query_style']"]
     assert not out.exists()
     assert calls == []
 

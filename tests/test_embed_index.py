@@ -583,6 +583,18 @@ def test_retrieve_for_queries_embeds_once_and_matches_search():
     assert union == list(dict.fromkeys(h.chunk_id for h in expected))
 
 
+def test_index_retrieve_embeds_once_and_matches_each_list_alone():
+    provider = CountingEmbedder()
+    index = build_index(soup_corpus(40, random.Random(15)), provider)
+    lists = [["river stone", "orchid nectar lagoon"], ["quartz"], ["falcon plays_for summit", "river stone", "orchid"]]
+    provider.calls = 0
+    retrieved = index.retrieve(lists, k=4)
+    assert provider.calls == 1
+    assert retrieved == [retrieve_for_queries(index, queries, k_per_query=4) for queries in lists]
+    assert [[h.query_index for h in hits] for _, hits in retrieved] == [[0] * 4 + [1] * 4, [0] * 4,
+                                                                        [0] * 4 + [1] * 4 + [2] * 4]
+
+
 @pytest.mark.parametrize(
     ("queries", "k", "message"),
     [

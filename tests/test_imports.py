@@ -44,6 +44,32 @@ def test_import_check_flags_a_third_party_module(tmp_path):
                                                                                                "requests"]
 
 
+def private_package_imports(path: Path):
+    """``(module, name)`` for every ``_``-prefixed name that ``path`` imports
+    from the package, by an absolute or a relative ``from`` import."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "anchor_rag"):
+            module = "." * node.level + (node.module or "")
+            yield from ((module, alias.name) for alias in node.names if alias.name.startswith("_"))
+
+
+def test_package_modules_import_no_private_name_of_another():
+    found = {
+        (path.relative_to(PACKAGE).as_posix(), module, name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for module, name in private_package_imports(path)
+    }
+    assert sorted(found) == []
+
+
+def test_private_import_check_flags_absolute_and_relative_imports(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("from anchor_rag.traces import _scan_trace_file, read_trace_file\nfrom . import _sibling\n"
+                    "from .embed_index import Index\nfrom os import _exit\n",
+                    encoding="utf-8")
+    assert list(private_package_imports(path)) == [("anchor_rag.traces", "_scan_trace_file"), (".", "_sibling")]
+
+
 # Every local command in one fresh process, then an HTTP chat provider built.
 LOCAL_COMMANDS = """
 import json, sys

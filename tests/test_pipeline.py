@@ -670,7 +670,7 @@ def test_run_dataset_resume_rejects_other_config(tmp_path, scripted_provider, ba
     path = tmp_path / "traces.jsonl"
     pipe = make_pipeline(scripted_provider, bannan_index, bannan_chunks, mode="system1_only")
     pipe.run_dataset(items, trace_path=path)
-    other = make_pipeline(scripted_provider, bannan_index, bannan_chunks, mode="system1_only", seed=99)
+    other = make_pipeline(scripted_provider, bannan_index, bannan_chunks, mode="system1_only", k_per_triple=3)
     with pytest.raises(PipelineError):
         other.run_dataset(items, trace_path=path, resume=True)
 
